@@ -3,7 +3,6 @@ identity, self-normalized and Studentized U-processes, heavy-tailed
 samplers, a degenerate-decomposition verification lab, and a seeded
 Monte Carlo experiment harness."""
 
-from ._accel import NUMBA_ENABLED
 from .decomposition import (
     MomentBoundResult,
     ProductStatistic,
@@ -37,7 +36,6 @@ from .engine import (
     ordered_distinct_sum,
     u_prefix_process,
     u_statistic,
-    u_statistic_fast_product,
 )
 from .errors import (
     ConfigError,
@@ -81,7 +79,6 @@ from .kernels import (
     variance_kernel,
 )
 from .processes import (
-    Normalizers,
     StepProcess,
     abs_sup_functional,
     pseudo_selfnormalized_path,

@@ -1,24 +1,27 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels of the built-in kernels, in numpy.
 
-The public functions dispatch to one of two backends selected at import
-time.  Setting the environment variable ``USTATLAB_NO_NUMBA=1`` (or numba
-being unavailable) selects the numpy backend, which uses closed forms for
-the untruncated built-in kernels and chunked/masked array code otherwise.
-Both backends are kept importable under private names (``_nb_*`` /
-``_np_*``) so ``benchmarks/bench_accel.py`` and the cross-backend tests
-can compare them directly.
+Two families of entry points:
 
-Built-in kernels are addressed by an integer code plus a truncation
-threshold ``thr`` (``inf`` means untruncated); evaluation is
-``h * 1(|h| <= thr)``.  Grand totals are reduced as numpy sums of
-per-first-index partials, which bounds the accumulated rounding error
-well below the 1e-9 relative tolerances asserted by the test suite.
+* the elementary-symmetric-polynomial (ESP) closed forms ``esp``,
+  ``esp_prefix`` and ``product_q_raw``, which serve the untruncated
+  product kernel of any order m in O(n m);
+* ``ustat_sum``, ``q_raw``, ``prefix_sums`` and ``shared_pair_total``
+  for a built-in kernel addressed by an integer code plus a truncation
+  threshold ``thr`` (``inf`` means untruncated), m <= 3.  Evaluation is
+  ``h * 1(|h| <= thr)``.  The untruncated variance and identity kernels
+  have closed forms; everything else enumerates with masked arrays.
+
+Which family serves a kernel is decided once, by
+:func:`ustatlab.engine.kernel_route`; the second family also accepts an
+untruncated product kernel, but enumerates it.  Grand totals are reduced
+as numpy sums of per-first-index partials, which bounds the accumulated
+rounding error well below the 1e-9 relative tolerances asserted by the
+test suite.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -26,30 +29,19 @@ KERNEL_IDENTITY = 0  # m = 1, h(x) = x
 KERNEL_PRODUCT = 1   # h(x_1..x_m) = prod x_i
 KERNEL_VARIANCE = 2  # m = 2, h(x, y) = (x - y)^2 / 2
 
-_ENV_DISABLED = os.environ.get("USTATLAB_NO_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
-
-try:
-    if _ENV_DISABLED:
-        raise ImportError("numba disabled via USTATLAB_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    njit = None
-    NUMBA_ENABLED = False
-
 
 def _as_f64(data) -> np.ndarray:
     return np.ascontiguousarray(data, dtype=np.float64)
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
+def _mask(h: np.ndarray, thr: float) -> np.ndarray:
+    """h * 1(|h| <= thr); h itself when untruncated."""
+    if math.isfinite(thr):
+        return np.where(np.abs(h) <= thr, h, 0.0)
+    return h
 
-def _np_hmat2(code: int, thr: float, x: np.ndarray) -> np.ndarray:
+
+def _hmat2(code: int, thr: float, x: np.ndarray) -> np.ndarray:
     """Full n x n matrix of pair evaluations h(x_i, x_j)."""
     if code == KERNEL_PRODUCT:
         h = np.outer(x, x)
@@ -58,68 +50,66 @@ def _np_hmat2(code: int, thr: float, x: np.ndarray) -> np.ndarray:
         h = 0.5 * d * d
     else:
         raise ValueError(f"code {code} is not a pair kernel")
-    if math.isfinite(thr):
-        h = np.where(np.abs(h) <= thr, h, 0.0)
-    return h
+    return _mask(h, thr)
 
 
-def _np_hvec3(code: int, thr: float, a: float, b: float, xs: np.ndarray) -> np.ndarray:
+def _hvec3(code: int, thr: float, a: float, b: float, xs: np.ndarray) -> np.ndarray:
     """Vector of triple evaluations h(a, b, xs[k])."""
     if code != KERNEL_PRODUCT:
         raise ValueError(f"code {code} is not a triple kernel")
-    h = a * b * xs
-    if math.isfinite(thr):
-        h = np.where(np.abs(h) <= thr, h, 0.0)
-    return h
+    return _mask(a * b * xs, thr)
 
 
-def _np_esp(data: np.ndarray, m: int) -> float:
-    """Elementary symmetric polynomial e_m(data)."""
-    x = _as_f64(data)
-    if m == 0:
-        return 1.0
+# ---------------------------------------------------------------------------
+# ESP closed forms (untruncated product kernel)
+# ---------------------------------------------------------------------------
+
+def _from_power_sums(p: list, m: int):
+    """e_m by Newton's identities from p[k-1] = sum of x^k, 1 <= m <= 4.
+    Scalar power sums give e_m(x); prefix-sum arrays give e_m of every
+    prefix."""
     if m == 1:
-        return float(x.sum())
-    p = [float((x ** k).sum()) for k in range(1, m + 1)]
+        return p[0]
     if m == 2:
         return 0.5 * (p[0] ** 2 - p[1])
     if m == 3:
         return (p[0] ** 3 - 3.0 * p[0] * p[1] + 2.0 * p[2]) / 6.0
-    if m == 4:
-        return (
-            p[0] ** 4 - 6.0 * p[0] ** 2 * p[1] + 3.0 * p[1] ** 2
-            + 8.0 * p[0] * p[2] - 6.0 * p[3]
-        ) / 24.0
-    # rare m >= 5: triangular update
-    e = np.zeros(m + 1)
-    e[0] = 1.0
-    for xi in x:
-        top = min(m, len(e) - 1)
-        for j in range(top, 0, -1):
-            e[j] += xi * e[j - 1]
-    return float(e[m])
+    return (
+        p[0] ** 4 - 6.0 * p[0] ** 2 * p[1] + 3.0 * p[1] ** 2
+        + 8.0 * p[0] * p[2] - 6.0 * p[3]
+    ) / 24.0
 
 
-def _np_esp_prefix(data: np.ndarray, m: int) -> np.ndarray:
+def _esps(x: np.ndarray, top: int) -> list:
+    """[e_0(x), ..., e_top(x)]: Newton's identities up to e_4, the
+    triangular update above (rare m >= 5)."""
+    p = [float((x ** k).sum()) for k in range(1, min(top, 4) + 1)]
+    e = [1.0] + [_from_power_sums(p, k) for k in range(1, len(p) + 1)]
+    if top > 4:
+        t = np.zeros(top + 1)
+        t[0] = 1.0
+        for xi in x:
+            for j in range(top, 0, -1):
+                t[j] += xi * t[j - 1]
+        e += [float(v) for v in t[5:]]
+    return e
+
+
+def esp(data, m: int) -> float:
+    """Elementary symmetric polynomial e_m(data)."""
+    return _esps(_as_f64(data), m)[m]
+
+
+def esp_prefix(data, m: int) -> np.ndarray:
     """out[k] = e_m(data[:k]) for k = 0..n."""
     x = _as_f64(data)
     n = x.shape[0]
-    out = np.zeros(n + 1)
     if m == 0:
-        out[:] = 1.0
-        return out
-    c = [np.concatenate([[0.0], np.cumsum(x ** k)]) for k in range(1, min(m, 4) + 1)]
-    if m == 1:
-        return c[0]
-    if m == 2:
-        return 0.5 * (c[0] ** 2 - c[1])
-    if m == 3:
-        return (c[0] ** 3 - 3.0 * c[0] * c[1] + 2.0 * c[2]) / 6.0
-    if m == 4:
-        return (
-            c[0] ** 4 - 6.0 * c[0] ** 2 * c[1] + 3.0 * c[1] ** 2
-            + 8.0 * c[0] * c[2] - 6.0 * c[3]
-        ) / 24.0
+        return np.ones(n + 1)
+    if m <= 4:
+        c = [np.concatenate([[0.0], np.cumsum(x ** k)]) for k in range(1, m + 1)]
+        return _from_power_sums(c, m)
+    out = np.zeros(n + 1)
     e = np.zeros(m + 1)
     e[0] = 1.0
     for k in range(n):
@@ -129,67 +119,58 @@ def _np_esp_prefix(data: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _np_product_q_raw(data: np.ndarray, m: int) -> np.ndarray:
-    """q_raw[i] = sum over m-subsets containing i of prod(x), via ESP downdate."""
+def product_q_raw(data, m: int) -> np.ndarray:
+    """q_raw[i] = sum over m-subsets containing i of prod(x), by the ESP
+    downdate e_k(x without x_i) = e_k(x) - x_i e_(k-1)(x without x_i)."""
     x = _as_f64(data)
+    e = _esps(x, m - 1)
     b = np.ones_like(x)
     for k in range(1, m):
-        b = _np_esp(x, k) - x * b
+        b = e[k] - x * b
     return x * b
 
 
-def _np_ustat_sum(code: int, thr: float, data: np.ndarray, m: int) -> float:
+# ---------------------------------------------------------------------------
+# built-in kernels by code and threshold, m <= 3
+# ---------------------------------------------------------------------------
+
+def ustat_sum(code: int, thr: float, data, m: int) -> float:
+    """Sum of h over all m-subsets of data."""
     x = _as_f64(data)
     n = x.shape[0]
     if m == 1:
-        h = x
-        if math.isfinite(thr):
-            h = np.where(np.abs(h) <= thr, h, 0.0)
-        return float(h.sum())
+        return float(_mask(x, thr).sum())
     if m == 2:
-        if not math.isfinite(thr):
+        if code == KERNEL_VARIANCE and not math.isfinite(thr):
             s1 = float(x.sum())
             s2 = float((x * x).sum())
-            if code == KERNEL_PRODUCT:
-                return 0.5 * (s1 * s1 - s2)
-            if code == KERNEL_VARIANCE:
-                return 0.5 * (n * s2 - s1 * s1)
-        h = _np_hmat2(code, thr, x)
+            return 0.5 * (n * s2 - s1 * s1)
+        h = _hmat2(code, thr, x)
         return float((h.sum() - np.trace(h)) / 2.0)
-    # m == 3 (product only)
-    if not math.isfinite(thr):
-        return _np_esp(x, 3)
     total = np.zeros(n)
     for i in range(n):
         for j in range(i + 1, n):
-            total[i] += _np_hvec3(code, thr, x[i], x[j], x[j + 1:]).sum()
+            total[i] += _hvec3(code, thr, x[i], x[j], x[j + 1:]).sum()
     return float(total.sum())
 
 
-def _np_q_raw(code: int, thr: float, data: np.ndarray, m: int) -> np.ndarray:
+def q_raw(code: int, thr: float, data, m: int) -> np.ndarray:
+    """q_raw[i] = sum of h over the m-subsets of data containing i."""
     x = _as_f64(data)
     n = x.shape[0]
     if m == 1:
-        h = x
-        if math.isfinite(thr):
-            h = np.where(np.abs(h) <= thr, h, 0.0)
-        return h.astype(np.float64, copy=True)
+        return _mask(x, thr).copy()
     if m == 2:
-        if not math.isfinite(thr):
-            if code == KERNEL_PRODUCT:
-                return _np_product_q_raw(x, 2)
-            if code == KERNEL_VARIANCE:
-                s1 = float(x.sum())
-                s2 = float((x * x).sum())
-                return 0.5 * ((n - 1) * x * x - 2.0 * x * (s1 - x) + (s2 - x * x))
-        h = _np_hmat2(code, thr, x)
+        if code == KERNEL_VARIANCE and not math.isfinite(thr):
+            s1 = float(x.sum())
+            s2 = float((x * x).sum())
+            return 0.5 * ((n - 1) * x * x - 2.0 * x * (s1 - x) + (s2 - x * x))
+        h = _hmat2(code, thr, x)
         return h.sum(axis=1) - np.diag(h)
-    if not math.isfinite(thr) and code == KERNEL_PRODUCT:
-        return _np_product_q_raw(x, 3)
     q = np.zeros(n)
     for i in range(n):
         for j in range(i + 1, n):
-            v = _np_hvec3(code, thr, x[i], x[j], x[j + 1:])
+            v = _hvec3(code, thr, x[i], x[j], x[j + 1:])
             s = v.sum()
             q[i] += s
             q[j] += s
@@ -197,37 +178,31 @@ def _np_q_raw(code: int, thr: float, data: np.ndarray, m: int) -> np.ndarray:
     return q
 
 
-def _np_prefix_sums(code: int, thr: float, data: np.ndarray, m: int) -> np.ndarray:
+def prefix_sums(code: int, thr: float, data, m: int) -> np.ndarray:
     """out[k] = sum of h over all m-subsets of data[:k], k = 0..n."""
     x = _as_f64(data)
     n = x.shape[0]
-    if not math.isfinite(thr):
-        if code == KERNEL_IDENTITY or (code == KERNEL_PRODUCT and m == 1):
-            return np.concatenate([[0.0], np.cumsum(x)])
-        if code == KERNEL_PRODUCT:
-            return _np_esp_prefix(x, m)
-        if code == KERNEL_VARIANCE:
-            c1 = np.concatenate([[0.0], np.cumsum(x)])
-            c2 = np.concatenate([[0.0], np.cumsum(x * x)])
-            k = np.arange(n + 1, dtype=np.float64)
-            return 0.5 * (k * c2 - c1 * c1)
+    if m == 1:
+        return np.concatenate([[0.0], np.cumsum(_mask(x, thr))])
+    if code == KERNEL_VARIANCE and not math.isfinite(thr):
+        c1 = np.concatenate([[0.0], np.cumsum(x)])
+        c2 = np.concatenate([[0.0], np.cumsum(x * x)])
+        k = np.arange(n + 1, dtype=np.float64)
+        return 0.5 * (k * c2 - c1 * c1)
     out = np.zeros(n + 1)
     run = 0.0
     for k in range(n):
-        if m == 1:
-            v = x[k]
-            run += v if abs(v) <= thr else 0.0
-        elif m == 2:
+        if m == 2:
             h = x[:k] * x[k] if code == KERNEL_PRODUCT else 0.5 * (x[:k] - x[k]) ** 2
-            run += float(np.where(np.abs(h) <= thr, h, 0.0).sum())
+            run += float(_mask(h, thr).sum())
         else:
             for j in range(k):
-                run += float(_np_hvec3(code, thr, x[j], x[k], x[j + 1:k]).sum())
+                run += float(_hvec3(code, thr, x[j], x[k], x[j + 1:k]).sum())
         out[k + 1] = run
     return out
 
 
-def _np_shared_pair_total(code: int, thr: float, data: np.ndarray) -> float:
+def shared_pair_total(code: int, thr: float, data) -> float:
     """sum over distinct ordered (i1,i2,i3,i4) of h(x1,x2,x3) * h(x1,x2,x4), m = 3."""
     x = _as_f64(data)
     n = x.shape[0]
@@ -248,12 +223,12 @@ def _np_shared_pair_total(code: int, thr: float, data: np.ndarray) -> float:
                 continue
             mask = np.ones(n, dtype=bool)
             mask[i] = mask[j] = False
-            v = _np_hvec3(code, thr, x[i], x[j], x[mask])
+            v = _hvec3(code, thr, x[i], x[j], x[mask])
             total += float(v.sum() ** 2 - (v * v).sum())
     return total
 
 
-def _np_max_abs_kernel(code: int, data: np.ndarray, m: int) -> float:
+def max_abs_kernel(code: int, data, m: int) -> float:
     """max over m-subsets of |h| for an untruncated built-in kernel."""
     x = _as_f64(data)
     if code == KERNEL_IDENTITY or m == 1:
@@ -262,216 +237,3 @@ def _np_max_abs_kernel(code: int, data: np.ndarray, m: int) -> float:
         return 0.5 * float(x.max() - x.min()) ** 2
     top = np.sort(np.abs(x))[-m:]
     return float(np.prod(top))
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, inline="always")
-    def _hval(code, thr, a, b, c, m):
-        if code == KERNEL_VARIANCE:
-            d = a - b
-            v = 0.5 * d * d
-        else:
-            v = a
-            if code == KERNEL_PRODUCT:
-                if m >= 2:
-                    v *= b
-                if m >= 3:
-                    v *= c
-        if abs(v) > thr:
-            return 0.0
-        return v
-
-    @njit(cache=True)
-    def _nb_esp(data, m):
-        e = np.zeros(m + 1)
-        e[0] = 1.0
-        for k in range(data.shape[0]):
-            top = m if k + 1 > m else k + 1
-            for j in range(top, 0, -1):
-                e[j] += data[k] * e[j - 1]
-        return e[m]
-
-    @njit(cache=True)
-    def _nb_esp_prefix(data, m):
-        n = data.shape[0]
-        e = np.zeros(m + 1)
-        e[0] = 1.0
-        out = np.zeros(n + 1)
-        for k in range(n):
-            top = m if k + 1 > m else k + 1
-            for j in range(top, 0, -1):
-                e[j] += data[k] * e[j - 1]
-            out[k + 1] = e[m]
-        return out
-
-    @njit(cache=True)
-    def _nb_product_q_raw(data, m):
-        n = data.shape[0]
-        e = np.zeros(m)
-        e[0] = 1.0
-        for k in range(n):
-            top = m - 1 if k + 1 > m - 1 else k + 1
-            for j in range(top, 0, -1):
-                e[j] += data[k] * e[j - 1]
-        q = np.zeros(n)
-        for i in range(n):
-            b = 1.0
-            for k in range(1, m):
-                b = e[k] - data[i] * b
-            q[i] = data[i] * b
-        return q
-
-    @njit(cache=True)
-    def _nb_q_raw(code, thr, data, m):
-        n = data.shape[0]
-        q = np.zeros(n)
-        if m == 1:
-            for i in range(n):
-                q[i] = _hval(code, thr, data[i], 0.0, 0.0, 1)
-        elif m == 2:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = _hval(code, thr, data[i], data[j], 0.0, 2)
-                    q[i] += v
-                    q[j] += v
-        else:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for k in range(j + 1, n):
-                        v = _hval(code, thr, data[i], data[j], data[k], 3)
-                        q[i] += v
-                        q[j] += v
-                        q[k] += v
-        return q
-
-    @njit(cache=True)
-    def _nb_ustat_partials(code, thr, data, m):
-        n = data.shape[0]
-        part = np.zeros(n)
-        if m == 1:
-            for i in range(n):
-                part[i] = _hval(code, thr, data[i], 0.0, 0.0, 1)
-        elif m == 2:
-            for i in range(n):
-                acc = 0.0
-                for j in range(i + 1, n):
-                    acc += _hval(code, thr, data[i], data[j], 0.0, 2)
-                part[i] = acc
-        else:
-            for i in range(n):
-                acc = 0.0
-                for j in range(i + 1, n):
-                    for k in range(j + 1, n):
-                        acc += _hval(code, thr, data[i], data[j], data[k], 3)
-                part[i] = acc
-        return part
-
-    @njit(cache=True)
-    def _nb_prefix_sums(code, thr, data, m):
-        n = data.shape[0]
-        out = np.zeros(n + 1)
-        run = 0.0
-        for k in range(n):
-            if m == 1:
-                run += _hval(code, thr, data[k], 0.0, 0.0, 1)
-            elif m == 2:
-                for j in range(k):
-                    run += _hval(code, thr, data[j], data[k], 0.0, 2)
-            else:
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        run += _hval(code, thr, data[i], data[j], data[k], 3)
-            out[k + 1] = run
-        return out
-
-    @njit(cache=True)
-    def _nb_shared_pair_total(code, thr, data):
-        n = data.shape[0]
-        total = 0.0
-        for i in range(n):
-            for j in range(n):
-                if j == i:
-                    continue
-                t = 0.0
-                qq = 0.0
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    v = _hval(code, thr, data[i], data[j], data[k], 3)
-                    t += v
-                    qq += v * v
-                total += t * t - qq
-        return total
-
-    def _nb_ustat_sum(code, thr, data, m):
-        return float(np.sum(_nb_ustat_partials(code, thr, data, m)))
-
-
-# ---------------------------------------------------------------------------
-# public dispatch
-#
-# Untruncated built-ins have O(n) closed forms (Newton identities, pair
-# cumulants, ESP downdates), which beat even jitted enumeration loops, so
-# those are always preferred; the jit loops carry the cases a closed form
-# cannot, chiefly threshold-truncated kernels.
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    def esp(data, m: int) -> float:
-        return float(_nb_esp(_as_f64(data), m))
-
-    def esp_prefix(data, m: int) -> np.ndarray:
-        return _nb_esp_prefix(_as_f64(data), m)
-
-    def product_q_raw(data, m: int) -> np.ndarray:
-        return _nb_product_q_raw(_as_f64(data), m)
-
-    def ustat_sum(code: int, thr: float, data, m: int) -> float:
-        if not math.isfinite(thr):
-            return _np_ustat_sum(code, thr, data, m)
-        return _nb_ustat_sum(code, thr, _as_f64(data), m)
-
-    def q_raw(code: int, thr: float, data, m: int) -> np.ndarray:
-        if not math.isfinite(thr):
-            if code == KERNEL_PRODUCT:
-                return _nb_product_q_raw(_as_f64(data), m)
-            return _np_q_raw(code, thr, data, m)
-        return _nb_q_raw(code, thr, _as_f64(data), m)
-
-    def prefix_sums(code: int, thr: float, data, m: int) -> np.ndarray:
-        if not math.isfinite(thr):
-            return _np_prefix_sums(code, thr, data, m)
-        return _nb_prefix_sums(code, thr, _as_f64(data), m)
-
-    def shared_pair_total(code: int, thr: float, data) -> float:
-        return float(_nb_shared_pair_total(code, thr, _as_f64(data)))
-else:
-    def esp(data, m: int) -> float:
-        return _np_esp(data, m)
-
-    def esp_prefix(data, m: int) -> np.ndarray:
-        return _np_esp_prefix(data, m)
-
-    def product_q_raw(data, m: int) -> np.ndarray:
-        return _np_product_q_raw(_as_f64(data), m)
-
-    def ustat_sum(code: int, thr: float, data, m: int) -> float:
-        return _np_ustat_sum(code, thr, data, m)
-
-    def q_raw(code: int, thr: float, data, m: int) -> np.ndarray:
-        return _np_q_raw(code, thr, data, m)
-
-    def prefix_sums(code: int, thr: float, data, m: int) -> np.ndarray:
-        return _np_prefix_sums(code, thr, data, m)
-
-    def shared_pair_total(code: int, thr: float, data) -> float:
-        return _np_shared_pair_total(code, thr, data)
-
-
-def max_abs_kernel(code: int, data, m: int) -> float:
-    return _np_max_abs_kernel(code, data, m)

@@ -135,8 +135,8 @@ def cmd_study(args) -> int:
         fp.write(report_to_json(report))
         fp.write("\n")
     _write_summary_csv(os.path.join(args.out, "summary.csv"), report)
-    for rec in report.per_n:
-        _write_values_csv(args.out, config, rec.n, workers)
+    for n, values in report.values.items():
+        _write_values_csv(args.out, n, values)
     status = "PASS" if report.overall_pass else "FAIL"
     print(f"{config.experiment}: {status} (report: {report_path})")
     return EXIT_OK if report.overall_pass else EXIT_FAIL
@@ -156,13 +156,7 @@ def _write_summary_csv(path: str, report) -> None:
             ])
 
 
-def _write_values_csv(out_dir: str, config: ExperimentConfig, n: int,
-                      workers: int) -> None:
-    if config.experiment == "NEGLIGIBILITY":
-        return
-    from .experiments import _run_chunk
-
-    values = _run_chunk((config.to_dict(), n, 0, config.replications))
+def _write_values_csv(out_dir: str, n: int, values: list) -> None:
     with open(os.path.join(out_dir, f"values_n{n}.csv"), "w", newline="") as fp:
         w = csv.writer(fp)
         w.writerow(["replication", "value"])

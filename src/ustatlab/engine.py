@@ -1,8 +1,11 @@
 """Exact and incremental U-statistic evaluation.
 
-Everything here is deterministic enumeration; Monte Carlo belongs to
-:mod:`ustatlab.experiments`.  Per-call work is capped (combination count
-<= 1e8, ordered-tuple arity <= 6): past the cap the engine refuses with
+Everything here is deterministic; Monte Carlo belongs to
+:mod:`ustatlab.experiments`.  :func:`kernel_route` picks, once per
+kernel, between the ESP closed forms, the built-in kernels of
+:mod:`ustatlab._accel` and generic enumeration.  Per-call work on the
+routes that enumerate is capped (combination count <= 1e8, ordered-tuple
+arity <= 6): past the cap the engine refuses with
 :class:`ResourceLimitError` rather than silently subsampling.
 """
 
@@ -25,14 +28,21 @@ __all__ = [
     "OrderedTupleSum",
     "u_statistic",
     "u_prefix_process",
-    "u_statistic_fast_product",
     "combination_sum",
+    "kernel_route",
+    "ROUTE_ESP",
+    "ROUTE_BUILTIN",
+    "ROUTE_ENUMERATION",
     "ordered_distinct_sum",
 ]
 
 MAX_ENUMERATION = 10 ** 8
 MAX_ORDERED_ARITY = 6
 _CHUNK = 1 << 16
+
+ROUTE_ESP = "esp"                  # untruncated product: O(n m) ESP closed forms
+ROUTE_BUILTIN = "builtin"          # other built-in kernels, m <= 3: _accel by code
+ROUTE_ENUMERATION = "enumeration"  # anything else: chunked enumeration
 
 
 @dataclass(frozen=True)
@@ -71,8 +81,31 @@ def _check_size(n: int, m: int, enumerates: bool = True) -> None:
         )
 
 
+def kernel_route(kernel: Kernel) -> str:
+    """Which implementation evaluates ``kernel``: one of the ROUTE_* names.
+
+    Decided from the kernel's (accel_code, accel_thr, order) alone, for
+    every computation: sums, prefix sums and jackknife q-accumulation.
+    """
+    if kernel.accel_code == _accel.KERNEL_PRODUCT and kernel.accel_thr == math.inf:
+        return ROUTE_ESP
+    if kernel.accel_code is not None and kernel.order <= 3:
+        return ROUTE_BUILTIN
+    return ROUTE_ENUMERATION
+
+
+def _routed(kernel: Kernel, n: int) -> str:
+    """The kernel's route, after the size checks.  Only the ESP route is
+    exempt from the enumeration cap: the built-in route enumerates
+    truncated kernels in O(n^m)."""
+    route = kernel_route(kernel)
+    _check_size(n, kernel.order, enumerates=route != ROUTE_ESP)
+    return route
+
+
 def _combo_chunks(n: int, m: int):
-    """Yield (chunk_size, index_matrix) over all m-combinations of range(n)."""
+    """Yield index matrices of at most _CHUNK rows over all m-combinations
+    of range(n)."""
     it = itertools.combinations(range(n), m)
     while True:
         block = list(itertools.islice(it, _CHUNK))
@@ -85,12 +118,10 @@ def combination_sum(kernel: Kernel, data) -> float:
     """Sum of h over all C(n, m) combinations (generic, chunked)."""
     x = np.asarray(data, dtype=np.float64)
     n, m = x.shape[0], kernel.order
-    fast_product = (kernel.accel_code == _accel.KERNEL_PRODUCT
-                    and kernel.accel_thr == math.inf)
-    _check_size(n, m, enumerates=not fast_product)
-    if fast_product:
-        return _accel.esp(x, m)  # O(n m) instead of enumerating C(n, m)
-    if kernel.accel_code is not None and m <= 3:
+    route = _routed(kernel, n)
+    if route == ROUTE_ESP:
+        return _accel.esp(x, m)
+    if route == ROUTE_BUILTIN:
         return _accel.ustat_sum(kernel.accel_code, kernel.accel_thr, x, m)
     if m == 1:
         return float(eval_kernel_rows(kernel, x[:, None]).sum())
@@ -123,12 +154,10 @@ def u_prefix_process(kernel: Kernel, data) -> UPrefixValues:
     """
     x = np.asarray(data, dtype=np.float64)
     n, m = x.shape[0], kernel.order
-    fast_product = (kernel.accel_code == _accel.KERNEL_PRODUCT
-                    and kernel.accel_thr == math.inf)
-    _check_size(n, m, enumerates=not fast_product)
-    if fast_product:
+    route = _routed(kernel, n)
+    if route == ROUTE_ESP:
         sums = _accel.esp_prefix(x, m)
-    elif kernel.accel_code is not None and m <= 3:
+    elif route == ROUTE_BUILTIN:
         sums = _accel.prefix_sums(kernel.accel_code, kernel.accel_thr, x, m)
     else:
         sums = np.zeros(n + 1)
@@ -145,16 +174,6 @@ def u_prefix_process(kernel: Kernel, data) -> UPrefixValues:
     ks = np.arange(m, n + 1)
     values[ks] = sums[ks] / np.array([math.comb(k, m) for k in ks], dtype=np.float64)
     return UPrefixValues(n=n, m=m, values=values)
-
-
-def u_statistic_fast_product(data, m: int) -> float:
-    """Product-kernel U-statistic via the m-th elementary symmetric
-    polynomial, e_m(data) / C(n, m); O(n * m) work."""
-    x = np.asarray(data, dtype=np.float64)
-    n = x.shape[0]
-    if n < m:
-        raise InsufficientDataError(f"need n >= m, got n={n}, m={m}")
-    return _accel.esp(x, m) / math.comb(n, m)
 
 
 def ordered_distinct_sum(f, data, r: int) -> OrderedTupleSum:

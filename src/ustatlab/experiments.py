@@ -201,6 +201,9 @@ class ConvergenceReport:
     dropped_total: int
     notes: list = field(default_factory=list)
     runtime_seconds: float = 0.0
+    # per-replication values by n, None where dropped; kept out of
+    # to_dict() so report.json does not carry them
+    values: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -351,11 +354,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
                 config=config.to_dict(), per_n=per_n, overall_pass=False,
                 dropped_total=config.replications * len(config.n_grid),
                 notes=notes, runtime_seconds=time.monotonic() - started,
+                values={n: [None] * config.replications for n in config.n_grid},
             )
     per_n = []
+    values_by_n = {}
     dropped_total = 0
     for n in config.n_grid:
-        values = _collect(config, n, workers)
+        values = values_by_n[n] = _collect(config, n, workers)
         kept = [v for v in values if v is not None]
         dropped = len(values) - len(kept)
         dropped_total += dropped
@@ -369,7 +374,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     return ConvergenceReport(
         config=config.to_dict(), per_n=per_n, overall_pass=overall,
         dropped_total=dropped_total, notes=notes,
-        runtime_seconds=time.monotonic() - started,
+        runtime_seconds=time.monotonic() - started, values=values_by_n,
     )
 
 

@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .engine import combination_sum, _check_size
+from .engine import (
+    ROUTE_BUILTIN,
+    ROUTE_ESP,
+    _combo_chunks,
+    _routed,
+    combination_sum,
+)
 from .errors import InsufficientDataError
 from .kernels import Kernel, eval_kernel_rows
 
@@ -62,23 +68,15 @@ def leave_one_out(kernel: Kernel, data) -> np.ndarray:
     return out
 
 
-def _q_raw(kernel: Kernel, x: np.ndarray) -> np.ndarray:
+def _q_raw(kernel: Kernel, x: np.ndarray, route: str) -> np.ndarray:
     """q_raw[i] = un-normalized sum of h over m-subsets containing i."""
     n, m = x.shape[0], kernel.order
-    if kernel.accel_code is not None and m <= 3:
-        if (kernel.accel_code == _accel.KERNEL_PRODUCT
-                and kernel.accel_thr == math.inf):
-            return _accel.product_q_raw(x, m)
+    if route == ROUTE_ESP:
+        return _accel.product_q_raw(x, m)
+    if route == ROUTE_BUILTIN:
         return _accel.q_raw(kernel.accel_code, kernel.accel_thr, x, m)
-    import itertools
-
     q = np.zeros(n)
-    it = itertools.combinations(range(n), m)
-    while True:
-        block = list(itertools.islice(it, 1 << 16))
-        if not block:
-            break
-        idx = np.array(block, dtype=np.intp)
+    for idx in _combo_chunks(n, m):
         vals = eval_kernel_rows(kernel, x[idx])
         for col in range(m):
             np.add.at(q, idx[:, col], vals)
@@ -91,8 +89,7 @@ def jackknife_closed_form(kernel: Kernel, data) -> JackknifeSummary:
     x = np.asarray(data, dtype=np.float64)
     n, m = x.shape[0], kernel.order
     _check_loo_size(n, m)
-    _check_size(n, m)
-    q_raw = _q_raw(kernel, x)
+    q_raw = _q_raw(kernel, x, _routed(kernel, n))
     c_nm = math.comb(n, m)
     c_n1m1 = math.comb(n - 1, m - 1)
     c_n1m = math.comb(n - 1, m)

@@ -33,7 +33,6 @@ from .kernels import Kernel
 
 __all__ = [
     "StepProcess",
-    "Normalizers",
     "pseudo_selfnormalized_path",
     "studentized_path",
     "sup_functional",
@@ -59,12 +58,6 @@ class StepProcess:
     def __post_init__(self):
         if len(self.values) != self.n + 1:
             raise InvalidArgumentError("StepProcess needs n + 1 grid values")
-
-
-@dataclass(frozen=True)
-class Normalizers:
-    v_n: float        # sqrt(sum h1(X_i)^2)
-    jack_scale: float  # sqrt(n (n-1) sum (U^i - U_n)^2)
 
 
 def pseudo_selfnormalized_path(kernel: Kernel, data, theta: float,
@@ -106,16 +99,6 @@ def studentized_path(kernel: Kernel, data, theta: float,
     else:
         values[ks] = (ks / math.sqrt(n)) * centered / math.sqrt(summary.sum_sq)
     return StepProcess(n=n, m=m, values=values)
-
-
-def normalizers(kernel: Kernel, data, projections) -> Normalizers:
-    x = np.asarray(data, dtype=np.float64)
-    proj = np.asarray(projections, dtype=np.float64)
-    summary = jackknife_closed_form(kernel, x)
-    return Normalizers(
-        v_n=math.sqrt(float(np.dot(proj, proj))),
-        jack_scale=math.sqrt(max(summary.n * summary.sum_sq, 0.0)),
-    )
 
 
 def sup_functional(path: StepProcess) -> float:

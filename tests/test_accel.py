@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from ustatlab import _accel
 from ustatlab._accel import (
     KERNEL_IDENTITY,
     KERNEL_PRODUCT,
     KERNEL_VARIANCE,
-    NUMBA_ENABLED,
-    _np_esp,
-    _np_esp_prefix,
-    _np_shared_pair_total,
-    _np_prefix_sums,
-    _np_product_q_raw,
-    _np_q_raw,
-    _np_ustat_sum,
+    esp,
+    esp_prefix,
+    max_abs_kernel,
+    prefix_sums,
+    product_q_raw,
+    q_raw,
+    shared_pair_total,
+    ustat_sum,
 )
 
 from _oracles import brute_combination_sum, brute_q
@@ -42,28 +41,14 @@ def test_numpy_backend_against_oracle(code, m, fn, thr):
     rng = np.random.default_rng(41)
     x = rng.normal(0, 1.5, 17)
     fx = _trunc(fn, thr)
-    assert _np_ustat_sum(code, thr, x, m) == pytest.approx(
+    assert ustat_sum(code, thr, x, m) == pytest.approx(
         brute_combination_sum(fx, list(x), m), rel=1e-11, abs=1e-11)
     want_q = np.array(brute_q(fx, list(x), m)) * math.comb(len(x) - 1, m - 1)
-    assert _np_q_raw(code, thr, x, m) == pytest.approx(want_q, rel=1e-10, abs=1e-10)
-    pre = _np_prefix_sums(code, thr, x, m)
+    assert q_raw(code, thr, x, m) == pytest.approx(want_q, rel=1e-10, abs=1e-10)
+    pre = prefix_sums(code, thr, x, m)
     for k in (m, m + 3, len(x)):
         assert pre[k] == pytest.approx(
             brute_combination_sum(fx, list(x[:k]), m), rel=1e-10, abs=1e-10)
-
-
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba backend disabled")
-@pytest.mark.parametrize("code,m,fn", CASES, ids=lambda c: str(c))
-@pytest.mark.parametrize("thr", [math.inf, 1.2])
-def test_backends_agree(code, m, fn, thr):
-    rng = np.random.default_rng(43)
-    x = rng.normal(0, 2, 23)
-    assert _accel.ustat_sum(code, thr, x, m) == pytest.approx(
-        _np_ustat_sum(code, thr, x, m), rel=1e-12)
-    assert _accel.q_raw(code, thr, x, m) == pytest.approx(
-        _np_q_raw(code, thr, x, m), rel=1e-11, abs=1e-11)
-    assert _accel.prefix_sums(code, thr, x, m) == pytest.approx(
-        _np_prefix_sums(code, thr, x, m), rel=1e-11, abs=1e-11)
 
 
 def test_esp_matches_oracle():
@@ -73,43 +58,39 @@ def test_esp_matches_oracle():
 
     for m in range(1, 6):
         oracle = math.fsum(math.prod(c) for c in itertools.combinations(x, m))
-        assert _np_esp(x, m) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
-        assert _accel.esp(x, m) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
-    pre = _np_esp_prefix(x, 3)
-    assert pre[5] == pytest.approx(
-        math.fsum(math.prod(c) for c in itertools.combinations(x[:5], 3)),
-        rel=1e-10)
+        assert esp(x, m) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+        pre = esp_prefix(x, m)
+        assert pre[7] == pytest.approx(
+            math.fsum(math.prod(c) for c in itertools.combinations(x[:7], m)),
+            rel=1e-10, abs=1e-12)
 
 
 def test_product_q_raw_downdate():
     rng = np.random.default_rng(53)
     x = rng.normal(1, 1, 15)
-    for m in (1, 2, 3):
-        fns = {1: lambda a: a, 2: lambda a, b: a * b, 3: lambda a, b, c: a * b * c}
-        want = np.array(brute_q(fns[m], list(x), m)) * math.comb(len(x) - 1, m - 1)
-        assert _np_product_q_raw(x, m) == pytest.approx(want, rel=1e-10)
-        assert _accel.product_q_raw(x, m) == pytest.approx(want, rel=1e-10)
+    for m in (1, 2, 3, 4, 6):
+        want = np.array(brute_q(lambda *xs: math.prod(xs), list(x), m)) \
+            * math.comb(len(x) - 1, m - 1)
+        assert product_q_raw(x, m) == pytest.approx(want, rel=1e-10)
 
 
-def test_shared_pair_total_both_backends():
+def test_shared_pair_total():
     rng = np.random.default_rng(59)
     x = rng.normal(0, 1, 9)
     from _oracles import brute_ordered_sum
 
     want = brute_ordered_sum(lambda a, b, c, e: (a * b * c) * (a * b * e),
                              list(x), 4)
-    assert _np_shared_pair_total(KERNEL_PRODUCT, math.inf, x) == pytest.approx(want, rel=1e-10)
-    assert _accel.shared_pair_total(KERNEL_PRODUCT, math.inf, x) == pytest.approx(want, rel=1e-10)
+    assert shared_pair_total(KERNEL_PRODUCT, math.inf, x) == pytest.approx(want, rel=1e-10)
     thr = 1.0
     tfn = _trunc(lambda a, b, c: a * b * c, thr)
     want_t = brute_ordered_sum(lambda a, b, c, e: tfn(a, b, c) * tfn(a, b, e),
                                list(x), 4)
-    assert _np_shared_pair_total(KERNEL_PRODUCT, thr, x) == pytest.approx(want_t, rel=1e-10)
-    assert _accel.shared_pair_total(KERNEL_PRODUCT, thr, x) == pytest.approx(want_t, rel=1e-10)
+    assert shared_pair_total(KERNEL_PRODUCT, thr, x) == pytest.approx(want_t, rel=1e-10)
 
 
 def test_max_abs_kernel():
     x = np.array([-3.0, 0.5, 2.0, -1.0])
-    assert _accel.max_abs_kernel(KERNEL_PRODUCT, x, 2) == pytest.approx(6.0)
-    assert _accel.max_abs_kernel(KERNEL_VARIANCE, x, 2) == pytest.approx(12.5)
-    assert _accel.max_abs_kernel(KERNEL_IDENTITY, x, 1) == pytest.approx(3.0)
+    assert max_abs_kernel(KERNEL_PRODUCT, x, 2) == pytest.approx(6.0)
+    assert max_abs_kernel(KERNEL_VARIANCE, x, 2) == pytest.approx(12.5)
+    assert max_abs_kernel(KERNEL_IDENTITY, x, 1) == pytest.approx(3.0)

@@ -110,6 +110,18 @@ def test_study_failing_tolerance_exits_1(tmp_path):
                    str(tmp_path / "o")) == 1
 
 
+def test_study_degenerate_config_exits_1_with_values(tmp_path):
+    # every replication dropped: the report fails, and each values CSV
+    # still holds one empty row per replication
+    cfg = _study_config(tmp_path, experiment="JACK_RAIKOV",
+                        kernel="constant:c=1,m=2", dist="normal:0,1")
+    out = tmp_path / "o"
+    assert run_cli("study", "--config", str(cfg), "--out", str(out)) == 1
+    for n in (100, 200):
+        rows = list(csv.reader((out / f"values_n{n}.csv").open()))
+        assert rows[1:] == [[str(r), ""] for r in range(50)]
+
+
 def test_verify_identity_pass(capsys):
     code = run_cli("verify-identity", "--kernel", "product:m=2", "--dist",
                    "normal:0,1", "--n", "30", "--trials", "30", "--seed", "1")

@@ -6,14 +6,22 @@ import pytest
 from ustatlab import (
     InsufficientDataError,
     ResourceLimitError,
+    TruncationMode,
+    TruncationRule,
     identity_kernel,
     make_kernel,
     ordered_distinct_sum,
     product_kernel,
+    truncate_kernel,
     u_prefix_process,
     u_statistic,
-    u_statistic_fast_product,
     variance_kernel,
+)
+from ustatlab.engine import (
+    ROUTE_BUILTIN,
+    ROUTE_ENUMERATION,
+    ROUTE_ESP,
+    kernel_route,
 )
 
 from _oracles import brute_ordered_sum, brute_prefix, brute_u_stat
@@ -64,8 +72,8 @@ def test_prefix_matches_direct_enumeration(name):
 
 
 def test_fast_product_examples():
-    assert u_statistic_fast_product([1, 2, 3], 2) == pytest.approx(11 / 3)
-    assert u_statistic_fast_product([1, 1, 1, 1], 3) == pytest.approx(1.0)
+    assert u_statistic(product_kernel(2), [1, 2, 3]) == pytest.approx(11 / 3)
+    assert u_statistic(product_kernel(3), [1, 1, 1, 1]) == pytest.approx(1.0)
 
 
 def test_fast_product_matches_enumeration_200_instances():
@@ -76,7 +84,7 @@ def test_fast_product_matches_enumeration_200_instances():
         m = int(rng.integers(1, 5))
         n = int(rng.integers(m, 16))
         data = rng.normal(0, 1.5, n)
-        fast = u_statistic_fast_product(data, m)
+        fast = u_statistic(product_kernel(m), data)
         oracle = brute_u_stat(fns[m], list(data), m)
         assert fast == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
@@ -119,6 +127,15 @@ def test_ordered_sum_guards():
         ordered_distinct_sum(lambda *a: 1.0, [1.0, 2.0], 3)
     with pytest.raises(ResourceLimitError):
         ordered_distinct_sum(lambda *a: 1.0, [1.0] * 10, 7)
+
+
+def test_kernel_route():
+    cut = TruncationRule(TruncationMode.FULL_M, 50)
+    assert kernel_route(product_kernel(5)) == ROUTE_ESP
+    assert kernel_route(variance_kernel()) == ROUTE_BUILTIN
+    assert kernel_route(truncate_kernel(product_kernel(3), cut)) == ROUTE_BUILTIN
+    assert kernel_route(truncate_kernel(product_kernel(4), cut)) == ROUTE_ENUMERATION
+    assert kernel_route(make_kernel("sum", 2, lambda x, y: x + y)) == ROUTE_ENUMERATION
 
 
 def test_enumeration_cap():

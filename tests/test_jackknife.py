@@ -15,6 +15,7 @@ from ustatlab import (
     normal,
     product_kernel,
     sample,
+    u_statistic,
     variance_kernel,
 )
 
@@ -109,12 +110,20 @@ def test_translation_invariance():
 
 def test_fast_product_path_matches_generic_q():
     rng = np.random.default_rng(31)
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4):
         data = rng.normal(0.5, 1.5, 30)
         fast = jackknife_closed_form(product_kernel(m), data)
         fns = {1: lambda x: x, 2: lambda x, y: x * y,
-               3: lambda x, y, z: x * y * z}
+               3: lambda x, y, z: x * y * z, 4: lambda a, b, c, d: a * b * c * d}
         assert fast.q == pytest.approx(brute_q(fns[m], list(data), m), rel=1e-9)
+
+
+@pytest.mark.parametrize("m,n", [(2, 15_000), (4, 300)])
+def test_product_closed_form_exempt_from_enumeration_cap(m, n):
+    # C(n, m) exceeds MAX_ENUMERATION, but the ESP route never enumerates
+    data = sample(normal(1, 1), n, 8)
+    s = jackknife_closed_form(product_kernel(m), data)
+    assert s.u_n == pytest.approx(u_statistic(product_kernel(m), data), rel=1e-10)
 
 
 def test_heavy_tail_fast_path_consistency():
