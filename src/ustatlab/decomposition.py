@@ -40,7 +40,13 @@ import numpy as np
 
 from . import _accel
 from .distributions import Distribution, derive_seed, sample
-from .engine import combination_sum, u_statistic
+from .engine import (
+    ROUTE_CLOSED_FORM,
+    _combination_blocks,
+    _routed,
+    combination_sum,
+    u_statistic,
+)
 from .errors import (
     InvalidArgumentError,
     PreconditionViolationError,
@@ -396,8 +402,10 @@ def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
             elif statistic_id == "diagonal-square":
                 v = math.factorial(m) * combination_sum(sq, x) / _falling(n, 2 * m - 1)
             else:
-                if kernel.accel_code is not None:
-                    tot = _accel.shared_pair_total(kernel.accel_code, kernel.accel_thr, x)
+                # m == 3 here, and the only closed-form kernel of order 3
+                # is the untruncated product kernel
+                if _routed(kernel, n) == ROUTE_CLOSED_FORM:
+                    tot = _accel.product_shared_pair_total(x)
                 else:
                     tot = _shared_pair_generic(kernel, x)
                 v = tot / _falling(n, 2 * m - 1)
@@ -437,19 +445,14 @@ def truncation_coupling_rate(kernel: Kernel, dist: Distribution, n_grid,
         hits = 0
         for rep in range(R):
             x = sample(dist, n, derive_seed(seed, rep))
-            if kernel.accel_code is not None:
+            if _routed(kernel, n) == ROUTE_CLOSED_FORM:
                 peak = _accel.max_abs_kernel(kernel.accel_code, x, m)
             else:
-                peak = float(np.max(np.abs(
-                    eval_kernel_rows(kernel, _all_combo_rows(x, m)))))
+                peak = max(float(np.abs(vals).max())
+                           for _, _, vals in _combination_blocks(kernel, x))
             hits += peak > thr
         out.append((n, hits / R))
     return out
-
-
-def _all_combo_rows(x: np.ndarray, m: int) -> np.ndarray:
-    combos = np.array(list(itertools.combinations(range(len(x)), m)), dtype=np.intp)
-    return x[combos]
 
 
 # ---------------------------------------------------------------------------

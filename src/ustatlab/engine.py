@@ -2,10 +2,12 @@
 
 Everything here is deterministic; Monte Carlo belongs to
 :mod:`ustatlab.experiments`.  :func:`kernel_route` picks, once per
-kernel, between the ESP closed forms, the built-in kernels of
-:mod:`ustatlab._accel` and generic enumeration.  Per-call work on the
-routes that enumerate is capped (combination count <= 1e8, ordered-tuple
-arity <= 6): past the cap the engine refuses with
+kernel, one of two routes: the closed forms of :mod:`ustatlab._accel`
+for the untruncated built-in kernels, or one enumeration of every
+m-combination (:func:`_combination_blocks`) for every other kernel,
+which sums, prefix sums and the jackknife reduce in their own way.
+Per-call work on the enumeration route is capped (combination count
+<= 1e8, ordered-tuple arity <= 6): past the cap the engine refuses with
 :class:`ResourceLimitError` rather than silently subsampling.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .errors import InsufficientDataError, ResourceLimitError
+from .errors import DomainError, InsufficientDataError, ResourceLimitError
 from .kernels import Kernel, eval_kernel_rows
 
 __all__ = [
@@ -30,8 +32,7 @@ __all__ = [
     "u_prefix_process",
     "combination_sum",
     "kernel_route",
-    "ROUTE_ESP",
-    "ROUTE_BUILTIN",
+    "ROUTE_CLOSED_FORM",
     "ROUTE_ENUMERATION",
     "ordered_distinct_sum",
 ]
@@ -40,9 +41,8 @@ MAX_ENUMERATION = 10 ** 8
 MAX_ORDERED_ARITY = 6
 _CHUNK = 1 << 16
 
-ROUTE_ESP = "esp"                  # untruncated product: O(n m) ESP closed forms
-ROUTE_BUILTIN = "builtin"          # other built-in kernels, m <= 3: _accel by code
-ROUTE_ENUMERATION = "enumeration"  # anything else: chunked enumeration
+ROUTE_CLOSED_FORM = "closed-form"  # untruncated built-in: _accel closed forms
+ROUTE_ENUMERATION = "enumeration"  # anything else: block enumeration
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,14 @@ class OrderedTupleSum:
     count: int
 
 
+def _as_sample(data) -> np.ndarray:
+    """``data`` as a float64 array; non-finite values raise DomainError."""
+    x = np.asarray(data, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise DomainError("data must be finite; got NaN or infinite values")
+    return x
+
+
 def _check_size(n: int, m: int, enumerates: bool = True) -> None:
     if n < m:
         raise InsufficientDataError(f"need n >= m, got n={n}, m={m}")
@@ -82,94 +90,113 @@ def _check_size(n: int, m: int, enumerates: bool = True) -> None:
 
 
 def kernel_route(kernel: Kernel) -> str:
-    """Which implementation evaluates ``kernel``: one of the ROUTE_* names.
+    """Which implementation evaluates ``kernel``: ROUTE_CLOSED_FORM for an
+    untruncated built-in kernel, ROUTE_ENUMERATION for any other.
 
-    Decided from the kernel's (accel_code, accel_thr, order) alone, for
-    every computation: sums, prefix sums and jackknife q-accumulation.
+    Decided for every computation alike: sums, prefix sums, jackknife
+    q-accumulation and the decomposition statistics.
     """
-    if kernel.accel_code == _accel.KERNEL_PRODUCT and kernel.accel_thr == math.inf:
-        return ROUTE_ESP
-    if kernel.accel_code is not None and kernel.order <= 3:
-        return ROUTE_BUILTIN
+    if kernel.accel_code is not None and kernel.accel_thr == math.inf:
+        return ROUTE_CLOSED_FORM
     return ROUTE_ENUMERATION
 
 
 def _routed(kernel: Kernel, n: int) -> str:
-    """The kernel's route, after the size checks.  Only the ESP route is
-    exempt from the enumeration cap: the built-in route enumerates
-    truncated kernels in O(n^m)."""
+    """The kernel's route, after the size checks; only the enumeration
+    route is held to the enumeration cap."""
     route = kernel_route(kernel)
-    _check_size(n, kernel.order, enumerates=route != ROUTE_ESP)
+    _check_size(n, kernel.order, enumerates=route == ROUTE_ENUMERATION)
     return route
 
 
-def _combo_chunks(n: int, m: int):
-    """Yield index matrices of at most _CHUNK rows over all m-combinations
-    of range(n)."""
-    it = itertools.combinations(range(n), m)
-    while True:
-        block = list(itertools.islice(it, _CHUNK))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
+def _colex_rows(pos: np.ndarray, starts: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """Rows ``pos`` of the r-subsets of a range in colex order (sorted by
+    their last element t), where starts[t] = C(t, r) and ``rest`` holds
+    the (r-1)-subsets in colex order: row p is rest[p - C(t, r)] + (t,)."""
+    top = np.searchsorted(starts, pos, side="right") - 1
+    return np.column_stack([rest[pos - starts[top]], top])
+
+
+def _colex_subsets(n: int, r: int) -> np.ndarray:
+    """All r-subsets of range(n) as index rows in colex order."""
+    if r == 0:
+        return np.zeros((1, 0), dtype=np.intp)
+    starts = np.array([math.comb(t, r) for t in range(n + 1)], dtype=np.intp)
+    return _colex_rows(np.arange(starts[-1]), starts, _colex_subsets(n - 1, r - 1))
+
+
+def _head_blocks(n: int, m: int):
+    """Yield the (m-1)-subsets of range(n - 1), the "heads" of the
+    m-combinations of range(n), in colex order, in blocks of about
+    _CHUNK (head, last index) pairs."""
+    r = m - 1
+    if r == 0:
+        yield np.zeros((1, 0), dtype=np.intp)
+        return
+    starts = np.array([math.comb(t, r) for t in range(n)], dtype=np.intp)
+    rest = _colex_subsets(n - 2, r - 1)
+    p = 0
+    while p < starts[-1]:
+        top = int(np.searchsorted(starts, p, side="right")) - 1
+        q = min(int(starts[-1]), p + max(1, _CHUNK // (n - 1 - top)))
+        yield _colex_rows(np.arange(p, q), starts, rest)
+        p = q
+
+
+def _combination_blocks(kernel: Kernel, x: np.ndarray):
+    """Yield ``(heads, lo, vals)`` covering every m-combination of x once:
+    vals[a, b] = h(x[heads[a]], x[lo + b]) where lo + b > heads[a, -1],
+    else 0.  Each combination sits in the column of its largest index."""
+    n, m = x.shape[0], kernel.order
+    for heads in _head_blocks(n, m):
+        top = (heads[:, -1] if m > 1 else np.full(1, -1))[:, None]
+        lo = int(top[0, 0]) + 1
+        cols = np.empty((m, len(heads), n - lo))
+        cols[:-1] = x[heads.T][:, :, None]
+        cols[-1] = x[lo:]
+        vals = eval_kernel_rows(kernel, cols.reshape(m, -1).T).reshape(cols.shape[1:])
+        # heads are sorted by top, so only the first columns hold cells
+        # with last <= top, which are not combinations
+        k = int(top[-1, 0]) + 1 - lo
+        vals[:, :k][np.arange(lo, lo + k) <= top] = 0.0
+        yield heads, lo, vals
 
 
 def combination_sum(kernel: Kernel, data) -> float:
-    """Sum of h over all C(n, m) combinations (generic, chunked)."""
-    x = np.asarray(data, dtype=np.float64)
+    """Sum of h over all C(n, m) combinations."""
+    x = _as_sample(data)
     n, m = x.shape[0], kernel.order
-    route = _routed(kernel, n)
-    if route == ROUTE_ESP:
-        return _accel.esp(x, m)
-    if route == ROUTE_BUILTIN:
-        return _accel.ustat_sum(kernel.accel_code, kernel.accel_thr, x, m)
-    if m == 1:
-        return float(eval_kernel_rows(kernel, x[:, None]).sum())
-    if m == 2:
-        iu, ju = np.triu_indices(n, k=1)
-        total = 0.0
-        for lo in range(0, iu.size, _CHUNK):
-            rows = np.column_stack([x[iu[lo:lo + _CHUNK]], x[ju[lo:lo + _CHUNK]]])
-            total += float(eval_kernel_rows(kernel, rows).sum())
-        return total
-    parts = []
-    for idx in _combo_chunks(n, m):
-        parts.append(float(eval_kernel_rows(kernel, x[idx]).sum()))
-    return float(np.sum(parts))
+    if _routed(kernel, n) == ROUTE_CLOSED_FORM:
+        if kernel.accel_code == _accel.KERNEL_PRODUCT:
+            return _accel.esp(x, m)
+        return _accel.variance_sum(x)
+    return float(np.sum([vals.sum() for _, _, vals in _combination_blocks(kernel, x)]))
 
 
 def u_statistic(kernel: Kernel, data) -> float:
     """U_n = C(n,m)^-1 * sum of h over all m-combinations."""
-    x = np.asarray(data, dtype=np.float64)
-    n, m = x.shape[0], kernel.order
-    _check_size(n, m, enumerates=False)
-    return combination_sum(kernel, x) / math.comb(n, m)
+    return combination_sum(kernel, data) / math.comb(len(data), kernel.order)
 
 
 def u_prefix_process(kernel: Kernel, data) -> UPrefixValues:
-    """All prefix values U_m..U_n in one incremental pass.
+    """All prefix values U_m..U_n in one pass.
 
-    Appending observation k adds the C(k-1, m-1) combinations that
-    contain it; memory stays O(n).
+    sums[k] totals the combinations of data[:k]; on the enumeration route
+    each combination is credited to its largest index, so sums is the
+    running total of the per-index column sums.
     """
-    x = np.asarray(data, dtype=np.float64)
+    x = _as_sample(data)
     n, m = x.shape[0], kernel.order
-    route = _routed(kernel, n)
-    if route == ROUTE_ESP:
-        sums = _accel.esp_prefix(x, m)
-    elif route == ROUTE_BUILTIN:
-        sums = _accel.prefix_sums(kernel.accel_code, kernel.accel_thr, x, m)
+    if _routed(kernel, n) == ROUTE_CLOSED_FORM:
+        if kernel.accel_code == _accel.KERNEL_PRODUCT:
+            sums = _accel.esp_prefix(x, m)
+        else:
+            sums = _accel.variance_prefix(x)
     else:
-        sums = np.zeros(n + 1)
-        run = 0.0
-        for k in range(n):
-            if m == 1:
-                run += float(eval_kernel_rows(kernel, x[k:k + 1, None]).sum())
-            else:
-                for idx in _combo_chunks(k, m - 1):
-                    rows = np.column_stack([x[idx], np.full(idx.shape[0], x[k])])
-                    run += float(eval_kernel_rows(kernel, rows).sum())
-            sums[k + 1] = run
+        by_last = np.zeros(n)
+        for _, lo, vals in _combination_blocks(kernel, x):
+            by_last[lo:] += vals.sum(axis=0)
+        sums = np.concatenate([[0.0], np.cumsum(by_last)])
     values = np.full(n + 1, np.nan)
     ks = np.arange(m, n + 1)
     values[ks] = sums[ks] / np.array([math.comb(k, m) for k in ks], dtype=np.float64)
@@ -178,7 +205,7 @@ def u_prefix_process(kernel: Kernel, data) -> UPrefixValues:
 
 def ordered_distinct_sum(f, data, r: int) -> OrderedTupleSum:
     """Sum f over all ordered tuples of distinct indices (arity r <= 6)."""
-    x = np.asarray(data, dtype=np.float64)
+    x = _as_sample(data)
     n = x.shape[0]
     if r > n:
         raise InsufficientDataError(f"need n >= arity, got n={n}, arity={r}")

@@ -25,14 +25,14 @@ import numpy as np
 
 from . import _accel
 from .engine import (
-    ROUTE_BUILTIN,
-    ROUTE_ESP,
-    _combo_chunks,
+    ROUTE_CLOSED_FORM,
+    _as_sample,
+    _combination_blocks,
     _routed,
     combination_sum,
 )
 from .errors import InsufficientDataError
-from .kernels import Kernel, eval_kernel_rows
+from .kernels import Kernel
 
 __all__ = ["JackknifeSummary", "leave_one_out", "jackknife_closed_form",
            "arvesen_estimator"]
@@ -58,7 +58,7 @@ def _check_loo_size(n: int, m: int) -> None:
 
 def leave_one_out(kernel: Kernel, data) -> np.ndarray:
     """U^i_(n-1) by direct re-enumeration for each held-out i (oracle path)."""
-    x = np.asarray(data, dtype=np.float64)
+    x = _as_sample(data)
     n, m = x.shape[0], kernel.order
     _check_loo_size(n, m)
     denom = math.comb(n - 1, m)
@@ -69,24 +69,27 @@ def leave_one_out(kernel: Kernel, data) -> np.ndarray:
 
 
 def _q_raw(kernel: Kernel, x: np.ndarray, route: str) -> np.ndarray:
-    """q_raw[i] = un-normalized sum of h over m-subsets containing i."""
+    """q_raw[i] = un-normalized sum of h over m-subsets containing i: on the
+    enumeration route, the column sums credit each combination's last
+    index and the row sums each of its head indices."""
     n, m = x.shape[0], kernel.order
-    if route == ROUTE_ESP:
-        return _accel.product_q_raw(x, m)
-    if route == ROUTE_BUILTIN:
-        return _accel.q_raw(kernel.accel_code, kernel.accel_thr, x, m)
+    if route == ROUTE_CLOSED_FORM:
+        if kernel.accel_code == _accel.KERNEL_PRODUCT:
+            return _accel.product_q_raw(x, m)
+        return _accel.variance_q_raw(x)
     q = np.zeros(n)
-    for idx in _combo_chunks(n, m):
-        vals = eval_kernel_rows(kernel, x[idx])
-        for col in range(m):
-            np.add.at(q, idx[:, col], vals)
+    for heads, lo, vals in _combination_blocks(kernel, x):
+        q[lo:] += vals.sum(axis=0)
+        row = vals.sum(axis=1)
+        for col in heads.T:
+            q += np.bincount(col, weights=row, minlength=n)
     return q
 
 
 def jackknife_closed_form(kernel: Kernel, data) -> JackknifeSummary:
     """One q-accumulation pass; fills the leave-one-out values from
     U^i = [C(n,m) U_n - C(n-1,m-1) q_i] / C(n-1,m)."""
-    x = np.asarray(data, dtype=np.float64)
+    x = _as_sample(data)
     n, m = x.shape[0], kernel.order
     _check_loo_size(n, m)
     q_raw = _q_raw(kernel, x, _routed(kernel, n))

@@ -220,12 +220,33 @@ def test_trend_shared_pair_matches_ordered_enumeration():
     # the pair-contraction path must equal the direct 4-index ordered sum
     rng = np.random.default_rng(7)
     x = rng.normal(0, 1, 8)
-    from ustatlab._accel import KERNEL_PRODUCT, shared_pair_total
+    from ustatlab._accel import product_shared_pair_total
 
-    got = shared_pair_total(KERNEL_PRODUCT, math.inf, x)
+    got = product_shared_pair_total(x)
     want = brute_ordered_sum(
         lambda a, b, c, e: (a * b * c) * (a * b * e), list(x), 4)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_shared_pair_generic_path_truncated_kernel():
+    # a truncated kernel has no closed form: the generic pair contraction
+    # must equal the direct 4-index ordered sum of the truncated products
+    from ustatlab.decomposition import _shared_pair_generic
+
+    rng = np.random.default_rng(59)
+    x = rng.normal(0, 1, 9)
+    kernel = truncate_kernel(product_kernel(3), TruncationRule(TruncationMode.FULL_M, 1))
+    assert kernel.accel_thr == 1.0
+
+    def h(a, b, c):
+        v = a * b * c
+        return v if abs(v) <= 1.0 else 0.0
+
+    want = brute_ordered_sum(lambda a, b, c, e: h(a, b, c) * h(a, b, e), list(x), 4)
+    untruncated = brute_ordered_sum(
+        lambda a, b, c, e: (a * b * c) * (a * b * e), list(x), 4)
+    assert want != pytest.approx(untruncated, rel=1e-6)
+    assert _shared_pair_generic(kernel, x) == pytest.approx(want, rel=1e-10)
 
 
 def test_trend_guards():
@@ -246,6 +267,17 @@ def test_truncation_coupling_rate_decreases():
     rates = truncation_coupling_rate(product_kernel(2), example_density(2.0),
                                      [100, 400, 1600], R=400, seed=11)
     assert rates[-1][1] < rates[0][1]
+
+
+def test_truncation_coupling_rate_enumerated_peak_matches_closed_form():
+    # a user kernel is enumerated for its peak; the built-in takes the
+    # closed-form maximum; both must flag the same samples
+    user = make_kernel("user-product", 2, lambda x, y: x * y,
+                       batch_fn=lambda rows: rows[:, 0] * rows[:, 1])
+    args = (example_density(2.0), [20, 60], 60, 13)
+    rates = truncation_coupling_rate(product_kernel(2), *args)
+    assert truncation_coupling_rate(user, *args) == rates
+    assert any(r > 0 for _, r in rates)
 
 
 def test_expansion_report_shape():
