@@ -1,4 +1,6 @@
-"""Closed forms of the untruncated built-in kernels, in numpy.
+"""Closed forms and sort routes of the built-in kernels, in numpy.
+
+Closed forms, for the untruncated kernels (no threshold):
 
 * Product kernel ``h = prod x_i`` of any order m (the identity kernel is
   its order-1 case): the elementary-symmetric-polynomial (ESP) forms
@@ -7,9 +9,27 @@
 * Variance kernel ``h = (x - y)^2 / 2``: the power-sum forms
   ``variance_sum``, ``variance_prefix`` and ``variance_q_raw`` in O(n).
 
-None of these takes a truncation threshold: a truncated kernel has no
-closed form here and is enumerated by :mod:`ustatlab.engine`, which
-decides the route once, in :func:`ustatlab.engine.kernel_route`.
+Sort routes, for the truncated kernels ``h * 1(|h| <= thr)`` with a
+finite ``thr``: ``ustat_sum``, ``q_raw`` and ``prefix_sums``, each taking
+``(code, thr, data, m)``, for the product kernel of order m <= 3 and the
+variance kernel.  The kept partners of a point (or of a pair, for m = 3)
+form a prefix of the data sorted by |x| (product) or a window of the data
+sorted by x (variance), because rounded multiplication and subtraction
+are monotone; cumulative sums over that order give the sums in
+O(n log n), and O(n^2 log n) for m = 3, whose kept sets are taken over
+the sorted pair products x_i x_j.  Sums in data order (``prefix_sums``)
+are two-dimensional dominance sums: merge levels over the index axis
+(:func:`_dominance`) for m <= 2, tables over the sorted pairs for m = 3.
+A cut found by ``searchsorted`` on ``thr / |x|`` is settled against the
+kernel value itself, computed in the order the enumeration of
+:mod:`ustatlab.engine` computes it, so the kept set is exactly the
+enumeration's.  The rounding error of the product routes is relative to
+the kept terms; the variance route adds power sums of x about its median
+element, whose rounding error scales with the squared spread of the data
+instead.
+
+Which route a kernel takes is decided once, in
+:func:`ustatlab.engine.kernel_route`.
 """
 
 from __future__ import annotations
@@ -153,3 +173,212 @@ def max_abs_kernel(code: int, data, m: int) -> float:
         return 0.5 * float(x.max() - x.min()) ** 2
     top = np.sort(np.abs(x))[-m:]
     return float(np.prod(top))
+
+
+# ---------------------------------------------------------------------------
+# sort routes: truncated kernels h * 1(|h| <= thr)
+# ---------------------------------------------------------------------------
+
+def _sorted_by(key: np.ndarray):
+    """(order, rank, key[order]) with rank[order] = 0, 1, 2, ..."""
+    order = np.argsort(key, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    return order, rank, key[order]
+
+
+def _settle(s: np.ndarray, cut: np.ndarray, holds) -> np.ndarray:
+    """Correct each guessed cut[q] to the count of the ascending ``s`` on
+    which ``holds(q, value)`` is true, where that set is a prefix of s around
+    the guess.  Steps over whole runs of equal values, which share the
+    predicate, so the loops end after a step or two."""
+    cut = cut.copy()
+    q = np.flatnonzero(cut < s.shape[0])
+    q = q[holds(q, s[cut[q]])]
+    while q.size:
+        cut[q] = np.searchsorted(s, s[cut[q]], side="right")
+        q = q[cut[q] < s.shape[0]]
+        q = q[holds(q, s[cut[q]])]
+    q = np.flatnonzero(cut > 0)
+    q = q[~holds(q, s[cut[q] - 1])]
+    while q.size:
+        cut[q] = np.searchsorted(s, s[cut[q] - 1], side="left")
+        q = q[cut[q] > 0]
+        q = q[~holds(q, s[cut[q] - 1])]
+    return cut
+
+
+def _product_cut(a: np.ndarray, s: np.ndarray, thr: float) -> np.ndarray:
+    """cut[q] = number of the ascending magnitudes s with a[q] * s <= thr,
+    the product rounded as the kernel rounds it."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        guess = np.searchsorted(s, thr / a, side="right")
+        return _settle(s, guess, lambda q, v: a[q] * v <= thr)
+
+
+def _dominance(rank: np.ndarray, w: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """out[j, c] = sum of the rows w[i] over i < j with rank[i] < cuts[j, c].
+
+    Merge levels over the index axis, padded to a power of two: at the
+    level of half-width s, each j in the right half of a block of width 2s
+    takes the i in the left half, whose weights are summed in rank order
+    within their block (a running sum per block, so a result holds only
+    its own terms).  Every i < j is split at exactly one level.  Ranks are
+    distinct and below n; cuts lie in [0, n].
+    """
+    n, cols = w.shape
+    size = 1 << (n - 1).bit_length()
+    span = n + 1
+    rank = np.concatenate([rank, np.full(size - n, n)])  # padding: never below a cut
+    w = np.concatenate([w, np.zeros((size - n, cols))])
+    cuts = np.concatenate([cuts, np.zeros((size - n, cuts.shape[1]), dtype=cuts.dtype)])
+    out = np.zeros((size, cuts.shape[1], cols))
+    s = 1
+    while s < size:
+        blocks = size // (2 * s)
+        left = rank.reshape(blocks, 2, s)[:, 0]
+        o = np.argsort(left, axis=1)
+        base = np.arange(blocks)[:, None]
+        keys = (np.take_along_axis(left, o, axis=1) + base * span).ravel()
+        table = np.zeros((blocks, s + 1, cols))
+        table[:, 1:] = w.reshape(blocks, 2, s, cols)[:, 0][base, o]
+        np.cumsum(table, axis=1, out=table)
+        right = cuts.reshape(blocks, 2, s, -1)[:, 1] + (base * span)[:, :, None]
+        # position in the flat keys, plus one leading zero row per block
+        taken = np.searchsorted(keys, right) + base[:, :, None]
+        out.reshape(blocks, 2, s, -1, cols)[:, 1] += table.reshape(-1, cols)[taken]
+        s *= 2
+    return out[:n]
+
+
+def _product2(x: np.ndarray, thr: float):
+    """(|x|-rank, cut): the kept partners of i are the ranks below cut[i]."""
+    a = np.abs(x)
+    order, rank, s = _sorted_by(a)
+    return order, rank, _product_cut(a, s, thr)
+
+
+def _product3_pairs(x: np.ndarray):
+    """Pairs i < j with their product x_i * x_j, the first factor the
+    enumeration forms; an overflowed product is never kept and weighs 0."""
+    i, j = np.triu_indices(x.shape[0], 1)
+    with np.errstate(over="ignore"):
+        p = x[i] * x[j]
+    return i, j, p, np.where(np.isfinite(p), p, 0.0)
+
+
+def _product3_by_last(x, thr, j, p, pw) -> np.ndarray:
+    """by_last[k] = sum over kept i < j < k of (x_i x_j) x_k.
+
+    The pairs kept with x_k are those ranked below its cut in |x_i x_j|
+    order.  A pair of rank t goes to chunk c(t) = the number of the n cuts
+    <= t, and a point with c cuts below its own keeps exactly the chunks
+    <= c; table[c, j] sums the pairs of those chunks whose larger index
+    is <= j, so every entry adds kept terms only.
+    """
+    n = x.shape[0]
+    order, _, ps = _sorted_by(np.abs(p))
+    cut = _product_cut(np.abs(x), ps, thr)
+    cuts = np.sort(cut)
+    chunk = np.searchsorted(cuts, np.arange(ps.shape[0]), side="right")
+    table = np.bincount(chunk * n + j[order], weights=pw[order],
+                        minlength=(n + 1) * n).reshape(n + 1, n)
+    np.cumsum(table, axis=0, out=table)
+    np.cumsum(table, axis=1, out=table)
+    out = np.zeros(n)
+    out[1:] = x[1:] * table[np.searchsorted(cuts, cut[1:], side="left"), np.arange(n - 1)]
+    return out
+
+
+def _product3_q_raw(x: np.ndarray, thr: float) -> np.ndarray:
+    """q_raw of the order-3 product kernel: each kept triple i < j < k is
+    credited to k by by_last and to i and j through its pair, whose kept
+    partners k > j are those below a cut in |x| order: table[t, c] sums
+    the x_k with k >= t and |x|-rank below c."""
+    n = x.shape[0]
+    i, j, p, pw = _product3_pairs(x)
+    _, rank, s = _sorted_by(np.abs(x))
+    cut = _product_cut(np.abs(p), s, thr)
+    table = np.zeros((n + 1, n + 1))
+    table[np.arange(n), rank + 1] = x
+    np.cumsum(table, axis=1, out=table)
+    table = np.cumsum(table[::-1], axis=0)[::-1]
+    t = pw * table[j + 1, cut]
+    return (_product3_by_last(x, thr, j, p, pw) + np.bincount(i, t, minlength=n)
+            + np.bincount(j, t, minlength=n))
+
+
+def _variance_cuts(x: np.ndarray, s: np.ndarray, thr: float):
+    """Per point, the kept window [lo, hi) of the ascending s and the run
+    [t0, t1) of values equal to the point, which contributes h = 0."""
+    half = np.sqrt(2.0 * thr)
+    t0 = np.searchsorted(s, x, side="left")
+    t1 = np.searchsorted(s, x, side="right")
+    with np.errstate(over="ignore", invalid="ignore"):
+        def kept(q, v):
+            return 0.5 * (v - x[q]) ** 2 <= thr
+
+        lo = _settle(s, np.searchsorted(s, x - half, side="left"),
+                     lambda q, v: ~kept(q, v))
+        hi = _settle(s, np.searchsorted(s, x + half, side="right"), kept)
+    return np.column_stack([lo, t0, t1, hi])
+
+
+def _variance_terms(y: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """0.5 * sum (y_j - y_i)^2 from sums[:, 0..3, :] taken at the cuts
+    lo, t0, t1, hi of the weights (1, y, y^2)."""
+    part = (sums[:, 1] - sums[:, 0]) + (sums[:, 3] - sums[:, 2])
+    return 0.5 * (part[:, 0] * y * y - 2.0 * y * part[:, 1] + part[:, 2])
+
+
+def _variance_setup(x: np.ndarray, thr: float):
+    """(order and rank by x, cuts, y, weights (1, y, y^2)): y is x centered
+    on its median element, which keeps the power sums of y small for
+    shifted data."""
+    order, rank, s = _sorted_by(x)
+    y = x - s[s.shape[0] // 2]
+    weights = np.column_stack([np.ones_like(y), y, y * y])
+    return order, rank, _variance_cuts(x, s, thr), y, weights
+
+
+def _by_last(code: int, thr: float, x: np.ndarray, m: int) -> np.ndarray:
+    """by_last[k] = sum of the kept combinations whose largest index is k."""
+    if code == KERNEL_VARIANCE:
+        _, rank, cuts, y, w = _variance_setup(x, thr)
+        return _variance_terms(y, _dominance(rank, w, cuts))
+    if m == 1:
+        return np.where(np.abs(x) <= thr, x, 0.0)
+    if m == 2:
+        _, rank, cut = _product2(x, thr)
+        return x * _dominance(rank, x[:, None], cut[:, None])[:, 0, 0]
+    _, j, p, pw = _product3_pairs(x)
+    return _product3_by_last(x, thr, j, p, pw)
+
+
+def ustat_sum(code: int, thr: float, data, m: int) -> float:
+    """Sum of the truncated kernel over all m-combinations."""
+    return float(_by_last(code, thr, _as_f64(data), m).sum())
+
+
+def prefix_sums(code: int, thr: float, data, m: int) -> np.ndarray:
+    """out[k] = sum of the truncated kernel over the combinations of
+    data[:k], k = 0..n."""
+    return np.concatenate([[0.0], np.cumsum(_by_last(code, thr, _as_f64(data), m))])
+
+
+def q_raw(code: int, thr: float, data, m: int) -> np.ndarray:
+    """q_raw[i] = sum of the truncated kernel over the m-subsets containing i."""
+    x = _as_f64(data)
+    n = x.shape[0]
+    if code == KERNEL_VARIANCE:
+        order, _, cuts, y, w = _variance_setup(x, thr)
+        sums = np.concatenate([np.zeros((1, 3)), np.cumsum(w[order], axis=0)])
+        return _variance_terms(y, sums[cuts])
+    if m == 1:
+        return np.where(np.abs(x) <= thr, x, 0.0)
+    if m == 2:
+        # the kept ranks below cut, without i itself
+        order, rank, cut = _product2(x, thr)
+        c = np.concatenate([[0.0], np.cumsum(x[order])])
+        return x * (c[np.minimum(cut, rank)] + (c[np.maximum(cut, rank + 1)] - c[rank + 1]))
+    return _product3_q_raw(x, thr)

@@ -42,6 +42,7 @@ from . import _accel
 from .distributions import Distribution, derive_seed, sample
 from .engine import (
     ROUTE_CLOSED_FORM,
+    _check_enumeration,
     _combination_blocks,
     _routed,
     combination_sum,
@@ -418,6 +419,7 @@ def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
 
 def _shared_pair_generic(kernel: Kernel, x: np.ndarray) -> float:
     n = len(x)
+    _check_enumeration(n, kernel.order)
     total = 0.0
     for i in range(n):
         for j in range(n):

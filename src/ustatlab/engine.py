@@ -2,12 +2,15 @@
 
 Everything here is deterministic; Monte Carlo belongs to
 :mod:`ustatlab.experiments`.  :func:`kernel_route` picks, once per
-kernel, one of two routes: the closed forms of :mod:`ustatlab._accel`
-for the untruncated built-in kernels, or one enumeration of every
+kernel, one of three routes: the closed forms of :mod:`ustatlab._accel`
+for the untruncated built-in kernels, the sort routes of
+:mod:`ustatlab._accel` for the truncated product kernel of order <= 3
+and the truncated variance kernel, or one enumeration of every
 m-combination (:func:`_combination_blocks`) for every other kernel,
 which sums, prefix sums and the jackknife reduce in their own way.
-Per-call work on the enumeration route is capped (combination count
-<= 1e8, ordered-tuple arity <= 6): past the cap the engine refuses with
+Enumeration is capped wherever it runs (combination count <= 1e8,
+ordered-tuple arity <= 6), and the order-3 sort route, which holds every
+pair, at C(n, 2) <= 2e6: past a cap the engine refuses with
 :class:`ResourceLimitError` rather than silently subsampling.
 """
 
@@ -33,15 +36,18 @@ __all__ = [
     "combination_sum",
     "kernel_route",
     "ROUTE_CLOSED_FORM",
+    "ROUTE_SORT",
     "ROUTE_ENUMERATION",
     "ordered_distinct_sum",
 ]
 
 MAX_ENUMERATION = 10 ** 8
+MAX_SORT_PAIRS = 2 * 10 ** 6  # the order-3 sort route holds ~125 bytes per pair
 MAX_ORDERED_ARITY = 6
 _CHUNK = 1 << 16
 
 ROUTE_CLOSED_FORM = "closed-form"  # untruncated built-in: _accel closed forms
+ROUTE_SORT = "sort"                # truncated built-in: _accel sort routes
 ROUTE_ENUMERATION = "enumeration"  # anything else: block enumeration
 
 
@@ -79,10 +85,9 @@ def _as_sample(data) -> np.ndarray:
     return x
 
 
-def _check_size(n: int, m: int, enumerates: bool = True) -> None:
-    if n < m:
-        raise InsufficientDataError(f"need n >= m, got n={n}, m={m}")
-    if enumerates and math.comb(n, m) > MAX_ENUMERATION:
+def _check_enumeration(n: int, m: int) -> None:
+    """The cap on every enumeration of the m-combinations of n points."""
+    if math.comb(n, m) > MAX_ENUMERATION:
         raise ResourceLimitError(
             f"C({n},{m}) = {math.comb(n, m)} exceeds the {MAX_ENUMERATION} "
             "evaluation cap"
@@ -91,21 +96,34 @@ def _check_size(n: int, m: int, enumerates: bool = True) -> None:
 
 def kernel_route(kernel: Kernel) -> str:
     """Which implementation evaluates ``kernel``: ROUTE_CLOSED_FORM for an
-    untruncated built-in kernel, ROUTE_ENUMERATION for any other.
+    untruncated built-in kernel, ROUTE_SORT for a truncated product kernel
+    of order <= 3 or a truncated variance kernel, ROUTE_ENUMERATION for
+    any other.
 
     Decided for every computation alike: sums, prefix sums, jackknife
     q-accumulation and the decomposition statistics.
     """
-    if kernel.accel_code is not None and kernel.accel_thr == math.inf:
+    if kernel.accel_code is None:
+        return ROUTE_ENUMERATION
+    if kernel.accel_thr == math.inf:
         return ROUTE_CLOSED_FORM
+    if kernel.accel_code == _accel.KERNEL_VARIANCE or kernel.order <= 3:
+        return ROUTE_SORT
     return ROUTE_ENUMERATION
 
 
 def _routed(kernel: Kernel, n: int) -> str:
-    """The kernel's route, after the size checks; only the enumeration
-    route is held to the enumeration cap."""
+    """The kernel's route, after the size checks (the enumeration cap is
+    checked where the enumeration runs)."""
+    m = kernel.order
+    if n < m:
+        raise InsufficientDataError(f"need n >= m, got n={n}, m={m}")
     route = kernel_route(kernel)
-    _check_size(n, kernel.order, enumerates=route == ROUTE_ENUMERATION)
+    if route == ROUTE_SORT and m == 3 and math.comb(n, 2) > MAX_SORT_PAIRS:
+        raise ResourceLimitError(
+            f"C({n},2) = {math.comb(n, 2)} pairs exceed the {MAX_SORT_PAIRS} "
+            "cap of the order-3 sort route"
+        )
     return route
 
 
@@ -146,8 +164,10 @@ def _head_blocks(n: int, m: int):
 def _combination_blocks(kernel: Kernel, x: np.ndarray):
     """Yield ``(heads, lo, vals)`` covering every m-combination of x once:
     vals[a, b] = h(x[heads[a]], x[lo + b]) where lo + b > heads[a, -1],
-    else 0.  Each combination sits in the column of its largest index."""
+    else 0.  Each combination sits in the column of its largest index.
+    Held to the enumeration cap."""
     n, m = x.shape[0], kernel.order
+    _check_enumeration(n, m)
     for heads in _head_blocks(n, m):
         top = (heads[:, -1] if m > 1 else np.full(1, -1))[:, None]
         lo = int(top[0, 0]) + 1
@@ -166,10 +186,13 @@ def combination_sum(kernel: Kernel, data) -> float:
     """Sum of h over all C(n, m) combinations."""
     x = _as_sample(data)
     n, m = x.shape[0], kernel.order
-    if _routed(kernel, n) == ROUTE_CLOSED_FORM:
+    route = _routed(kernel, n)
+    if route == ROUTE_CLOSED_FORM:
         if kernel.accel_code == _accel.KERNEL_PRODUCT:
             return _accel.esp(x, m)
         return _accel.variance_sum(x)
+    if route == ROUTE_SORT:
+        return _accel.ustat_sum(kernel.accel_code, kernel.accel_thr, x, m)
     return float(np.sum([vals.sum() for _, _, vals in _combination_blocks(kernel, x)]))
 
 
@@ -187,20 +210,35 @@ def u_prefix_process(kernel: Kernel, data) -> UPrefixValues:
     """
     x = _as_sample(data)
     n, m = x.shape[0], kernel.order
-    if _routed(kernel, n) == ROUTE_CLOSED_FORM:
+    route = _routed(kernel, n)
+    if route == ROUTE_CLOSED_FORM:
         if kernel.accel_code == _accel.KERNEL_PRODUCT:
             sums = _accel.esp_prefix(x, m)
         else:
             sums = _accel.variance_prefix(x)
+    elif route == ROUTE_SORT:
+        sums = _accel.prefix_sums(kernel.accel_code, kernel.accel_thr, x, m)
     else:
         by_last = np.zeros(n)
         for _, lo, vals in _combination_blocks(kernel, x):
             by_last[lo:] += vals.sum(axis=0)
         sums = np.concatenate([[0.0], np.cumsum(by_last)])
     values = np.full(n + 1, np.nan)
-    ks = np.arange(m, n + 1)
-    values[ks] = sums[ks] / np.array([math.comb(k, m) for k in ks], dtype=np.float64)
+    values[m:] = sums[m:] / _comb_column(n, m)
     return UPrefixValues(n=n, m=m, values=values)
+
+
+def _comb_column(n: int, m: int) -> np.ndarray:
+    """float(C(k, m)) for k = m..n: the falling factorial k (k-1) ..
+    (k-m+1), exact in int64 while n^m fits, floor-divided by m!; exact
+    integers from math.comb past that."""
+    ks = np.arange(m, n + 1, dtype=np.int64)
+    if n ** m >= 2 ** 63:
+        return np.array([math.comb(int(k), m) for k in ks], dtype=np.float64)
+    falling = ks.copy()
+    for t in range(1, m):
+        falling *= ks - t
+    return (falling // math.factorial(m)).astype(np.float64)
 
 
 def ordered_distinct_sum(f, data, r: int) -> OrderedTupleSum:

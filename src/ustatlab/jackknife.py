@@ -26,6 +26,7 @@ import numpy as np
 from . import _accel
 from .engine import (
     ROUTE_CLOSED_FORM,
+    ROUTE_SORT,
     _as_sample,
     _combination_blocks,
     _routed,
@@ -77,6 +78,8 @@ def _q_raw(kernel: Kernel, x: np.ndarray, route: str) -> np.ndarray:
         if kernel.accel_code == _accel.KERNEL_PRODUCT:
             return _accel.product_q_raw(x, m)
         return _accel.variance_q_raw(x)
+    if route == ROUTE_SORT:
+        return _accel.q_raw(kernel.accel_code, kernel.accel_thr, x, m)
     q = np.zeros(n)
     for heads, lo, vals in _combination_blocks(kernel, x):
         q[lo:] += vals.sum(axis=0)

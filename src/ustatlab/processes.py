@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import u_prefix_process
-from .errors import DegenerateNormalizerError, InvalidArgumentError
+from .errors import DegenerateNormalizerError, DomainError, InvalidArgumentError
 from .jackknife import jackknife_closed_form
 from .kernels import Kernel
 
@@ -60,13 +60,21 @@ class StepProcess:
             raise InvalidArgumentError("StepProcess needs n + 1 grid values")
 
 
+def _check_theta(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta}")
+
+
 def pseudo_selfnormalized_path(kernel: Kernel, data, theta: float,
                                projections) -> StepProcess:
     """(k/m) (U_k - theta) / V_n on the prefix grid; zero below k = m."""
+    _check_theta(theta)
     x = np.asarray(data, dtype=np.float64)
     proj = np.asarray(projections, dtype=np.float64)
     if proj.shape != x.shape:
         raise InvalidArgumentError("projections must align with data")
+    if not np.isfinite(proj).all():
+        raise DomainError("projections must be finite; got NaN or infinite values")
     v_n = math.sqrt(float(np.dot(proj, proj)))
     if not v_n > 0:
         raise DegenerateNormalizerError("V_n = 0: all projections vanish")
@@ -83,6 +91,7 @@ def studentized_path(kernel: Kernel, data, theta: float,
     """k (U_k - theta) / jack_scale with the full-sample jackknife scale."""
     if convention not in CONVENTIONS:
         raise InvalidArgumentError(f"convention must be one of {CONVENTIONS}")
+    _check_theta(theta)
     x = np.asarray(data, dtype=np.float64)
     summary = jackknife_closed_form(kernel, x)
     n, m = summary.n, summary.m

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -24,6 +25,7 @@ from ustatlab import (
 from ustatlab.engine import (
     ROUTE_CLOSED_FORM,
     ROUTE_ENUMERATION,
+    ROUTE_SORT,
     _combination_blocks,
     combination_sum,
     kernel_route,
@@ -145,20 +147,34 @@ def test_kernel_route():
     assert kernel_route(product_kernel(5)) == ROUTE_CLOSED_FORM
     assert kernel_route(identity_kernel()) == ROUTE_CLOSED_FORM
     assert kernel_route(variance_kernel()) == ROUTE_CLOSED_FORM
-    assert kernel_route(truncate_kernel(product_kernel(3), cut)) == ROUTE_ENUMERATION
-    assert kernel_route(truncate_kernel(variance_kernel(), cut)) == ROUTE_ENUMERATION
-    assert kernel_route(make_kernel("sum", 2, lambda x, y: x + y)) == ROUTE_ENUMERATION
+    for base in (identity_kernel(), product_kernel(1), product_kernel(2),
+                 product_kernel(3), variance_kernel()):
+        assert kernel_route(truncate_kernel(base, cut)) == ROUTE_SORT
+    assert kernel_route(truncate_kernel(product_kernel(4), cut)) == ROUTE_ENUMERATION
+    proj_ell = TruncationRule(TruncationMode.PROJECTION_ELL, 50, ell_of_n=1.0)
+    assert kernel_route(truncate_kernel(product_kernel(2), proj_ell,
+                                        h1m=lambda x: x)) == ROUTE_ENUMERATION
+    user = make_kernel("sum", 2, lambda x, y: x + y)
+    assert kernel_route(user) == ROUTE_ENUMERATION
+    assert kernel_route(truncate_kernel(user, cut)) == ROUTE_ENUMERATION
 
 
 def test_enumeration_cap():
-    # the closed forms are exempt from the enumeration cap
+    # the closed forms and the sort routes are exempt from the enumeration cap
     assert u_statistic(product_kernel(3), np.ones(10_000)) == pytest.approx(1.0)
     n = 100_000
     x = np.arange(n) % 2.0
     assert u_statistic(variance_kernel(), x) == pytest.approx(0.25 * n / (n - 1))
     cut = TruncationRule(TruncationMode.FULL_M, n)
+    assert u_statistic(truncate_kernel(variance_kernel(), cut), x) == pytest.approx(
+        0.25 * n / (n - 1))
     with pytest.raises(ResourceLimitError):
-        u_statistic(truncate_kernel(variance_kernel(), cut), x)
+        u_statistic(make_kernel("user", 2, lambda a, b: a * b), x)
+    with pytest.raises(ResourceLimitError):
+        u_statistic(truncate_kernel(product_kernel(4), cut), x[:300])
+    # the order-3 sort route holds every pair, and is capped on pairs
+    with pytest.raises(ResourceLimitError):
+        u_statistic(truncate_kernel(product_kernel(3), cut), x[:2001])
 
 
 # A threshold of exactly 1.0 (FULL_M at n = 1) drops some evaluations of
@@ -174,12 +190,22 @@ def _truncated(fn, thr):
     return wrapped
 
 
+def _on_route(base, route):
+    """``base`` untruncated (closed form), truncated at 1.0 (sort route),
+    or truncated at 1.0 without its built-in code (enumeration)."""
+    if route == ROUTE_CLOSED_FORM:
+        return base
+    kernel = truncate_kernel(base, CUT)
+    return kernel if route == ROUTE_SORT else dataclasses.replace(kernel, accel_code=None)
+
+
 @pytest.mark.parametrize("name", sorted(KERNELS))
-@pytest.mark.parametrize("truncate", [False, True], ids=["closed-form", "enumeration"])
-def test_routes_against_oracle(name, truncate):
+@pytest.mark.parametrize("route", [ROUTE_CLOSED_FORM, ROUTE_SORT, ROUTE_ENUMERATION])
+def test_routes_against_oracle(name, route):
     base, fn = KERNELS[name]
-    kernel = truncate_kernel(base, CUT) if truncate else base
-    assert kernel_route(kernel) == (ROUTE_ENUMERATION if truncate else ROUTE_CLOSED_FORM)
+    kernel = _on_route(base, route)
+    assert kernel_route(kernel) == route
+    truncate = route != ROUTE_CLOSED_FORM
     fx = _truncated(fn, kernel.accel_thr)
     m = kernel.order
     x = list(np.random.default_rng(41).normal(0, 1.5, 17))
@@ -232,6 +258,7 @@ def test_truncation_boundary_is_inclusive(name):
     base, data_for = BOUNDARY[name]
     for n in range(2, 200):
         kernel = truncate_kernel(base, TruncationRule(TruncationMode.FULL_M, n))
+        assert kernel_route(kernel) == ROUTE_SORT
         thr = kernel.accel_thr
         kept, dropped = data_for(thr), data_for(np.nextafter(thr, np.inf))
         if kept is not None and dropped is not None:

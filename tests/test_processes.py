@@ -6,6 +6,7 @@ import pytest
 
 from ustatlab import (
     DegenerateNormalizerError,
+    DomainError,
     InvalidArgumentError,
     constant_kernel,
     example_density,
@@ -32,6 +33,28 @@ def test_pseudo_path_m1_example():
 def test_pseudo_degenerate_projections():
     with pytest.raises(DegenerateNormalizerError):
         pseudo_selfnormalized_path(identity_kernel(), [1.0, 2.0], 0.0, [0.0, 0.0])
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+
+
+@NON_FINITE
+def test_pseudo_non_finite_projections_raise_domain_error(bad):
+    with pytest.raises(DomainError):
+        pseudo_selfnormalized_path(identity_kernel(), [1.0, 2.0, 3.0], 0.0,
+                                   [1.0, bad, -1.0])
+
+
+@NON_FINITE
+@pytest.mark.parametrize("path", ["pseudo", "studentized"])
+def test_non_finite_theta_raises_domain_error(bad, path):
+    x = [1.0, 2.0, 3.0, 0.5]
+    with pytest.raises(DomainError):
+        if path == "pseudo":
+            pseudo_selfnormalized_path(identity_kernel(), x, bad, [1.0, -1.0, 0.5, 2.0])
+        else:
+            studentized_path(identity_kernel(), x, bad)
 
 
 def test_pseudo_final_value_recomputed_independently():

@@ -1,0 +1,214 @@
+"""The sort routes of the truncated built-in kernels against brute-force
+oracles and against the enumeration route.
+
+Covered: the product kernel of order 1, 2 and 3 and the variance kernel;
+LOG, LEVEL_J and FULL_M thresholds and thresholds that keep none, some or
+all evaluations; data with ties, zeros, sign changes and scales from
+1e-100 to 1e100; values placed next to the threshold, where a cut found
+by ``searchsorted`` on thr / |x| alone is off by one.
+"""
+
+import dataclasses
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ustatlab import (
+    TruncationMode,
+    TruncationRule,
+    jackknife_closed_form,
+    product_kernel,
+    truncate_kernel,
+    u_prefix_process,
+    variance_kernel,
+)
+from ustatlab.engine import ROUTE_ENUMERATION, ROUTE_SORT, combination_sum, kernel_route
+
+from _oracles import brute_combination_sum, brute_q
+
+# the oracles multiply in index order, (x_i x_j) x_k, as the enumeration does
+KERNELS = {
+    "product1": (product_kernel(1), lambda x: x),
+    "product2": (product_kernel(2), lambda x, y: x * y),
+    "product3": (product_kernel(3), lambda x, y, z: x * y * z),
+    "variance": (variance_kernel(), lambda x, y: 0.5 * (x - y) ** 2),
+}
+
+
+def _truncated(fn, thr):
+    def wrapped(*xs):
+        v = fn(*xs)
+        return v if abs(v) <= thr else 0.0
+
+    return wrapped
+
+
+def _tolerance(name, fn, x, thr):
+    """Absolute error allowed: 1e-12 of the kept |h| summed (product), or of
+    n times the squared spread of the data (variance, whose sums of powers
+    of x cancel down to the kept differences)."""
+    m = KERNELS[name][0].order
+    if name == "variance":
+        return 1e-12 * len(x) * (max(x) - min(x)) ** 2 + 1e-300
+    kept = [abs(v) for c in itertools.combinations(x, m) if abs(v := fn(*c)) <= thr]
+    return 1e-12 * math.fsum(kept) + 1e-300
+
+
+def check_against_oracle(name, kernel, x):
+    """combination_sum, u_prefix_process at every k and the jackknife q of
+    ``kernel`` against brute force over ``x``."""
+    base, fn = KERNELS[name]
+    m, n, thr = kernel.order, len(x), kernel.accel_thr
+    fx = _truncated(fn, thr)
+    tol = _tolerance(name, fn, x, thr)
+    assert abs(combination_sum(kernel, x) - brute_combination_sum(fx, x, m)) <= tol
+    sums = u_prefix_process(kernel, x).values
+    for k in range(m, n + 1):
+        want = brute_combination_sum(fx, x[:k], m)
+        assert abs(sums[k] * math.comb(k, m) - want) <= tol, k
+    if n > m:
+        scale = math.comb(n - 1, m - 1)
+        got = jackknife_closed_form(kernel, x).q * scale
+        want = np.array(brute_q(fx, x, m)) * scale
+        assert np.all(np.abs(got - want) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# property tests
+# ---------------------------------------------------------------------------
+
+ATOMS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 7.25])
+VALUES = st.builds(lambda sign, mantissa, e: sign * mantissa * 10.0 ** e,
+                   st.sampled_from([-1.0, 1.0]), st.one_of(ATOMS, st.floats(0.1, 10.0)),
+                   st.integers(-2, 2))
+
+
+@st.composite
+def rules(draw, m):
+    n = draw(st.integers(2, 10 ** 6))
+    mode = draw(st.sampled_from(["log", "level-j", "full-m"] if m > 1 else ["log", "full-m"]))
+    if mode == "log":
+        return TruncationRule(TruncationMode.LOG, n)
+    if mode == "level-j":
+        return TruncationRule(TruncationMode.LEVEL_J, n, j=draw(st.integers(1, m - 1)))
+    return TruncationRule(TruncationMode.FULL_M, n)
+
+
+def _near_threshold(name, x, thr, ulps):
+    """A value that puts one evaluation with x's first points next to thr."""
+    if name == "variance":
+        v = x[0] + math.sqrt(2.0 * thr)
+    else:
+        head = math.prod(x[:KERNELS[name][0].order - 1])
+        v = thr / head if head != 0.0 and math.isfinite(thr / head) else 1.0
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+@st.composite
+def cases(draw, name):
+    m = KERNELS[name][0].order
+    rule = draw(rules(m))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    x = [v * scale for v in draw(st.lists(VALUES, min_size=m + 1, max_size=9 if m == 3 else 11))]
+    kernel = truncate_kernel(KERNELS[name][0], rule)
+    if draw(st.booleans()):
+        x.insert(draw(st.integers(m - 1, len(x))),
+                 _near_threshold(name, x, kernel.accel_thr, draw(st.integers(-2, 2))))
+    return kernel, x
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@given(data=st.data())
+def test_sort_route_against_oracle(name, data):
+    kernel, x = data.draw(cases(name))
+    assert kernel_route(kernel) == ROUTE_SORT
+    check_against_oracle(name, kernel, x)
+
+
+# a threshold of exactly 1.0 (FULL_M at n = 1)
+CUT = TruncationRule(TruncationMode.FULL_M, 1)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@pytest.mark.parametrize("keep", ["none", "some", "all"])
+def test_sort_route_keeps_none_some_or_all(name, keep):
+    base, fn = KERNELS[name]
+    kernel = truncate_kernel(base, CUT)
+    m = base.order
+    x = np.random.default_rng(3).normal(0.5, 1.5, 9)
+    x = list(x * {"none": 1e3, "some": 1.0, "all": 1e-3}[keep])
+    values = [fn(*c) for c in itertools.combinations(x, m)]
+    kept = sum(abs(v) <= 1.0 for v in values)
+    if keep == "none":
+        assert kept == 0
+    elif keep == "all":
+        assert kept == len(values)
+    else:
+        assert 0 < kept < len(values)
+    check_against_oracle(name, kernel, x)
+
+
+# ---------------------------------------------------------------------------
+# kept set next to the threshold
+# ---------------------------------------------------------------------------
+
+def _boundary_data(name, thr, kept):
+    """Data with an evaluation next to thr that a cut found by searchsorted
+    alone misplaces: kept but guessed dropped (``kept``) or the reverse.
+    The first m - 1 points of the evaluation, then its last point with the
+    ulp neighbours; None if no such point turns up for this thr."""
+    rng = np.random.default_rng(17)
+    m = KERNELS[name][0].order
+    for _ in range(200):
+        if name == "variance":
+            head = [float(rng.uniform(-1.0, 1.0))]
+            x0, cut = head[0], head[0] + math.sqrt(2.0 * thr)
+
+            def holds(v):
+                return 0.5 * (v - x0) ** 2 <= thr
+        else:
+            head = [float(v) for v in rng.uniform(0.3, 3.0, m - 1)]
+            a = math.prod(head)
+            cut = thr / a
+
+            def holds(v):
+                return a * v <= thr
+        near = [cut]
+        for _ in range(4):
+            near = [math.nextafter(near[0], -math.inf)] + near + [
+                math.nextafter(near[-1], math.inf)]
+        for v in near:
+            if holds(v) == kept and (v <= cut) != kept:
+                return head + [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+    return None
+
+
+@pytest.mark.parametrize("name", ["product2", "product3", "variance"])
+@pytest.mark.parametrize("kept", [True, False], ids=["guess-too-low", "guess-too-high"])
+def test_sort_route_kept_set_next_to_threshold_matches_enumeration(name, kept):
+    # where in its binade thr falls decides which misguess can occur
+    for n in range(2, 100):
+        kernel = truncate_kernel(KERNELS[name][0], TruncationRule(TruncationMode.FULL_M, n))
+        x = _boundary_data(name, kernel.accel_thr, kept)
+        if x is not None:
+            break
+    enumerated = dataclasses.replace(kernel, accel_code=None)
+    assert kernel_route(enumerated) == ROUTE_ENUMERATION
+    x += [0.0, 1.0, -2.0, 0.5]
+    m, n = kernel.order, len(x)
+    # a wrongly kept or dropped evaluation moves a sum by about thr
+    tol = 1e-9 * kernel.accel_thr
+    assert combination_sum(kernel, x) == pytest.approx(
+        combination_sum(enumerated, x), rel=0, abs=tol)
+    assert np.allclose(u_prefix_process(kernel, x).values[m:],
+                       u_prefix_process(enumerated, x).values[m:], rtol=0, atol=tol)
+    assert np.allclose(jackknife_closed_form(kernel, x).q * math.comb(n - 1, m - 1),
+                       jackknife_closed_form(enumerated, x).q * math.comb(n - 1, m - 1),
+                       rtol=0, atol=tol)
+    check_against_oracle(name, kernel, x)
