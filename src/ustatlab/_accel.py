@@ -44,6 +44,15 @@ def _as_f64(data) -> np.ndarray:
     return np.ascontiguousarray(data, dtype=np.float64)
 
 
+def running_sums(v: np.ndarray) -> np.ndarray:
+    """out[k] = v[0] + ... + v[k-1] for k = 0..len(v), accumulated left
+    to right into one new array."""
+    out = np.empty(v.shape[0] + 1)
+    out[0] = 0.0
+    np.cumsum(v, out=out[1:])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # product kernel
 # ---------------------------------------------------------------------------
@@ -95,7 +104,7 @@ def esp_prefix(data, m: int) -> np.ndarray:
     if m == 0:
         return np.ones(n + 1)
     if m <= 4:
-        c = [np.concatenate([[0.0], np.cumsum(_power(x, k))]) for k in range(1, m + 1)]
+        c = [running_sums(_power(x, k)) for k in range(1, m + 1)]
         return _from_power_sums(c, m)
     out = np.zeros(n + 1)
     e = np.zeros(m + 1)
@@ -160,8 +169,8 @@ def variance_prefix(data) -> np.ndarray:
     """out[k] = sum of h over all pairs of data[:k], k = 0..n."""
     x = _as_f64(data)
     n = x.shape[0]
-    c1 = np.concatenate([[0.0], np.cumsum(x)])
-    c2 = np.concatenate([[0.0], np.cumsum(x * x)])
+    c1 = running_sums(x)
+    c2 = running_sums(x * x)
     k = np.arange(n + 1, dtype=np.float64)
     return 0.5 * (k * c2 - c1 * c1)
 
@@ -363,7 +372,7 @@ def ustat_sum(code: int, thr: float, data, m: int) -> float:
 def prefix_sums(code: int, thr: float, data, m: int) -> np.ndarray:
     """out[k] = sum of the truncated kernel over the combinations of
     data[:k], k = 0..n."""
-    return np.concatenate([[0.0], np.cumsum(_by_last(code, thr, _as_f64(data), m))])
+    return running_sums(_by_last(code, thr, _as_f64(data), m))
 
 
 def q_raw(code: int, thr: float, data, m: int) -> np.ndarray:
@@ -379,6 +388,6 @@ def q_raw(code: int, thr: float, data, m: int) -> np.ndarray:
     if m == 2:
         # the kept ranks below cut, without i itself
         order, rank, cut = _product2(x, thr)
-        c = np.concatenate([[0.0], np.cumsum(x[order])])
+        c = running_sums(x[order])
         return x * (c[np.minimum(cut, rank)] + (c[np.maximum(cut, rank + 1)] - c[rank + 1]))
     return _product3_q_raw(x, thr)

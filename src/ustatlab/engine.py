@@ -16,6 +16,7 @@ pair, at C(n, 2) <= 2e6: past a cap the engine refuses with
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -222,23 +223,29 @@ def u_prefix_process(kernel: Kernel, data) -> UPrefixValues:
         by_last = np.zeros(n)
         for _, lo, vals in _combination_blocks(kernel, x):
             by_last[lo:] += vals.sum(axis=0)
-        sums = np.concatenate([[0.0], np.cumsum(by_last)])
-    values = np.full(n + 1, np.nan)
-    values[m:] = sums[m:] / _comb_column(n, m)
+        sums = _accel.running_sums(by_last)
+    values = np.empty(n + 1)
+    values[:m] = np.nan
+    np.divide(sums[m:], _comb_column(n, m), out=values[m:])
     return UPrefixValues(n=n, m=m, values=values)
 
 
+@functools.lru_cache(maxsize=2)
 def _comb_column(n: int, m: int) -> np.ndarray:
-    """float(C(k, m)) for k = m..n: the falling factorial k (k-1) ..
-    (k-m+1), exact in int64 while n^m fits, floor-divided by m!; exact
-    integers from math.comb past that."""
+    """float(C(k, m)) for k = m..n, read-only and cached, since a study
+    asks for the same (n, m) in every replication: the falling factorial
+    k (k-1) .. (k-m+1), exact in int64 while n^m fits, floor-divided by
+    m!; exact integers from math.comb past that."""
     ks = np.arange(m, n + 1, dtype=np.int64)
     if n ** m >= 2 ** 63:
-        return np.array([math.comb(int(k), m) for k in ks], dtype=np.float64)
-    falling = ks.copy()
-    for t in range(1, m):
-        falling *= ks - t
-    return (falling // math.factorial(m)).astype(np.float64)
+        out = np.array([math.comb(int(k), m) for k in ks], dtype=np.float64)
+    else:
+        falling = ks.copy()
+        for t in range(1, m):
+            falling *= ks - t
+        out = (falling // math.factorial(m)).astype(np.float64)
+    out.flags.writeable = False
+    return out
 
 
 def ordered_distinct_sum(f, data, r: int) -> OrderedTupleSum:

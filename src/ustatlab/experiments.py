@@ -267,7 +267,7 @@ def _studentized_scalar(kernel, data, theta, k):
     summary = jackknife_closed_form(kernel, data)
     if not summary.sum_sq > 0:
         raise DegenerateNormalizerError("zero jackknife scale")
-    u_k = u_statistic(kernel, data[:k])
+    u_k = summary.u_n if k == summary.n else u_statistic(kernel, data[:k])
     return k * (u_k - theta) / math.sqrt(summary.n * summary.sum_sq)
 
 
@@ -284,7 +284,7 @@ def _rep_value(config: ExperimentConfig, kernel, dist, theta, ell_sq, n: int,
             return sup_functional(studentized_path(kernel, data, theta))
         if config.experiment == "RAIKOV":
             proj = _projection_values(kernel, dist, data)
-            v_sq = float(np.dot(proj, proj))
+            v_sq = float(np.einsum("i,i->", proj, proj))
             if not v_sq > 0:
                 raise DegenerateNormalizerError("V_n = 0")
             return v_sq / (n * ell_sq)
@@ -359,13 +359,19 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     per_n = []
     values_by_n = {}
     dropped_total = 0
-    for n in config.n_grid:
-        values = values_by_n[n] = _collect(config, n, workers)
-        kept = [v for v in values if v is not None]
-        dropped = len(values) - len(kept)
-        dropped_total += dropped
-        record = _summarize(config, kernel, dist, n, kept, dropped)
-        per_n.append(record)
+    # one pool serves every grid point of the study
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        for n in config.n_grid:
+            values = values_by_n[n] = _collect(config, n, workers, pool)
+            kept = [v for v in values if v is not None]
+            dropped = len(values) - len(kept)
+            dropped_total += dropped
+            record = _summarize(config, kernel, dist, n, kept, dropped)
+            per_n.append(record)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     overall = bool(per_n and per_n[-1].passed
                    and all(r.dropped <= MAX_DROP_RATE * config.replications
                            for r in per_n))
@@ -378,17 +384,19 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     )
 
 
-def _collect(config: ExperimentConfig, n: int, workers: int) -> list:
+def _collect(config: ExperimentConfig, n: int, workers: int,
+             pool: Optional[ProcessPoolExecutor]) -> list:
+    """The replications at one n, serially without a pool, else in
+    workers * 4 chunks on ``pool``."""
     R = config.replications
-    if workers <= 1:
+    if pool is None:
         return _run_chunk((config.to_dict(), n, 0, R))
     bounds = np.linspace(0, R, workers * 4 + 1).astype(int)
     payloads = [(config.to_dict(), n, int(a), int(b))
                 for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     values: list = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(_run_chunk, payloads):
-            values.extend(chunk)  # submission order == replication order
+    for chunk in pool.map(_run_chunk, payloads):
+        values.extend(chunk)  # submission order == replication order
     return values
 
 

@@ -8,12 +8,17 @@ combinations, the per-observation totals
 from which the jackknife sum of squares follows algebraically:
 
     (n-1) * sum_i (U^i_(n-1) - U_n)^2
-        = m^2 (n-1) / (n-m)^2 * [ sum_i q_i^2 - n U_n^2 ].
+        = m^2 (n-1) / (n-m)^2 * sum_i (q_i - U_n)^2.
 
-The identity is exact for every sample and translation-invariant in the
-kernel, so no centering constant is ever subtracted inside the squares.
-The naive per-``i`` re-enumeration (:func:`leave_one_out`) is retained as
-the independent oracle.
+The identity is exact for every sample, because the mean of the q_i is
+U_n.  It is evaluated in two passes, U_n first and then the squares of
+q_i - U_n, so a location shift of the kernel costs no digits in the
+reduction; the one-pass form sum q_i^2 - n U_n^2 cancels once |U_n|
+dwarfs the spread of the q_i.  The sum of squares is an ``np.einsum``
+loop rather than a BLAS dot product, which would run on BLAS's own
+threads next to the study's worker processes.  The naive per-``i``
+re-enumeration (:func:`leave_one_out`) is retained as the independent
+oracle.
 """
 
 from __future__ import annotations
@@ -44,10 +49,17 @@ class JackknifeSummary:
     n: int
     m: int
     u_n: float
-    leave_one_out: np.ndarray
     q: np.ndarray
     sum_sq: float               # (n-1) * sum_i (U^i - U_n)^2
     variance_estimator: float   # sum_sq / m^2
+
+    @property
+    def leave_one_out(self) -> np.ndarray:
+        """U^i_(n-1) = [C(n,m) U_n - C(n-1,m-1) q_i] / C(n-1,m), built on
+        demand."""
+        n, m = self.n, self.m
+        return (math.comb(n, m) * self.u_n - math.comb(n - 1, m - 1) * self.q) \
+            / math.comb(n - 1, m)
 
 
 def _check_loo_size(n: int, m: int) -> None:
@@ -90,21 +102,18 @@ def _q_raw(kernel: Kernel, x: np.ndarray, route: str) -> np.ndarray:
 
 
 def jackknife_closed_form(kernel: Kernel, data) -> JackknifeSummary:
-    """One q-accumulation pass; fills the leave-one-out values from
-    U^i = [C(n,m) U_n - C(n-1,m-1) q_i] / C(n-1,m)."""
+    """One q-accumulation pass, then the two-pass sum of squares
+    m^2 (n-1) / (n-m)^2 * sum_i (q_i - U_n)^2."""
     x = _as_sample(data)
     n, m = x.shape[0], kernel.order
     _check_loo_size(n, m)
     q_raw = _q_raw(kernel, x, _routed(kernel, n))
-    c_nm = math.comb(n, m)
-    c_n1m1 = math.comb(n - 1, m - 1)
-    c_n1m = math.comb(n - 1, m)
-    u_n = float(q_raw.sum()) / (m * c_nm)
-    q = q_raw / c_n1m1
-    sum_sq = m ** 2 * (n - 1) / (n - m) ** 2 * (float(np.dot(q, q)) - n * u_n ** 2)
-    loo = (c_nm * u_n - c_n1m1 * q) / c_n1m
-    return JackknifeSummary(n=n, m=m, u_n=u_n, leave_one_out=loo, q=q,
-                            sum_sq=sum_sq, variance_estimator=sum_sq / m ** 2)
+    u_n = float(q_raw.sum()) / (m * math.comb(n, m))
+    q = q_raw / math.comb(n - 1, m - 1)
+    d = q - u_n
+    sum_sq = m ** 2 * (n - 1) / (n - m) ** 2 * float(np.einsum("i,i->", d, d))
+    return JackknifeSummary(n=n, m=m, u_n=u_n, q=q, sum_sq=sum_sq,
+                            variance_estimator=sum_sq / m ** 2)
 
 
 def arvesen_estimator(summary: JackknifeSummary) -> float:

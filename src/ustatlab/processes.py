@@ -75,14 +75,16 @@ def pseudo_selfnormalized_path(kernel: Kernel, data, theta: float,
         raise InvalidArgumentError("projections must align with data")
     if not np.isfinite(proj).all():
         raise DomainError("projections must be finite; got NaN or infinite values")
-    v_n = math.sqrt(float(np.dot(proj, proj)))
+    v_n = math.sqrt(float(np.einsum("i,i->", proj, proj)))
     if not v_n > 0:
         raise DegenerateNormalizerError("V_n = 0: all projections vanish")
     prefix = u_prefix_process(kernel, x)
     n, m = prefix.n, prefix.m
     values = np.zeros(n + 1)
-    ks = np.arange(m, n + 1)
-    values[ks] = (ks / m) * (prefix.values[ks] - theta) / v_n
+    tail = values[m:]  # a view: the arithmetic below runs in place
+    np.subtract(prefix.values[m:], theta, out=tail)
+    tail *= np.arange(m, n + 1) / m
+    tail /= v_n
     return StepProcess(n=n, m=m, values=values)
 
 
@@ -101,12 +103,15 @@ def studentized_path(kernel: Kernel, data, theta: float,
         )
     prefix = u_prefix_process(kernel, x)
     values = np.zeros(n + 1)
+    tail = values[m:]  # a view: the arithmetic below runs in place
+    np.subtract(prefix.values[m:], theta, out=tail)
     ks = np.arange(m, n + 1)
-    centered = prefix.values[ks] - theta
     if convention == "n-in-root":
-        values[ks] = ks * centered / math.sqrt(n * summary.sum_sq)
+        tail *= ks
+        tail /= math.sqrt(n * summary.sum_sq)
     else:
-        values[ks] = (ks / math.sqrt(n)) * centered / math.sqrt(summary.sum_sq)
+        tail *= ks / math.sqrt(n)
+        tail /= math.sqrt(summary.sum_sq)
     return StepProcess(n=n, m=m, values=values)
 
 

@@ -6,6 +6,7 @@ no code with the package paths it checks.
 
 import itertools
 import math
+from fractions import Fraction
 
 
 def brute_u_stat(h, data, m):
@@ -35,6 +36,20 @@ def brute_jackknife_sum_sq(h, data, m):
     u_n = brute_u_stat(h, data, m)
     loo = brute_leave_one_out(h, data, m)
     return (n - 1) * math.fsum((u - u_n) ** 2 for u in loo)
+
+
+def exact_jackknife_sum_sq(h, data, m):
+    """(n-1) * sum_i (U^i - U_n)^2 in exact rational arithmetic, every U
+    re-enumerated; ``h`` must be exact on Fractions."""
+    x = [Fraction(v) for v in data]
+
+    def u(points):
+        return sum(h(*c) for c in itertools.combinations(points, m)) \
+            / math.comb(len(points), m)
+
+    u_n = u(x)
+    return (len(x) - 1) * sum((u(x[:i] + x[i + 1:]) - u_n) ** 2
+                              for i in range(len(x)))
 
 
 def brute_q(h, data, m):

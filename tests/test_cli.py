@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ustatlab import leave_one_out, normal, product_kernel, sample
 from ustatlab.cli import main
 
 
@@ -54,8 +55,12 @@ def test_jackknife_json(capsys):
                    "normal:1,1", "--n", "12", "--seed", "4")
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["leave_one_out", "m", "n", "q", "sum_sq", "u_n",
+                             "variance_estimator"]
     assert payload["n"] == 12 and payload["m"] == 2
-    assert len(payload["leave_one_out"]) == 12
+    data = sample(normal(1, 1), 12, 4)
+    assert payload["leave_one_out"] == pytest.approx(
+        leave_one_out(product_kernel(2), data).tolist(), rel=1e-12, abs=1e-12)
     assert payload["variance_estimator"] == pytest.approx(
         payload["sum_sq"] / 4)
 

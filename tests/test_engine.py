@@ -26,6 +26,7 @@ from ustatlab.engine import (
     ROUTE_CLOSED_FORM,
     ROUTE_ENUMERATION,
     ROUTE_SORT,
+    _comb_column,
     _combination_blocks,
     combination_sum,
     kernel_route,
@@ -157,6 +158,18 @@ def test_kernel_route():
     user = make_kernel("sum", 2, lambda x, y: x + y)
     assert kernel_route(user) == ROUTE_ENUMERATION
     assert kernel_route(truncate_kernel(user, cut)) == ROUTE_ENUMERATION
+
+
+@pytest.mark.parametrize("n,m", [(40, 1), (40, 3), (55_000, 4), (60_000, 4)])
+def test_comb_column_exact_cached_read_only(n, m):
+    # 55000^4 < 2^63 <= 60000^4: the int64 falling factorial at its widest,
+    # then the math.comb branch
+    col = _comb_column(n, m)
+    assert col.tolist() == [float(math.comb(k, m)) for k in range(m, n + 1)]
+    assert not col.flags.writeable
+    with pytest.raises(ValueError):
+        col[0] = 0.0
+    assert np.array_equal(_comb_column(n, m), col)
 
 
 def test_enumeration_cap():

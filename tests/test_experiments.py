@@ -10,12 +10,16 @@ from ustatlab import (
     ConfigError,
     ExperimentConfig,
     ks_distance,
+    normal,
     normal_cdf,
+    product_kernel,
+    pseudo_selfnormalized_path,
     replication_seed,
     run_experiment,
+    sample,
     wiener_sup_cdf,
 )
-from ustatlab.experiments import report_from_json, report_to_json
+from ustatlab.experiments import _rep_value, _resolve, report_from_json, report_to_json
 
 
 def test_normal_cdf_symmetry():
@@ -207,3 +211,33 @@ def test_drop_policy_over_one_percent_fails():
     assert report.per_n[0].dropped > 4
     assert not report.overall_pass
     assert any("dropped" in n for n in report.notes)
+
+
+def test_replication_makes_no_blas_call(monkeypatch):
+    # a BLAS dot on an n-vector runs on BLAS's own thread pool, which
+    # contends with the worker processes; a replication must not make one
+    n = 20000
+    cases = [
+        ("FCLT_SUP", "identity", "normal:0,1", dict(ks_threshold=0.5)),
+        ("CLT_T0", "product:m=2,a=2", "example:a=2", dict(ks_threshold=0.5)),
+        ("RAIKOV", "product:m=2", "normal:1,1", dict(rel_mean_threshold=0.1)),
+        ("JACK_RAIKOV", "product:m=2", "normal:1,1", dict(rel_mean_threshold=0.1)),
+        ("ARVESEN", "product:m=2", "normal:1,1", dict(rel_mean_threshold=0.1)),
+    ]
+    resolved = []
+    for experiment, kernel, dist, extra in cases:
+        config = ExperimentConfig(experiment=experiment, kernel=kernel, dist=dist,
+                                  n_grid=(n,), replications=50, base_seed=5,
+                                  **extra).validate()
+        resolved.append((config,) + _resolve(config))
+    data = sample(normal(1, 1), n, 5)
+
+    def no_blas(*args, **kwargs):
+        raise AssertionError("numpy.dot called")
+
+    monkeypatch.setattr(np, "dot", no_blas)
+    for config, kernel, dist, theta in resolved:
+        value = _rep_value(config, kernel, dist, theta, 1.0, n, 0)
+        assert value is not None and math.isfinite(value), config.experiment
+    path = pseudo_selfnormalized_path(product_kernel(2), data, 1.0, data - 1.0)
+    assert math.isfinite(path.values[n])

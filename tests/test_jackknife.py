@@ -19,7 +19,12 @@ from ustatlab import (
     variance_kernel,
 )
 
-from _oracles import brute_jackknife_sum_sq, brute_leave_one_out, brute_q
+from _oracles import (
+    brute_jackknife_sum_sq,
+    brute_leave_one_out,
+    brute_q,
+    exact_jackknife_sum_sq,
+)
 
 FNS = {
     "identity": (identity_kernel(), lambda x: x),
@@ -106,6 +111,18 @@ def test_translation_invariance():
     s0 = jackknife_closed_form(base, data)
     s1 = jackknife_closed_form(shifted, data)
     assert s0.sum_sq == pytest.approx(s1.sum_sq, rel=1e-9)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e2, 1e4, 1e6, 1e8])
+def test_sum_sq_is_shift_stable(mu):
+    # the rational oracle re-enumerates every U^i, so it shares no step
+    # with the q identity, and it is exact at any location
+    rng = np.random.default_rng(37)
+    for n in (3, 12, 40):
+        data = rng.normal(mu, 1.0, n)
+        exact = exact_jackknife_sum_sq(lambda x: x, data.tolist(), 1)
+        s = jackknife_closed_form(identity_kernel(), data)
+        assert s.sum_sq == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_fast_product_path_matches_generic_q():
