@@ -7,7 +7,8 @@ Closed forms, for the untruncated kernels (no threshold):
   ``esp``, ``esp_prefix`` and ``product_q_raw`` in O(n m), and the
   order-3 shared-pair total ``product_shared_pair_total``.
 * Variance kernel ``h = (x - y)^2 / 2``: the power-sum forms
-  ``variance_sum``, ``variance_prefix`` and ``variance_q_raw`` in O(n).
+  ``variance_sum``, ``variance_prefix`` and ``variance_q_raw`` in O(n),
+  taken over the data centered on its mean.
 
 Sort routes, for the truncated kernels ``h * 1(|h| <= thr)`` with a
 finite ``thr``: ``ustat_sum``, ``q_raw`` and ``prefix_sums``, each taking
@@ -129,49 +130,52 @@ def product_q_raw(data, m: int) -> np.ndarray:
 
 def product_shared_pair_total(data) -> float:
     """sum over distinct ordered (i1,i2,i3,i4) of h(x1,x2,x3) * h(x1,x2,x4)
-    for the order-3 product kernel."""
+    for the order-3 product kernel: over the ordered pairs i != j,
+    (x_i x_j)^2 ((sum of the other x)^2 - sum of the other x^2), as one
+    n x n array."""
     x = _as_f64(data)
-    n = x.shape[0]
+    xx = x * x
     s1 = float(x.sum())
-    s2 = float((x * x).sum())
-    total = 0.0
-    for i in range(n):
-        xj = np.delete(x, i)
-        t = x[i] * xj * (s1 - x[i] - xj)
-        qq = x[i] ** 2 * xj ** 2 * (s2 - x[i] ** 2 - xj ** 2)
-        total += float((t * t - qq).sum())
-    return total
+    s2 = float(xx.sum())
+    t = (x[:, None] * x) * ((s1 - x)[:, None] - x)
+    d = t * t - (xx[:, None] * xx) * ((s2 - xx)[:, None] - xx)
+    np.fill_diagonal(d, 0.0)
+    return float(d.sum())
 
 
 # ---------------------------------------------------------------------------
 # variance kernel
 # ---------------------------------------------------------------------------
 
+def _centered(data) -> np.ndarray:
+    """data minus its mean: h is shift-invariant, and power sums of the
+    centered data do not cancel the way power sums of shifted data do."""
+    x = _as_f64(data)
+    return x - x.sum() / x.shape[0]
+
+
 def variance_sum(data) -> float:
     """Sum of h over all pairs of data."""
-    x = _as_f64(data)
-    n = x.shape[0]
-    s1 = float(x.sum())
-    s2 = float((x * x).sum())
-    return 0.5 * (n * s2 - s1 * s1)
+    y = _centered(data)
+    s1 = float(y.sum())
+    s2 = float((y * y).sum())
+    return 0.5 * (y.shape[0] * s2 - s1 * s1)
 
 
 def variance_q_raw(data) -> np.ndarray:
     """q_raw[i] = sum of h over the pairs containing i."""
-    x = _as_f64(data)
-    n = x.shape[0]
-    s1 = float(x.sum())
-    s2 = float((x * x).sum())
-    return 0.5 * ((n - 1) * x * x - 2.0 * x * (s1 - x) + (s2 - x * x))
+    y = _centered(data)
+    s1 = float(y.sum())
+    s2 = float((y * y).sum())
+    return 0.5 * ((y.shape[0] * y - 2.0 * s1) * y + s2)
 
 
 def variance_prefix(data) -> np.ndarray:
     """out[k] = sum of h over all pairs of data[:k], k = 0..n."""
-    x = _as_f64(data)
-    n = x.shape[0]
-    c1 = running_sums(x)
-    c2 = running_sums(x * x)
-    k = np.arange(n + 1, dtype=np.float64)
+    y = _centered(data)
+    c1 = running_sums(y)
+    c2 = running_sums(y * y)
+    k = np.arange(y.shape[0] + 1, dtype=np.float64)
     return 0.5 * (k * c2 - c1 * c1)
 
 

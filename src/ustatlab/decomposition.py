@@ -67,6 +67,9 @@ __all__ = [
     "check_degeneracy",
     "reconstruction_max_error",
     "degenerate_moment_bound",
+    "check_trend",
+    "negligibility_value",
+    "trend_decreasing",
     "negligibility_trend",
     "truncation_coupling_rate",
     "expansion_report",
@@ -365,15 +368,11 @@ def _guard_trend_size(m: int, n: int) -> None:
         raise ResourceLimitError(f"trend sample size capped at {cap} for m={m}")
 
 
-def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
-                        n_grid, R: int, seed: int) -> TrendTable:
-    """Monte Carlo mean of |statistic| along ``n_grid``.
-
-    Statistics: ``centered-usq`` = (U_n - theta)^2; ``diagonal-square`` =
-    the sum of h^2 over distinct tuples scaled by the falling factorial
-    [n]^-(2m-1); ``shared-pair`` = the order-3 statistic pairing two
-    kernel evaluations that share their first two arguments, same scale.
-    """
+def check_trend(statistic_id: str, kernel: Kernel, dist: Distribution, n_grid,
+                theta: Optional[float]) -> None:
+    """The checks a trend run passes before it draws a sample: a known
+    statistic, an ascending grid inside the size caps, an order-3 kernel
+    for ``shared-pair`` and a resolved theta for ``centered-usq``."""
     if statistic_id not in TREND_STATISTICS:
         raise InvalidArgumentError(
             f"unknown statistic {statistic_id!r}; choose from {TREND_STATISTICS}"
@@ -386,35 +385,63 @@ def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
         _guard_trend_size(m, n)
     if statistic_id == "shared-pair" and m != 3:
         raise InvalidArgumentError("shared-pair statistic needs an order-3 kernel")
-    theta = theta_under(kernel, dist)
     if statistic_id == "centered-usq" and theta is None:
         raise InvalidArgumentError(
             f"centered-usq needs theta for kernel '{kernel.name}' under "
             f"'{dist.name}'"
         )
-    sq = _squared_kernel(kernel) if statistic_id == "diagonal-square" else None
+
+
+def negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float],
+                        x: np.ndarray) -> float:
+    """|statistic| on one sample x, for arguments that pass
+    :func:`check_trend`.
+
+    Statistics: ``centered-usq`` = (U_n - theta)^2; ``diagonal-square`` =
+    the sum of h^2 over distinct tuples scaled by the falling factorial
+    [n]^-(2m-1); ``shared-pair`` = the order-3 statistic pairing two
+    kernel evaluations that share their first two arguments, same scale.
+    """
+    n, m = len(x), kernel.order
+    if statistic_id == "centered-usq":
+        v = (u_statistic(kernel, x) - theta) ** 2
+    elif statistic_id == "diagonal-square":
+        v = math.factorial(m) * combination_sum(_squared_kernel(kernel), x) \
+            / _falling(n, 2 * m - 1)
+    else:
+        # m == 3 here, and the only closed-form kernel of order 3 is the
+        # untruncated product kernel
+        if _routed(kernel, n) == ROUTE_CLOSED_FORM:
+            tot = _accel.product_shared_pair_total(x)
+        else:
+            tot = _shared_pair_generic(kernel, x)
+        v = tot / _falling(n, 2 * m - 1)
+    return float(abs(v))
+
+
+def trend_decreasing(means) -> bool:
+    """The trend verdict: the last mean is below half the first."""
+    return bool(means[-1] < 0.5 * means[0])
+
+
+def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
+                        n_grid, R: int, seed: int) -> TrendTable:
+    """Monte Carlo mean of |statistic| (see :func:`negligibility_value`)
+    along ``n_grid``, replication r drawn with ``derive_seed(seed, r)``."""
+    n_grid = list(n_grid)
+    theta = theta_under(kernel, dist)
+    check_trend(statistic_id, kernel, dist, n_grid, theta)
     rows = []
     for n in n_grid:
-        vals = np.empty(R)
-        for rep in range(R):
-            x = sample(dist, n, derive_seed(seed, rep))
-            if statistic_id == "centered-usq":
-                v = (u_statistic(kernel, x) - theta) ** 2
-            elif statistic_id == "diagonal-square":
-                v = math.factorial(m) * combination_sum(sq, x) / _falling(n, 2 * m - 1)
-            else:
-                # m == 3 here, and the only closed-form kernel of order 3
-                # is the untruncated product kernel
-                if _routed(kernel, n) == ROUTE_CLOSED_FORM:
-                    tot = _accel.product_shared_pair_total(x)
-                else:
-                    tot = _shared_pair_generic(kernel, x)
-                v = tot / _falling(n, 2 * m - 1)
-            vals[rep] = abs(v)
+        vals = np.array([
+            negligibility_value(statistic_id, kernel, theta,
+                                sample(dist, n, derive_seed(seed, rep)))
+            for rep in range(R)
+        ])
         rows.append(TrendRow(n=n, mean_abs=float(vals.mean()),
                              se=float(vals.std(ddof=1) / math.sqrt(R))))
-    decreasing = rows[-1].mean_abs < 0.5 * rows[0].mean_abs
-    return TrendTable(statistic=statistic_id, rows=rows, decreasing=decreasing)
+    return TrendTable(statistic=statistic_id, rows=rows,
+                      decreasing=trend_decreasing([r.mean_abs for r in rows]))
 
 
 def _shared_pair_generic(kernel: Kernel, x: np.ndarray) -> float:

@@ -140,7 +140,7 @@ def _colex_subsets(n: int, r: int) -> np.ndarray:
     """All r-subsets of range(n) as index rows in colex order."""
     if r == 0:
         return np.zeros((1, 0), dtype=np.intp)
-    starts = np.array([math.comb(t, r) for t in range(n + 1)], dtype=np.intp)
+    starts = _binomials(n, r).astype(np.intp, copy=False)
     return _colex_rows(np.arange(starts[-1]), starts, _colex_subsets(n - 1, r - 1))
 
 
@@ -152,7 +152,7 @@ def _head_blocks(n: int, m: int):
     if r == 0:
         yield np.zeros((1, 0), dtype=np.intp)
         return
-    starts = np.array([math.comb(t, r) for t in range(n)], dtype=np.intp)
+    starts = _binomials(n - 1, r).astype(np.intp, copy=False)
     rest = _colex_subsets(n - 2, r - 1)
     p = 0
     while p < starts[-1]:
@@ -230,20 +230,24 @@ def u_prefix_process(kernel: Kernel, data) -> UPrefixValues:
     return UPrefixValues(n=n, m=m, values=values)
 
 
+def _binomials(n: int, r: int) -> np.ndarray:
+    """C(t, r) for t = 0..n, exact: the falling factorial t (t-1) .. (t-r+1),
+    which is 0 for t < r, floor-divided by r!, in int64 while n^r fits;
+    Python integers from math.comb past that."""
+    if n ** r >= 2 ** 63:
+        return np.array([math.comb(t, r) for t in range(n + 1)], dtype=object)
+    ts = np.arange(n + 1, dtype=np.int64)
+    falling = np.ones(n + 1, dtype=np.int64)
+    for j in range(r):
+        falling *= ts - j
+    return falling // math.factorial(r)
+
+
 @functools.lru_cache(maxsize=2)
 def _comb_column(n: int, m: int) -> np.ndarray:
     """float(C(k, m)) for k = m..n, read-only and cached, since a study
-    asks for the same (n, m) in every replication: the falling factorial
-    k (k-1) .. (k-m+1), exact in int64 while n^m fits, floor-divided by
-    m!; exact integers from math.comb past that."""
-    ks = np.arange(m, n + 1, dtype=np.int64)
-    if n ** m >= 2 ** 63:
-        out = np.array([math.comb(int(k), m) for k in ks], dtype=np.float64)
-    else:
-        falling = ks.copy()
-        for t in range(1, m):
-            falling *= ks - t
-        out = (falling // math.factorial(m)).astype(np.float64)
+    asks for the same (n, m) in every replication."""
+    out = _binomials(n, m)[m:].astype(np.float64)
     out.flags.writeable = False
     return out
 

@@ -16,7 +16,8 @@ RAIKOV       sum h1(X_i)^2 / (n ell^2(n)) vs 1 (mean +- SE)
 JACK_RAIKOV  (n-1) sum (U^i - U_n)^2 / (m^2 ell^2(n)) vs 1
 ARVESEN      (n-1)/m^2 sum (U^i - U_n)^2 vs the analytic E h1^2
              (finite-variance configurations only)
-NEGLIGIBILITY  delegates to decomposition.negligibility_trend
+NEGLIGIBILITY  mean of |statistic| per n (decomposition.negligibility_value);
+             passes when the last mean is below half the first
 
 Replications whose normalizer degenerates are dropped and counted; a
 drop rate above 1% fails the report.
@@ -28,12 +29,17 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from typing import Optional
 
 import numpy as np
 
-from .decomposition import TREND_STATISTICS, negligibility_trend
+from .decomposition import (
+    TREND_STATISTICS,
+    check_trend,
+    negligibility_value,
+    trend_decreasing,
+)
 from .distributions import (
     Distribution,
     derive_seed,
@@ -294,6 +300,8 @@ def _rep_value(config: ExperimentConfig, kernel, dist, theta, ell_sq, n: int,
         if config.experiment == "ARVESEN":
             summary = jackknife_closed_form(kernel, data)
             return summary.sum_sq / kernel.order ** 2
+        if config.experiment == "NEGLIGIBILITY":
+            return negligibility_value(config.statistic, kernel, theta, data)
     except DegenerateNormalizerError:
         return None
     raise ConfigError(f"unhandled experiment {config.experiment}")
@@ -325,8 +333,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     kernel, dist, theta = _resolve(config)
     notes: list = []
     if config.experiment == "NEGLIGIBILITY":
-        report = _run_negligibility(config, kernel, dist, notes, started)
-        return report
+        check_trend(config.statistic, kernel, dist, config.n_grid, theta)
     # degenerate configuration guard: a zero normalizing variance makes
     # every replication a drop, which the report records rather than hides
     if config.experiment in ("RAIKOV", "JACK_RAIKOV", "ARVESEN"):
@@ -372,6 +379,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    if config.experiment == "NEGLIGIBILITY":
+        decreasing = trend_decreasing([r.mean for r in per_n])
+        per_n = [replace(r, passed=decreasing) for r in per_n]
+        if not decreasing:
+            notes.append("trend flag: last mean not below half the first mean")
     overall = bool(per_n and per_n[-1].passed
                    and all(r.dropped <= MAX_DROP_RATE * config.replications
                            for r in per_n))
@@ -419,6 +431,10 @@ def _summarize(config: ExperimentConfig, kernel, dist, n: int, kept: list,
         return PerNRecord(n=n, statistic=name, mean=None, se=None, ks=None,
                           dropped=dropped, passed=False)
     arr = np.asarray(kept, dtype=np.float64)
+    if config.experiment == "NEGLIGIBILITY":
+        # passed is settled over the whole grid once the last n is in
+        return PerNRecord(n=n, statistic=name, mean=float(arr.mean()),
+                          se=_se(arr), ks=None, dropped=dropped, passed=False)
     if config.experiment == "CLT_T0":
         root = math.sqrt(config.t0)
         ks = ks_distance(arr, lambda x: normal_cdf(x / root))
@@ -446,18 +462,3 @@ def _se(arr: np.ndarray) -> float:
         return 0.0
     return float(arr.std(ddof=1) / math.sqrt(arr.size))
 
-
-def _run_negligibility(config, kernel, dist, notes, started) -> ConvergenceReport:
-    trend = negligibility_trend(config.statistic, kernel, dist,
-                                list(config.n_grid), config.replications,
-                                config.base_seed)
-    per_n = [PerNRecord(n=row.n, statistic=config.statistic, mean=row.mean_abs,
-                        se=row.se, ks=None, dropped=0, passed=trend.decreasing)
-             for row in trend.rows]
-    if not trend.decreasing:
-        notes.append("trend flag: last mean not below half the first mean")
-    return ConvergenceReport(
-        config=config.to_dict(), per_n=per_n, overall_pass=trend.decreasing,
-        dropped_total=0, notes=notes,
-        runtime_seconds=time.monotonic() - started,
-    )

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -88,6 +89,35 @@ def test_study_pass(tmp_path):
     values = list(csv.reader((out / "values_n100.csv").open()))
     assert values[0] == ["replication", "value"]
     assert len(values) == 51
+
+
+def test_study_negligibility_writes_values(tmp_path):
+    cfg = _study_config(tmp_path, experiment="NEGLIGIBILITY", kernel="product:m=3",
+                        dist="normal:0,1", n_grid=[8, 16], replications=60,
+                        rel_mean_threshold=None, statistic="shared-pair")
+    out = tmp_path / "study"
+    assert run_cli("study", "--config", str(cfg), "--out", str(out),
+                   "--workers", "2") == 0
+    report = json.loads((out / "report.json").read_text())
+    for rec in report["per_n"]:
+        rows = list(csv.reader((out / f"values_n{rec['n']}.csv").open()))
+        assert [r[0] for r in rows[1:]] == [str(r) for r in range(60)]
+        values = [float(v) for _, v in rows[1:]]
+        assert math.fsum(values) / 60 == pytest.approx(rec["mean"], rel=1e-12)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(kernel="product:m=2"), "order-3 kernel"),
+    (dict(n_grid=[12, 61]), "capped at 60"),
+])
+def test_study_negligibility_bad_shape_exits_2(tmp_path, capsys, overrides, message):
+    raw = dict(experiment="NEGLIGIBILITY", kernel="product:m=3", dist="normal:0,1",
+               n_grid=[12, 24], rel_mean_threshold=None, statistic="shared-pair")
+    raw.update(overrides)
+    cfg = _study_config(tmp_path, **raw)
+    assert run_cli("study", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--workers", "2") == 2
+    assert message in capsys.readouterr().err
 
 
 def test_study_malformed_json(tmp_path, capsys):

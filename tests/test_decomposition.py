@@ -217,15 +217,19 @@ def test_trend_p1_zero_kernel():
 
 
 def test_trend_shared_pair_matches_ordered_enumeration():
-    # the pair-contraction path must equal the direct 4-index ordered sum
+    # the pair-contraction path must equal the direct 4-index ordered sum,
+    # on shifted and scaled data too
     rng = np.random.default_rng(7)
-    x = rng.normal(0, 1, 8)
     from ustatlab._accel import product_shared_pair_total
 
-    got = product_shared_pair_total(x)
-    want = brute_ordered_sum(
-        lambda a, b, c, e: (a * b * c) * (a * b * e), list(x), 4)
-    assert got == pytest.approx(want, rel=1e-10)
+    for n in (4, 5, 8, 13):
+        for loc, scale in ((0.0, 1.0), (5.0, 1.0), (0.0, 1e3), (3.0, 1e-3),
+                           (-100.0, 10.0)):
+            x = scale * rng.normal(loc, 1, n)
+            got = product_shared_pair_total(x)
+            want = brute_ordered_sum(
+                lambda a, b, c, e: (a * b * c) * (a * b * e), list(x), 4)
+            assert got == pytest.approx(want, rel=1e-10), (n, loc, scale)
 
 
 def test_shared_pair_generic_path_truncated_kernel():

@@ -26,8 +26,10 @@ from ustatlab.engine import (
     ROUTE_CLOSED_FORM,
     ROUTE_ENUMERATION,
     ROUTE_SORT,
+    _binomials,
     _comb_column,
     _combination_blocks,
+    _head_blocks,
     combination_sum,
     kernel_route,
 )
@@ -170,6 +172,20 @@ def test_comb_column_exact_cached_read_only(n, m):
     with pytest.raises(ValueError):
         col[0] = 0.0
     assert np.array_equal(_comb_column(n, m), col)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_binomials_exact(r):
+    # the block starts of the enumeration: int64 arithmetic, no math.comb
+    for n in (0, 1, r, 60, 2000):
+        got = _binomials(n, r)
+        assert got.dtype == np.int64
+        assert got.tolist() == [math.comb(t, r) for t in range(n + 1)]
+    assert _binomials(30, 20).tolist() == [math.comb(t, 20) for t in range(31)]
+    for n in (r + 1, 9, 25):
+        heads = np.concatenate(list(_head_blocks(n, r + 1)))
+        assert heads.tolist() == [list(c) for c in sorted(
+            itertools.combinations(range(n - 1), r), key=lambda c: c[::-1])]
 
 
 def test_enumeration_cap():

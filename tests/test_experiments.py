@@ -9,7 +9,10 @@ from scipy.integrate import quad
 from ustatlab import (
     ConfigError,
     ExperimentConfig,
+    InvalidArgumentError,
+    ResourceLimitError,
     ks_distance,
+    negligibility_trend,
     normal,
     normal_cdf,
     product_kernel,
@@ -19,6 +22,8 @@ from ustatlab import (
     sample,
     wiener_sup_cdf,
 )
+from ustatlab import experiments
+from ustatlab.decomposition import TREND_STATISTICS
 from ustatlab.experiments import _rep_value, _resolve, report_from_json, report_to_json
 
 
@@ -199,6 +204,67 @@ def test_negligibility_experiment():
     assert means[-1] < 0.5 * means[0]
 
 
+def _negligibility_config(statistic, **overrides):
+    raw = dict(
+        version=1, experiment="NEGLIGIBILITY", dist="normal:0,1",
+        replications=60, base_seed=19, statistic=statistic,
+        **{"shared-pair": dict(kernel="product:m=3", n_grid=[8, 16, 32]),
+           "diagonal-square": dict(kernel="constant:c=1,m=2", n_grid=[20, 80]),
+           "centered-usq": dict(kernel="variance", n_grid=[20, 80])}[statistic],
+    )
+    raw.update(overrides)
+    return ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("statistic", TREND_STATISTICS)
+def test_negligibility_identical_across_worker_counts(statistic):
+    config = _negligibility_config(statistic)
+    texts = []
+    for workers in (1, 2, 3):
+        d = run_experiment(config, workers=workers).to_dict()
+        d.pop("runtime_seconds")
+        texts.append(json.dumps(d, sort_keys=True))
+    assert texts[1] == texts[0]
+    assert texts[2] == texts[0]
+
+
+@pytest.mark.parametrize("statistic,n_grid", [
+    (statistic, None) for statistic in TREND_STATISTICS
+] + [("centered-usq", [20, 25])])
+def test_negligibility_driver_matches_trend(statistic, n_grid):
+    # the driver and the library loop share the per-replication value and
+    # the seeds, so their rows agree exactly; [20, 25] is too short a grid
+    # for the trend to halve
+    config = _negligibility_config(statistic, **({"n_grid": n_grid} if n_grid else {}))
+    report = run_experiment(config)
+    kernel, dist, _ = _resolve(config)
+    trend = negligibility_trend(statistic, kernel, dist, config.n_grid,
+                                config.replications, config.base_seed)
+    assert [(r.n, r.mean, r.se) for r in report.per_n] == \
+        [(row.n, row.mean_abs, row.se) for row in trend.rows]
+    assert trend.decreasing == (n_grid is None)
+    assert all(r.passed == trend.decreasing for r in report.per_n)
+    assert report.overall_pass == trend.decreasing
+    assert any("trend flag" in note for note in report.notes) != trend.decreasing
+    assert report.dropped_total == 0
+    for row in trend.rows:
+        assert np.mean(report.values[row.n]) == row.mean_abs
+
+
+@pytest.mark.parametrize("overrides,error,message", [
+    (dict(kernel="product:m=2"), InvalidArgumentError, "order-3 kernel"),
+    (dict(n_grid=[12, 61]), ResourceLimitError, "capped at 60"),
+])
+def test_negligibility_checks_run_before_the_pool(monkeypatch, overrides, error,
+                                                  message):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("pool started")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(error, match=message):
+        run_experiment(_negligibility_config("shared-pair", **overrides), workers=2)
+
+
 def test_drop_policy_over_one_percent_fails():
     # a finite two-point distribution makes all-equal samples likely at
     # tiny n, so studentized replications degenerate more than 1% of the time
@@ -218,26 +284,33 @@ def test_replication_makes_no_blas_call(monkeypatch):
     # contends with the worker processes; a replication must not make one
     n = 20000
     cases = [
-        ("FCLT_SUP", "identity", "normal:0,1", dict(ks_threshold=0.5)),
-        ("CLT_T0", "product:m=2,a=2", "example:a=2", dict(ks_threshold=0.5)),
-        ("RAIKOV", "product:m=2", "normal:1,1", dict(rel_mean_threshold=0.1)),
-        ("JACK_RAIKOV", "product:m=2", "normal:1,1", dict(rel_mean_threshold=0.1)),
-        ("ARVESEN", "product:m=2", "normal:1,1", dict(rel_mean_threshold=0.1)),
+        ("FCLT_SUP", "identity", "normal:0,1", n, dict(ks_threshold=0.5)),
+        ("CLT_T0", "product:m=2,a=2", "example:a=2", n, dict(ks_threshold=0.5)),
+        ("RAIKOV", "product:m=2", "normal:1,1", n, dict(rel_mean_threshold=0.1)),
+        ("JACK_RAIKOV", "product:m=2", "normal:1,1", n, dict(rel_mean_threshold=0.1)),
+        ("ARVESEN", "product:m=2", "normal:1,1", n, dict(rel_mean_threshold=0.1)),
+        # the trend statistics at their size caps
+        ("NEGLIGIBILITY", "product:m=3", "normal:0,1", 60,
+         dict(statistic="shared-pair")),
+        ("NEGLIGIBILITY", "constant:c=1,m=2", "normal:0,1", 400,
+         dict(statistic="diagonal-square")),
+        ("NEGLIGIBILITY", "variance", "normal:0,1", 400,
+         dict(statistic="centered-usq")),
     ]
     resolved = []
-    for experiment, kernel, dist, extra in cases:
+    for experiment, kernel, dist, size, extra in cases:
         config = ExperimentConfig(experiment=experiment, kernel=kernel, dist=dist,
-                                  n_grid=(n,), replications=50, base_seed=5,
+                                  n_grid=(size,), replications=50, base_seed=5,
                                   **extra).validate()
-        resolved.append((config,) + _resolve(config))
+        resolved.append((config, size) + _resolve(config))
     data = sample(normal(1, 1), n, 5)
 
     def no_blas(*args, **kwargs):
         raise AssertionError("numpy.dot called")
 
     monkeypatch.setattr(np, "dot", no_blas)
-    for config, kernel, dist, theta in resolved:
-        value = _rep_value(config, kernel, dist, theta, 1.0, n, 0)
+    for config, size, kernel, dist, theta in resolved:
+        value = _rep_value(config, kernel, dist, theta, 1.0, size, 0)
         assert value is not None and math.isfinite(value), config.experiment
     path = pseudo_selfnormalized_path(product_kernel(2), data, 1.0, data - 1.0)
     assert math.isfinite(path.values[n])

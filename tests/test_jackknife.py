@@ -18,6 +18,7 @@ from ustatlab import (
     u_statistic,
     variance_kernel,
 )
+from ustatlab.engine import ROUTE_CLOSED_FORM, kernel_route
 
 from _oracles import (
     brute_jackknife_sum_sq,
@@ -116,13 +117,17 @@ def test_translation_invariance():
 @pytest.mark.parametrize("mu", [0.0, 1e2, 1e4, 1e6, 1e8])
 def test_sum_sq_is_shift_stable(mu):
     # the rational oracle re-enumerates every U^i, so it shares no step
-    # with the q identity, and it is exact at any location
-    rng = np.random.default_rng(37)
-    for n in (3, 12, 40):
-        data = rng.normal(mu, 1.0, n)
-        exact = exact_jackknife_sum_sq(lambda x: x, data.tolist(), 1)
-        s = jackknife_closed_form(identity_kernel(), data)
-        assert s.sum_sq == pytest.approx(float(exact), rel=1e-12)
+    # with the q identity, and it is exact at any location; both kernels
+    # take their closed forms, and the variance kernel is shift-invariant
+    for name in ("identity", "variance"):
+        kernel, fn = FNS[name]
+        assert kernel_route(kernel) == ROUTE_CLOSED_FORM
+        rng = np.random.default_rng(37)
+        for n in (3, 12, 40):
+            data = rng.normal(mu, 1.0, n)
+            exact = exact_jackknife_sum_sq(fn, data.tolist(), kernel.order)
+            s = jackknife_closed_form(kernel, data)
+            assert s.sum_sq == pytest.approx(float(exact), rel=1e-12), (name, n)
 
 
 def test_fast_product_path_matches_generic_q():
