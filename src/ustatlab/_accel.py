@@ -1,20 +1,26 @@
 """Closed forms and sort routes of the built-in kernels, in numpy.
 
-Closed forms, for the untruncated kernels (no threshold):
+Three reductions serve every built-in kernel: ``ustat_sum`` (the sum of h
+over all m-combinations), ``prefix_sums`` (that sum over each prefix of
+the data) and ``q_raw`` (per point, the sum of h over the m-subsets
+containing it).  Each takes ``(code, thr, data, m)``; an infinite ``thr``
+takes the closed form of the untruncated kernel, a finite one the sort
+route of the truncated kernel ``h * 1(|h| <= thr)``.
+
+Closed forms:
 
 * Product kernel ``h = prod x_i`` of any order m (the identity kernel is
-  its order-1 case): the elementary-symmetric-polynomial (ESP) forms
-  ``esp``, ``esp_prefix`` and ``product_q_raw`` in O(n m), and the
-  order-3 shared-pair total ``product_shared_pair_total``.
-* Variance kernel ``h = (x - y)^2 / 2``: the power-sum forms
-  ``variance_sum``, ``variance_prefix`` and ``variance_q_raw`` in O(n),
-  taken over the data centered on its mean.
+  its order-1 case): elementary symmetric polynomials (ESPs) from the
+  summation recurrence ``e_j(x[:k]) = sum over i < k of x_i
+  e_(j-1)(x[:i])``, one running sum per order, in O(n m).  ``q_raw``
+  downdates the totals e_1..e_(m-1).  The order-3 shared-pair total
+  ``product_shared_pair_total`` is separate.
+* Variance kernel ``h = (x - y)^2 / 2``: power sums in O(n), taken over
+  the data centered on its mean.
 
-Sort routes, for the truncated kernels ``h * 1(|h| <= thr)`` with a
-finite ``thr``: ``ustat_sum``, ``q_raw`` and ``prefix_sums``, each taking
-``(code, thr, data, m)``, for the product kernel of order m <= 3 and the
-variance kernel.  The kept partners of a point (or of a pair, for m = 3)
-form a prefix of the data sorted by |x| (product) or a window of the data
+Sort routes, for the product kernel of order m <= 3 and the variance
+kernel: the kept partners of a point (or of a pair, for m = 3) form a
+prefix of the data sorted by |x| (product) or a window of the data
 sorted by x (variance), because rounded multiplication and subtraction
 are monotone; cumulative sums over that order give the sums in
 O(n log n), and O(n^2 log n) for m = 3, whose kept sets are taken over
@@ -35,10 +41,14 @@ Which route a kernel takes is decided once, in
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 KERNEL_PRODUCT = 1   # h(x_1..x_m) = prod x_i
 KERNEL_VARIANCE = 2  # m = 2, h(x, y) = (x - y)^2 / 2
+MAX_SORT_ORDER = 3   # the sort routes cover the built-in kernels of order <= 3
 
 
 def _as_f64(data) -> np.ndarray:
@@ -55,76 +65,40 @@ def running_sums(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# product kernel
+# closed forms: untruncated kernels
 # ---------------------------------------------------------------------------
 
-def _power(x: np.ndarray, k: int) -> np.ndarray:
-    return x if k == 1 else x ** k  # x ** 1 would copy x
+def _esp_rows(x: np.ndarray):
+    """Yield e_1, e_2, ... over the prefixes of x, e_j[k] = e_j(x[:k]) for
+    k = 0..n, by the summation recurrence e_j(x[:k]) = sum over i < k of
+    x_i e_(j-1)(x[:i]): one running sum per order."""
+    e = running_sums(x)
+    while True:
+        yield e
+        e = running_sums(x * e[:-1])
 
 
-def _from_power_sums(p: list, m: int):
-    """e_m by Newton's identities from p[k-1] = sum of x^k, 1 <= m <= 4.
-    Scalar power sums give e_m(x); prefix-sum arrays give e_m of every
-    prefix."""
+def _esp_prefix(x: np.ndarray, m: int) -> np.ndarray:
+    """e_m(x[:k]) for k = 0..n: row m of the recurrence."""
+    return next(itertools.islice(_esp_rows(x), m - 1, None))
+
+
+def _esp_totals(x: np.ndarray, top: int) -> list:
+    """[e_1(x), ..., e_top(x)]: e_1 is the sum of x, and e_(j+1) is x
+    against row j of the recurrence, without building row j + 1."""
+    return [float(x.sum())] + [float(np.einsum("i,i->", x, e[:-1]))
+                               for e in itertools.islice(_esp_rows(x), top - 1)]
+
+
+def _product_q_raw(x: np.ndarray, m: int) -> np.ndarray:
+    """q_raw by the ESP downdate e_k(x without x_i) = e_k(x) - x_i
+    e_(k-1)(x without x_i), from the totals e_1..e_(m-1)."""
     if m == 1:
-        return p[0]
-    if m == 2:
-        return 0.5 * (p[0] ** 2 - p[1])
-    if m == 3:
-        return (p[0] ** 3 - 3.0 * p[0] * p[1] + 2.0 * p[2]) / 6.0
-    return (
-        p[0] ** 4 - 6.0 * p[0] ** 2 * p[1] + 3.0 * p[1] ** 2
-        + 8.0 * p[0] * p[2] - 6.0 * p[3]
-    ) / 24.0
-
-
-def _esps(x: np.ndarray, top: int) -> list:
-    """[e_0(x), ..., e_top(x)]: Newton's identities up to e_4, the
-    triangular update above (rare m >= 5)."""
-    p = [float(_power(x, k).sum()) for k in range(1, min(top, 4) + 1)]
-    e = [1.0] + [_from_power_sums(p, k) for k in range(1, len(p) + 1)]
-    if top > 4:
-        t = np.zeros(top + 1)
-        t[0] = 1.0
-        for xi in x:
-            for j in range(top, 0, -1):
-                t[j] += xi * t[j - 1]
-        e += [float(v) for v in t[5:]]
-    return e
-
-
-def esp(data, m: int) -> float:
-    """Elementary symmetric polynomial e_m(data)."""
-    return _esps(_as_f64(data), m)[m]
-
-
-def esp_prefix(data, m: int) -> np.ndarray:
-    """out[k] = e_m(data[:k]) for k = 0..n."""
-    x = _as_f64(data)
-    n = x.shape[0]
-    if m == 0:
-        return np.ones(n + 1)
-    if m <= 4:
-        c = [running_sums(_power(x, k)) for k in range(1, m + 1)]
-        return _from_power_sums(c, m)
-    out = np.zeros(n + 1)
-    e = np.zeros(m + 1)
-    e[0] = 1.0
-    for k in range(n):
-        for j in range(min(k + 1, m), 0, -1):
-            e[j] += x[k] * e[j - 1]
-        out[k + 1] = e[m]
-    return out
-
-
-def product_q_raw(data, m: int) -> np.ndarray:
-    """q_raw[i] = sum over m-subsets containing i of prod(x), by the ESP
-    downdate e_k(x without x_i) = e_k(x) - x_i e_(k-1)(x without x_i)."""
-    x = _as_f64(data)
-    e = _esps(x, m - 1)
-    b = np.ones_like(x)
-    for k in range(1, m):
-        b = e[k] - x * b
+        return x  # callers only read q_raw, so no copy
+    e = _esp_totals(x, m - 1)
+    b = e[0] - x
+    for ek in e[1:]:
+        b = ek - x * b
     return x * b
 
 
@@ -143,36 +117,29 @@ def product_shared_pair_total(data) -> float:
     return float(d.sum())
 
 
-# ---------------------------------------------------------------------------
-# variance kernel
-# ---------------------------------------------------------------------------
-
-def _centered(data) -> np.ndarray:
-    """data minus its mean: h is shift-invariant, and power sums of the
-    centered data do not cancel the way power sums of shifted data do."""
-    x = _as_f64(data)
+def _centered(x: np.ndarray) -> np.ndarray:
+    """x minus its mean: the variance kernel is shift-invariant, and power
+    sums of the centered data do not cancel the way power sums of shifted
+    data do."""
     return x - x.sum() / x.shape[0]
 
 
-def variance_sum(data) -> float:
-    """Sum of h over all pairs of data."""
-    y = _centered(data)
+def _variance_sum(x: np.ndarray) -> float:
+    y = _centered(x)
     s1 = float(y.sum())
     s2 = float((y * y).sum())
     return 0.5 * (y.shape[0] * s2 - s1 * s1)
 
 
-def variance_q_raw(data) -> np.ndarray:
-    """q_raw[i] = sum of h over the pairs containing i."""
-    y = _centered(data)
+def _variance_q_raw(x: np.ndarray) -> np.ndarray:
+    y = _centered(x)
     s1 = float(y.sum())
     s2 = float((y * y).sum())
     return 0.5 * ((y.shape[0] * y - 2.0 * s1) * y + s2)
 
 
-def variance_prefix(data) -> np.ndarray:
-    """out[k] = sum of h over all pairs of data[:k], k = 0..n."""
-    y = _centered(data)
+def _variance_prefix(x: np.ndarray) -> np.ndarray:
+    y = _centered(x)
     c1 = running_sums(y)
     c2 = running_sums(y * y)
     k = np.arange(y.shape[0] + 1, dtype=np.float64)
@@ -368,21 +335,33 @@ def _by_last(code: int, thr: float, x: np.ndarray, m: int) -> np.ndarray:
     return _product3_by_last(x, thr, j, p, pw)
 
 
+# ---------------------------------------------------------------------------
+# the three reductions: an infinite thr takes the closed form, a finite one
+# the sort route
+# ---------------------------------------------------------------------------
+
 def ustat_sum(code: int, thr: float, data, m: int) -> float:
-    """Sum of the truncated kernel over all m-combinations."""
-    return float(_by_last(code, thr, _as_f64(data), m).sum())
+    """Sum of the kernel over all m-combinations."""
+    x = _as_f64(data)
+    if thr == math.inf:
+        return _variance_sum(x) if code == KERNEL_VARIANCE else _esp_totals(x, m)[-1]
+    return float(_by_last(code, thr, x, m).sum())
 
 
 def prefix_sums(code: int, thr: float, data, m: int) -> np.ndarray:
-    """out[k] = sum of the truncated kernel over the combinations of
-    data[:k], k = 0..n."""
-    return running_sums(_by_last(code, thr, _as_f64(data), m))
+    """out[k] = sum of the kernel over the combinations of data[:k],
+    k = 0..n."""
+    x = _as_f64(data)
+    if thr == math.inf:
+        return _variance_prefix(x) if code == KERNEL_VARIANCE else _esp_prefix(x, m)
+    return running_sums(_by_last(code, thr, x, m))
 
 
 def q_raw(code: int, thr: float, data, m: int) -> np.ndarray:
-    """q_raw[i] = sum of the truncated kernel over the m-subsets containing i."""
+    """q_raw[i] = sum of the kernel over the m-subsets containing i."""
     x = _as_f64(data)
-    n = x.shape[0]
+    if thr == math.inf:
+        return _variance_q_raw(x) if code == KERNEL_VARIANCE else _product_q_raw(x, m)
     if code == KERNEL_VARIANCE:
         order, _, cuts, y, w = _variance_setup(x, thr)
         sums = np.concatenate([np.zeros((1, 3)), np.cumsum(w[order], axis=0)])

@@ -45,7 +45,6 @@ from .engine import (
     _check_enumeration,
     _combination_blocks,
     _routed,
-    combination_sum,
     u_statistic,
 )
 from .errors import (
@@ -53,7 +52,7 @@ from .errors import (
     PreconditionViolationError,
     ResourceLimitError,
 )
-from .kernels import Kernel, make_kernel, eval_kernel_rows, theta_under
+from .kernels import Kernel, eval_kernel_rows, theta_under
 
 __all__ = [
     "ProductStatistic",
@@ -348,18 +347,6 @@ def _falling(n: int, r: int) -> float:
     return float(math.perm(n, r))
 
 
-def _squared_kernel(kernel: Kernel) -> Kernel:
-    inner, inner_batch = kernel.eval_fn, kernel.batch_fn
-
-    def batch(rows):
-        v = inner_batch(rows) if inner_batch is not None else \
-            np.array([inner(*r) for r in rows])
-        return np.asarray(v) ** 2
-
-    return make_kernel(f"({kernel.name})^2", kernel.order,
-                       lambda *xs: inner(*xs) ** 2, batch_fn=batch)
-
-
 def _guard_trend_size(m: int, n: int) -> None:
     if m > 3:
         raise ResourceLimitError("trend statistics capped at kernel order 3")
@@ -406,8 +393,10 @@ def negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float
     if statistic_id == "centered-usq":
         v = (u_statistic(kernel, x) - theta) ** 2
     elif statistic_id == "diagonal-square":
-        v = math.factorial(m) * combination_sum(_squared_kernel(kernel), x) \
-            / _falling(n, 2 * m - 1)
+        _routed(kernel, n)  # raises for n < m
+        squares = float(np.sum([(vals * vals).sum()
+                                for _, _, vals in _combination_blocks(kernel, x)]))
+        v = math.factorial(m) * squares / _falling(n, 2 * m - 1)
     else:
         # m == 3 here, and the only closed-form kernel of order 3 is the
         # untruncated product kernel

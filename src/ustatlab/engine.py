@@ -2,12 +2,15 @@
 
 Everything here is deterministic; Monte Carlo belongs to
 :mod:`ustatlab.experiments`.  :func:`kernel_route` picks, once per
-kernel, one of three routes: the closed forms of :mod:`ustatlab._accel`
-for the untruncated built-in kernels, the sort routes of
-:mod:`ustatlab._accel` for the truncated product kernel of order <= 3
-and the truncated variance kernel, or one enumeration of every
-m-combination (:func:`_combination_blocks`) for every other kernel,
-which sums, prefix sums and the jackknife reduce in their own way.
+kernel, one of three routes: the closed forms for the untruncated
+built-in kernels, the sort routes for the truncated product kernel of
+order <= 3 and the truncated variance kernel, or one enumeration of
+every m-combination (:func:`_combination_blocks`) for every other
+kernel, which sums, prefix sums and the jackknife reduce in their own
+way.  The first two are the reductions ``ustat_sum``, ``prefix_sums``
+and ``q_raw`` of :mod:`ustatlab._accel`, which tell the kernels apart by
+their code and the routes by their threshold; so the engine and the
+jackknife ask only "enumeration or ``_accel``?".
 Enumeration is capped wherever it runs (combination count <= 1e8,
 ordered-tuple arity <= 6), and the order-3 sort route, which holds every
 pair, at C(n, 2) <= 2e6: past a cap the engine refuses with
@@ -108,7 +111,7 @@ def kernel_route(kernel: Kernel) -> str:
         return ROUTE_ENUMERATION
     if kernel.accel_thr == math.inf:
         return ROUTE_CLOSED_FORM
-    if kernel.accel_code == _accel.KERNEL_VARIANCE or kernel.order <= 3:
+    if kernel.order <= _accel.MAX_SORT_ORDER:
         return ROUTE_SORT
     return ROUTE_ENUMERATION
 
@@ -187,12 +190,7 @@ def combination_sum(kernel: Kernel, data) -> float:
     """Sum of h over all C(n, m) combinations."""
     x = _as_sample(data)
     n, m = x.shape[0], kernel.order
-    route = _routed(kernel, n)
-    if route == ROUTE_CLOSED_FORM:
-        if kernel.accel_code == _accel.KERNEL_PRODUCT:
-            return _accel.esp(x, m)
-        return _accel.variance_sum(x)
-    if route == ROUTE_SORT:
+    if _routed(kernel, n) != ROUTE_ENUMERATION:
         return _accel.ustat_sum(kernel.accel_code, kernel.accel_thr, x, m)
     return float(np.sum([vals.sum() for _, _, vals in _combination_blocks(kernel, x)]))
 
@@ -211,13 +209,7 @@ def u_prefix_process(kernel: Kernel, data) -> UPrefixValues:
     """
     x = _as_sample(data)
     n, m = x.shape[0], kernel.order
-    route = _routed(kernel, n)
-    if route == ROUTE_CLOSED_FORM:
-        if kernel.accel_code == _accel.KERNEL_PRODUCT:
-            sums = _accel.esp_prefix(x, m)
-        else:
-            sums = _accel.variance_prefix(x)
-    elif route == ROUTE_SORT:
+    if _routed(kernel, n) != ROUTE_ENUMERATION:
         sums = _accel.prefix_sums(kernel.accel_code, kernel.accel_thr, x, m)
     else:
         by_last = np.zeros(n)

@@ -30,8 +30,7 @@ import numpy as np
 
 from . import _accel
 from .engine import (
-    ROUTE_CLOSED_FORM,
-    ROUTE_SORT,
+    ROUTE_ENUMERATION,
     _as_sample,
     _combination_blocks,
     _routed,
@@ -86,11 +85,7 @@ def _q_raw(kernel: Kernel, x: np.ndarray, route: str) -> np.ndarray:
     enumeration route, the column sums credit each combination's last
     index and the row sums each of its head indices."""
     n, m = x.shape[0], kernel.order
-    if route == ROUTE_CLOSED_FORM:
-        if kernel.accel_code == _accel.KERNEL_PRODUCT:
-            return _accel.product_q_raw(x, m)
-        return _accel.variance_q_raw(x)
-    if route == ROUTE_SORT:
+    if route != ROUTE_ENUMERATION:
         return _accel.q_raw(kernel.accel_code, kernel.accel_thr, x, m)
     q = np.zeros(n)
     for heads, lo, vals in _combination_blocks(kernel, x):

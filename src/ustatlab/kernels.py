@@ -271,13 +271,8 @@ def truncate_kernel(kernel: Kernel, rule: TruncationRule,
         v = inner(*xs)
         return v if abs(v) <= c else 0.0
 
-    inner_batch = kernel.batch_fn
-
     def batch_fn(rows):
-        if inner_batch is not None:
-            v = np.asarray(inner_batch(rows), dtype=np.float64)
-        else:
-            v = np.array([inner(*r) for r in rows], dtype=np.float64)
+        v = eval_kernel_rows(kernel, rows)
         return np.where(np.abs(v) <= c, v, 0.0)
 
     return replace(

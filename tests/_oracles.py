@@ -22,16 +22,17 @@ def brute_combination_sum(h, data, m):
 
 
 def brute_leave_one_out(h, data, m):
+    """U^i_(n-1) for each i: h is evaluated once per combination of the
+    full sample, and U^i sums the combinations that leave i out."""
     n = len(data)
-    out = []
-    for i in range(n):
-        rest = [data[j] for j in range(n) if j != i]
-        out.append(brute_u_stat(h, rest, m))
-    return out
+    vals = [(c, h(*(data[i] for i in c)))
+            for c in itertools.combinations(range(n), m)]
+    return [math.fsum(v for c, v in vals if i not in c) / math.comb(n - 1, m)
+            for i in range(n)]
 
 
 def brute_jackknife_sum_sq(h, data, m):
-    """(n-1) * sum_i (U^i - U_n)^2 via full re-enumeration."""
+    """(n-1) * sum_i (U^i - U_n)^2 from the brute-force U_n and U^i."""
     n = len(data)
     u_n = brute_u_stat(h, data, m)
     loo = brute_leave_one_out(h, data, m)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,37 +7,42 @@ import pytest
 from ustatlab._accel import (
     KERNEL_PRODUCT,
     KERNEL_VARIANCE,
-    esp,
-    esp_prefix,
     max_abs_kernel,
-    product_q_raw,
+    prefix_sums,
     product_shared_pair_total,
+    q_raw,
+    ustat_sum,
 )
 
 from _oracles import brute_q
 
 
-def test_esp_matches_oracle():
-    rng = np.random.default_rng(47)
-    x = rng.normal(0, 1, 12)
-    import itertools
+def _samples(seed, n):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(0, 1, n), rng.normal(1e2, 1, n)]
 
-    for m in range(1, 6):
-        oracle = math.fsum(math.prod(c) for c in itertools.combinations(x, m))
-        assert esp(x, m) == pytest.approx(oracle, rel=1e-10, abs=1e-12)
-        pre = esp_prefix(x, m)
-        assert pre[7] == pytest.approx(
-            math.fsum(math.prod(c) for c in itertools.combinations(x[:7], m)),
-            rel=1e-10, abs=1e-12)
+
+def test_esp_matches_oracle():
+    # closed-form product kernel: the ESP recurrence, every order
+    for x in _samples(47, 12):
+        for m in range(1, 8):
+            oracle = math.fsum(math.prod(c) for c in itertools.combinations(x, m))
+            assert ustat_sum(KERNEL_PRODUCT, math.inf, x, m) == pytest.approx(
+                oracle, rel=1e-10, abs=1e-12)
+            pre = prefix_sums(KERNEL_PRODUCT, math.inf, x, m)
+            assert pre.shape == (13,)
+            for k in (0, m - 1, m, 7, 12):
+                want = math.fsum(math.prod(c) for c in itertools.combinations(x[:k], m))
+                assert pre[k] == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_product_q_raw_downdate():
-    rng = np.random.default_rng(53)
-    x = rng.normal(1, 1, 15)
-    for m in (1, 2, 3, 4, 6):
-        want = np.array(brute_q(lambda *xs: math.prod(xs), list(x), m)) \
-            * math.comb(len(x) - 1, m - 1)
-        assert product_q_raw(x, m) == pytest.approx(want, rel=1e-10)
+    for x in [np.random.default_rng(53).normal(1, 1, 15)] + _samples(54, 15):
+        for m in range(1, 8):
+            want = np.array(brute_q(lambda *xs: math.prod(xs), list(x), m)) \
+                * math.comb(len(x) - 1, m - 1)
+            assert q_raw(KERNEL_PRODUCT, math.inf, x, m) == pytest.approx(
+                want, rel=1e-10)
 
 
 def test_shared_pair_total():

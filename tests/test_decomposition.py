@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ustatlab import (
+    InsufficientDataError,
     InvalidArgumentError,
     PreconditionViolationError,
     ProductStatistic,
@@ -25,10 +26,14 @@ from ustatlab import (
     truncate_kernel,
     variance_kernel,
 )
-from ustatlab.decomposition import expansion_report, truncation_coupling_rate
+from ustatlab.decomposition import (
+    expansion_report,
+    negligibility_value,
+    truncation_coupling_rate,
+)
 from ustatlab import example_density
 
-from _oracles import brute_ordered_sum, finite_expectation
+from _oracles import brute_combination_sum, brute_ordered_sum, finite_expectation
 
 PM1 = finite([-1.0, 1.0], [0.5, 0.5])
 
@@ -208,6 +213,26 @@ def test_trend_p3_constant_closed_form():
         assert row.mean_abs == pytest.approx(1.0 / (row.n - 2), rel=1e-12)
         assert row.se == pytest.approx(0.0, abs=1e-14)
     assert table.decreasing
+
+
+def test_diagonal_square_matches_oracle():
+    # factorial(m) * (sum of h^2 over the combinations) / [n]_(2m-1), on
+    # every route's kernel; n < m raises rather than dividing 0 by 0
+    cut = TruncationRule(TruncationMode.FULL_M, 4)
+    cases = [(product_kernel(2), lambda x, y: x * y),
+             (product_kernel(3), lambda x, y, z: x * y * z),
+             (variance_kernel(), lambda x, y: 0.5 * (x - y) ** 2),
+             (truncate_kernel(product_kernel(2), cut),
+              lambda x, y: x * y if abs(x * y) <= cut.threshold(2) else 0.0)]
+    x = list(np.random.default_rng(17).standard_cauchy(11))
+    for kernel, h in cases:
+        m = kernel.order
+        want = math.factorial(m) * brute_combination_sum(
+            lambda *xs: h(*xs) ** 2, x, m) / math.perm(len(x), 2 * m - 1)
+        got = negligibility_value("diagonal-square", kernel, None, np.array(x))
+        assert got == pytest.approx(want, rel=1e-12)
+        with pytest.raises(InsufficientDataError):
+            negligibility_value("diagonal-square", kernel, None, np.array(x[:m - 1]))
 
 
 def test_trend_p1_zero_kernel():

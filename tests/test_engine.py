@@ -251,6 +251,24 @@ def test_routes_against_oracle(name, route):
         brute_q(fx, x, m), rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_closed_form_product_high_order_against_oracle(m):
+    kernel = product_kernel(m)
+    assert kernel_route(kernel) == ROUTE_CLOSED_FORM
+    x = list(np.random.default_rng(61).normal(0.5, 1.5, 17))
+
+    def h(*xs):
+        return math.prod(xs)
+
+    assert combination_sum(kernel, x) == pytest.approx(
+        brute_combination_sum(h, x, m), rel=1e-10)
+    pre = u_prefix_process(kernel, x)
+    for k, want in brute_prefix(h, x, m).items():
+        assert pre.u_at(k) == pytest.approx(want, rel=1e-10, abs=1e-12)
+    assert jackknife_closed_form(kernel, x).q == pytest.approx(
+        brute_q(h, x, m), rel=1e-10)
+
+
 def test_enumeration_of_order_4_uses_heads_of_size_3():
     kernel = truncate_kernel(product_kernel(4), CUT)
     x = np.random.default_rng(43).normal(0, 1.5, 11)
