@@ -3,9 +3,14 @@
 Three reductions serve every built-in kernel: ``ustat_sum`` (the sum of h
 over all m-combinations), ``prefix_sums`` (that sum over each prefix of
 the data) and ``q_raw`` (per point, the sum of h over the m-subsets
-containing it).  Each takes ``(code, thr, data, m)``; an infinite ``thr``
-takes the closed form of the untruncated kernel, a finite one the sort
-route of the truncated kernel ``h * 1(|h| <= thr)``.
+containing it).  Each takes ``(code, thr, data, m)`` and computes the
+truncated kernel ``h * 1(|h| <= thr)``.  It takes the closed form of the
+untruncated kernel when the truncation keeps every evaluation: when
+``thr`` is infinite, or when the O(n) bound :func:`max_abs_kernel` on
+|h| is at most ``thr``.  Any other threshold takes the sort route.  The
+bound is at least every |h| as the enumeration of :mod:`ustatlab.engine`
+rounds it, so the shortcut keeps exactly the enumeration's kept set; an
+overflowed bound is infinite and takes the sort route.
 
 Closed forms:
 
@@ -13,8 +18,9 @@ Closed forms:
   its order-1 case): elementary symmetric polynomials (ESPs) from the
   summation recurrence ``e_j(x[:k]) = sum over i < k of x_i
   e_(j-1)(x[:i])``, one running sum per order, in O(n m).  ``q_raw``
-  downdates the totals e_1..e_(m-1).  The order-3 shared-pair total
-  ``product_shared_pair_total`` is separate.
+  downdates the totals e_1..e_(m-1), and sums e_(m-1) again without each
+  of the m - 1 largest |x|, where the downdate cancels.  The order-3
+  shared-pair total ``product_shared_pair_total`` is separate.
 * Variance kernel ``h = (x - y)^2 / 2``: power sums in O(n), taken over
   the data centered on its mean.
 
@@ -24,7 +30,8 @@ prefix of the data sorted by |x| (product) or a window of the data
 sorted by x (variance), because rounded multiplication and subtraction
 are monotone; cumulative sums over that order give the sums in
 O(n log n), and O(n^2 log n) for m = 3, whose kept sets are taken over
-the sorted pair products x_i x_j.  Sums in data order (``prefix_sums``)
+the sorted pair products x_i x_j, at most ``MAX_SORT_PAIRS`` of them.
+Sums in data order (``prefix_sums``)
 are two-dimensional dominance sums: merge levels over the index axis
 (:func:`_dominance`) for m <= 2, tables over the sorted pairs for m = 3.
 A cut found by ``searchsorted`` on ``thr / |x|`` is settled against the
@@ -36,7 +43,8 @@ element, whose rounding error scales with the squared spread of the data
 instead.
 
 Which route a kernel takes is decided once, in
-:func:`ustatlab.engine.kernel_route`.
+:func:`ustatlab.engine.kernel_route`; its sort route may still take the
+closed form at run time, by the bound above.
 """
 
 from __future__ import annotations
@@ -46,9 +54,12 @@ import math
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 KERNEL_PRODUCT = 1   # h(x_1..x_m) = prod x_i
 KERNEL_VARIANCE = 2  # m = 2, h(x, y) = (x - y)^2 / 2
 MAX_SORT_ORDER = 3   # the sort routes cover the built-in kernels of order <= 3
+MAX_SORT_PAIRS = 2 * 10 ** 6  # the order-3 sort route holds ~125 bytes per pair
 
 
 def _as_f64(data) -> np.ndarray:
@@ -92,14 +103,32 @@ def _esp_totals(x: np.ndarray, top: int) -> list:
 
 def _product_q_raw(x: np.ndarray, m: int) -> np.ndarray:
     """q_raw by the ESP downdate e_k(x without x_i) = e_k(x) - x_i
-    e_(k-1)(x without x_i), from the totals e_1..e_(m-1)."""
+    e_(k-1)(x without x_i), from the totals e_1..e_(m-1).
+
+    The downdate cancels where x_i outweighs the rest of the data, which
+    only the m - 1 largest |x| can; for those, e_(m-1) is summed again
+    without x_i, in O(n m^2) in all, so every q_raw[i] is accurate to the
+    sum of |h| over the subsets containing i."""
     if m == 1:
         return x  # callers only read q_raw, so no copy
+    if m == 2:
+        # e_1 summed around the largest |x|, whose q then needs no downdate;
+        # q holds |x| first, so the call allocates one array
+        q = np.abs(x)
+        i = int(q.argmax())
+        rest = float(x[:i].sum()) + float(x[i + 1:].sum())
+        np.subtract(rest + x[i], x, out=q)
+        q *= x
+        q[i] = x[i] * rest
+        return q
     e = _esp_totals(x, m - 1)
     b = e[0] - x
     for ek in e[1:]:
         b = ek - x * b
-    return x * b
+    q = x * b
+    for i in np.argpartition(np.abs(x), x.shape[0] - m + 1)[x.shape[0] - m + 1:]:
+        q[i] = x[i] * _esp_totals(np.delete(x, i), m - 1)[-1]
+    return q
 
 
 def product_shared_pair_total(data) -> float:
@@ -147,12 +176,30 @@ def _variance_prefix(x: np.ndarray) -> np.ndarray:
 
 
 def max_abs_kernel(code: int, data, m: int) -> float:
-    """max over m-subsets of |h| for an untruncated built-in kernel."""
+    """The largest |h| over the m-subsets of an untruncated built-in
+    kernel, in O(n): 0.5 (max x - min x)^2 for the variance kernel, and
+    for the product kernel the product of the m largest |x|, multiplied
+    in each order the enumeration may multiply them in (m <= 3) and the
+    largest of those taken.
+
+    For the variance kernel and the product kernel of order m <= 3, the
+    bound is at least every |h| as the enumeration of
+    :mod:`ustatlab.engine` rounds it, with no margin: rounded subtraction
+    and multiplication are monotone, and each factor of a subset is at
+    most the matching one of the m largest |x|.  An overflow, or a 0 *
+    inf where the enumeration overflows too, gives inf.  For m > 3 the
+    product is taken in ascending order, the bound only up to rounding.
+    """
     x = _as_f64(data)
-    if code == KERNEL_VARIANCE:
-        return 0.5 * float(x.max() - x.min()) ** 2
-    top = np.sort(np.abs(x))[-m:]
-    return float(np.prod(top))
+    with np.errstate(over="ignore"):
+        if code == KERNEL_VARIANCE:
+            d = x.max() - x.min()
+            return float(0.5 * (d * d))
+        n = x.shape[0]
+        top = sorted(np.partition(np.abs(x), n - m)[n - m:].tolist())
+    orders = itertools.permutations(top) if m <= MAX_SORT_ORDER else [top]
+    peaks = [math.prod(p) for p in orders]
+    return math.inf if any(map(math.isnan, peaks)) else max(peaks)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +287,15 @@ def _product2(x: np.ndarray, thr: float):
 
 def _product3_pairs(x: np.ndarray):
     """Pairs i < j with their product x_i * x_j, the first factor the
-    enumeration forms; an overflowed product is never kept and weighs 0."""
-    i, j = np.triu_indices(x.shape[0], 1)
+    enumeration forms; an overflowed product is never kept and weighs 0.
+    Refuses past ``MAX_SORT_PAIRS`` pairs."""
+    n = x.shape[0]
+    if math.comb(n, 2) > MAX_SORT_PAIRS:
+        raise ResourceLimitError(
+            f"C({n},2) = {math.comb(n, 2)} pairs exceed the {MAX_SORT_PAIRS} "
+            "cap of the order-3 sort route"
+        )
+    i, j = np.triu_indices(n, 1)
     with np.errstate(over="ignore"):
         p = x[i] * x[j]
     return i, j, p, np.where(np.isfinite(p), p, 0.0)
@@ -336,14 +390,20 @@ def _by_last(code: int, thr: float, x: np.ndarray, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the three reductions: an infinite thr takes the closed form, a finite one
-# the sort route
+# the three reductions: a threshold that keeps every evaluation takes the
+# closed form, any other the sort route
 # ---------------------------------------------------------------------------
+
+def _keeps_all(code: int, thr: float, x: np.ndarray, m: int) -> bool:
+    """Whether h * 1(|h| <= thr) keeps every evaluation on x, so that it
+    equals the untruncated kernel there."""
+    return thr == math.inf or max_abs_kernel(code, x, m) <= thr
+
 
 def ustat_sum(code: int, thr: float, data, m: int) -> float:
     """Sum of the kernel over all m-combinations."""
     x = _as_f64(data)
-    if thr == math.inf:
+    if _keeps_all(code, thr, x, m):
         return _variance_sum(x) if code == KERNEL_VARIANCE else _esp_totals(x, m)[-1]
     return float(_by_last(code, thr, x, m).sum())
 
@@ -352,7 +412,7 @@ def prefix_sums(code: int, thr: float, data, m: int) -> np.ndarray:
     """out[k] = sum of the kernel over the combinations of data[:k],
     k = 0..n."""
     x = _as_f64(data)
-    if thr == math.inf:
+    if _keeps_all(code, thr, x, m):
         return _variance_prefix(x) if code == KERNEL_VARIANCE else _esp_prefix(x, m)
     return running_sums(_by_last(code, thr, x, m))
 
@@ -360,7 +420,7 @@ def prefix_sums(code: int, thr: float, data, m: int) -> np.ndarray:
 def q_raw(code: int, thr: float, data, m: int) -> np.ndarray:
     """q_raw[i] = sum of the kernel over the m-subsets containing i."""
     x = _as_f64(data)
-    if thr == math.inf:
+    if _keeps_all(code, thr, x, m):
         return _variance_q_raw(x) if code == KERNEL_VARIANCE else _product_q_raw(x, m)
     if code == KERNEL_VARIANCE:
         order, _, cuts, y, w = _variance_setup(x, thr)

@@ -13,8 +13,9 @@ their code and the routes by their threshold; so the engine and the
 jackknife ask only "enumeration or ``_accel``?".
 Enumeration is capped wherever it runs (combination count <= 1e8,
 ordered-tuple arity <= 6), and the order-3 sort route, which holds every
-pair, at C(n, 2) <= 2e6: past a cap the engine refuses with
-:class:`ResourceLimitError` rather than silently subsampling.
+pair, at C(n, 2) <= 2e6 where it runs (``_accel.MAX_SORT_PAIRS``): past a
+cap the engine refuses with :class:`ResourceLimitError` rather than
+silently subsampling.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 MAX_ENUMERATION = 10 ** 8
-MAX_SORT_PAIRS = 2 * 10 ** 6  # the order-3 sort route holds ~125 bytes per pair
 MAX_ORDERED_ARITY = 6
 _CHUNK = 1 << 16
 
@@ -105,7 +105,10 @@ def kernel_route(kernel: Kernel) -> str:
     any other.
 
     Decided for every computation alike: sums, prefix sums, jackknife
-    q-accumulation and the decomposition statistics.
+    q-accumulation and the decomposition statistics.  A ROUTE_SORT kernel
+    may still take the closed form at run time: ``_accel`` takes it on
+    data where an O(n) bound on |h| shows that the threshold keeps every
+    evaluation.
     """
     if kernel.accel_code is None:
         return ROUTE_ENUMERATION
@@ -117,18 +120,12 @@ def kernel_route(kernel: Kernel) -> str:
 
 
 def _routed(kernel: Kernel, n: int) -> str:
-    """The kernel's route, after the size checks (the enumeration cap is
-    checked where the enumeration runs)."""
+    """The kernel's route, after the size check (the enumeration cap and
+    the order-3 pair cap are checked where those routes run)."""
     m = kernel.order
     if n < m:
         raise InsufficientDataError(f"need n >= m, got n={n}, m={m}")
-    route = kernel_route(kernel)
-    if route == ROUTE_SORT and m == 3 and math.comb(n, 2) > MAX_SORT_PAIRS:
-        raise ResourceLimitError(
-            f"C({n},2) = {math.comb(n, 2)} pairs exceed the {MAX_SORT_PAIRS} "
-            "cap of the order-3 sort route"
-        )
-    return route
+    return kernel_route(kernel)
 
 
 def _colex_rows(pos: np.ndarray, starts: np.ndarray, rest: np.ndarray) -> np.ndarray:

@@ -64,6 +64,20 @@ def brute_q(h, data, m):
     return [t / math.comb(n - 1, m - 1) for t in totals]
 
 
+def exact_product_q(data, m):
+    """Per point i, in exact rational arithmetic: the sum of the product
+    kernel over the m-subsets containing i, and the sum of its |h|."""
+    x = [Fraction(v) for v in data]
+    q = [Fraction(0)] * len(x)
+    size = [Fraction(0)] * len(x)
+    for c in itertools.combinations(range(len(x)), m):
+        h = math.prod((x[i] for i in c), start=Fraction(1))
+        for i in c:
+            q[i] += h
+            size[i] += abs(h)
+    return q, size
+
+
 def brute_ordered_sum(f, data, r):
     return math.fsum(f(*(data[i] for i in p))
                      for p in itertools.permutations(range(len(data)), r))

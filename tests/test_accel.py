@@ -1,8 +1,14 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ustatlab import product_kernel, variance_kernel
+from ustatlab.kernels import eval_kernel_rows
 
 from ustatlab._accel import (
     KERNEL_PRODUCT,
@@ -14,7 +20,7 @@ from ustatlab._accel import (
     ustat_sum,
 )
 
-from _oracles import brute_q
+from _oracles import brute_q, exact_product_q
 
 
 def _samples(seed, n):
@@ -60,3 +66,56 @@ def test_max_abs_kernel():
     assert max_abs_kernel(KERNEL_PRODUCT, x, 2) == pytest.approx(6.0)
     assert max_abs_kernel(KERNEL_VARIANCE, x, 2) == pytest.approx(12.5)
     assert max_abs_kernel(KERNEL_PRODUCT, x, 1) == pytest.approx(3.0)
+    # a * a underflows to the least subnormal, 5/3 of its exact value, so the
+    # enumeration's (a * a) * c exceeds (c * a) * a by far more than a few
+    # ulps: the bound takes every order of the factors
+    a, c = math.sqrt(0.6) * 2.0 ** -537, 2.0 ** 1000
+    assert max_abs_kernel(KERNEL_PRODUCT, [a, a, c], 3) == (a * a) * c > 1.5 * ((c * a) * a)
+
+
+def test_product_q_raw_accurate_to_its_terms():
+    # e_1 - x_i cancels at the largest point: q_raw[0] is exactly 1e10 * 5e-10
+    x = np.array([1e10, 1e-10, 1e-10, 3e-10])
+    assert q_raw(KERNEL_PRODUCT, math.inf, x, 2)[0] == pytest.approx(5.0, rel=1e-15)
+    # per point, against the exact sum and relative to the sum of its |h|
+    rng = np.random.default_rng(61)
+    for trial in range(300):
+        n = int(rng.integers(3, 9))
+        m = int(rng.integers(2, min(n, 4) + 1))
+        x = rng.normal(0, 1, n) * 10.0 ** rng.uniform(-8, 8, n if trial % 2 else 1)
+        x[rng.random(n) < 0.2] = 0.0
+        got = q_raw(KERNEL_PRODUCT, math.inf, x, m)
+        want, size = exact_product_q(x.tolist(), m)
+        for i in range(n):
+            assert abs(Fraction(float(got[i])) - want[i]) <= 2e-15 * size[i], (x, m, i)
+
+
+BOUNDED = [(KERNEL_PRODUCT, 1), (KERNEL_PRODUCT, 2), (KERNEL_PRODUCT, 3),
+           (KERNEL_VARIANCE, 2)]
+MAGNITUDES = st.builds(lambda sign, mantissa, e: sign * mantissa * 10.0 ** e,
+                       st.sampled_from([-1.0, 1.0]),
+                       st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.1, 10.0)),
+                       st.integers(-3, 3))
+
+
+@given(data=st.data())
+def test_max_abs_kernel_bounds_every_enumerated_value(data):
+    # every |h| as the enumeration rounds it, ties, zeros, underflow and
+    # overflow included, with no margin
+    code, m = data.draw(st.sampled_from(BOUNDED))
+    scale = 10.0 ** data.draw(st.integers(-100, 100))
+    x = [v * scale for v in data.draw(st.lists(MAGNITUDES, min_size=m, max_size=8))]
+    if data.draw(st.booleans()):
+        extreme = data.draw(st.sampled_from([1e154, -1e200, 1.7e308, -1.7e308, 2.2e-308,
+                                             -5e-324]))
+        x.insert(data.draw(st.integers(0, len(x))), extreme)
+    kernel = product_kernel(m) if code == KERNEL_PRODUCT else variance_kernel()
+    with np.errstate(all="ignore"):
+        h = np.abs(eval_kernel_rows(kernel, np.array(list(itertools.combinations(x, m)))))
+    bound = max_abs_kernel(code, x, m)
+    if np.isfinite(h).all():
+        assert bound >= h.max()
+    else:  # an overflowed evaluation
+        assert bound == math.inf
+    if code == KERNEL_VARIANCE or m <= 2:
+        assert bound == h.max()  # one rounding: the bound is attained

@@ -197,13 +197,23 @@ def test_enumeration_cap():
     cut = TruncationRule(TruncationMode.FULL_M, n)
     assert u_statistic(truncate_kernel(variance_kernel(), cut), x) == pytest.approx(
         0.25 * n / (n - 1))
+    # a far point, whose pairs the truncation drops, keeps it on the sort route
+    far = x.copy()
+    far[0] = 1e4
+    assert u_statistic(truncate_kernel(variance_kernel(), cut), far) == pytest.approx(
+        0.5 * (n // 2) * (n // 2 - 1) / math.comb(n, 2))
     with pytest.raises(ResourceLimitError):
         u_statistic(make_kernel("user", 2, lambda a, b: a * b), x)
     with pytest.raises(ResourceLimitError):
         u_statistic(truncate_kernel(product_kernel(4), cut), x[:300])
-    # the order-3 sort route holds every pair, and is capped on pairs
+    # the order-3 sort route holds every pair, and is capped on pairs where
+    # it runs: on data the truncation bites, but not on data it keeps whole
+    bitten = x[:2001].copy()
+    bitten[0] = 2.0 * cut.threshold(3)
     with pytest.raises(ResourceLimitError):
-        u_statistic(truncate_kernel(product_kernel(3), cut), x[:2001])
+        u_statistic(truncate_kernel(product_kernel(3), cut), bitten)
+    assert u_statistic(truncate_kernel(product_kernel(3), cut), x) == u_statistic(
+        product_kernel(3), x)
 
 
 # A threshold of exactly 1.0 (FULL_M at n = 1) drops some evaluations of

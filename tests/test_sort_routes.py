@@ -3,9 +3,12 @@ oracles and against the enumeration route.
 
 Covered: the product kernel of order 1, 2 and 3 and the variance kernel;
 LOG, LEVEL_J and FULL_M thresholds and thresholds that keep none, some or
-all evaluations; data with ties, zeros, sign changes and scales from
-1e-100 to 1e100; values placed next to the threshold, where a cut found
-by ``searchsorted`` on thr / |x| alone is off by one.
+all evaluations, the peak |h| itself among them; data with ties, zeros,
+sign changes and scales from 1e-100 to 1e100; values placed next to the
+threshold, where a cut found by ``searchsorted`` on thr / |x| alone is
+off by one.  Each check runs as the library runs, where a threshold that
+keeps every evaluation takes the closed form, and again with that
+shortcut off, so the sort route runs on every case.
 """
 
 import dataclasses
@@ -22,10 +25,12 @@ from ustatlab import (
     TruncationRule,
     jackknife_closed_form,
     product_kernel,
+    studentized_path,
     truncate_kernel,
     u_prefix_process,
     variance_kernel,
 )
+from ustatlab import _accel
 from ustatlab.engine import ROUTE_ENUMERATION, ROUTE_SORT, combination_sum, kernel_route
 
 from _oracles import brute_combination_sum, brute_q
@@ -60,7 +65,16 @@ def _tolerance(name, fn, x, thr):
 
 def check_against_oracle(name, kernel, x):
     """combination_sum, u_prefix_process at every k and the jackknife q of
-    ``kernel`` against brute force over ``x``."""
+    ``kernel`` against brute force over ``x``, with and without the
+    closed-form shortcut."""
+    _check_against_oracle(name, kernel, x)
+    with pytest.MonkeyPatch.context() as mp:
+        # an infinite bound never clears thr: the sort route runs
+        mp.setattr(_accel, "max_abs_kernel", lambda code, data, m: math.inf)
+        _check_against_oracle(name, kernel, x)
+
+
+def _check_against_oracle(name, kernel, x):
     base, fn = KERNELS[name]
     m, n, thr = kernel.order, len(x), kernel.accel_thr
     fx = _truncated(fn, thr)
@@ -120,6 +134,11 @@ def cases(draw, name):
     if draw(st.booleans()):
         x.insert(draw(st.integers(m - 1, len(x))),
                  _near_threshold(name, x, kernel.accel_thr, draw(st.integers(-2, 2))))
+    peak = _accel.max_abs_kernel(kernel.accel_code, x, m)
+    if math.isfinite(peak) and draw(st.booleans()):
+        # the threshold at the peak |h|: everything is kept, and only the
+        # oracle and the routes read accel_thr
+        kernel = dataclasses.replace(kernel, accel_thr=peak)
     return kernel, x
 
 
@@ -212,3 +231,33 @@ def test_sort_route_kept_set_next_to_threshold_matches_enumeration(name, kept):
                        jackknife_closed_form(enumerated, x).q * math.comb(n - 1, m - 1),
                        rtol=0, atol=tol)
     check_against_oracle(name, kernel, x)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form shortcut
+# ---------------------------------------------------------------------------
+
+class SortRouteRan(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", ["product2", "product3", "variance"])
+def test_clearing_bound_skips_the_sort_route(name, monkeypatch):
+    # FULL_M keeps every evaluation of these samples, so their Studentized
+    # path runs no sort route and equals the untruncated kernel's; one value
+    # past the threshold sends it to the sort route
+    def sort_route(*args, **kwargs):
+        raise SortRouteRan
+
+    monkeypatch.setattr(_accel, "_dominance", sort_route)
+    monkeypatch.setattr(_accel, "_settle", sort_route)
+    n = 500
+    base = KERNELS[name][0]
+    kernel = truncate_kernel(base, TruncationRule(TruncationMode.FULL_M, n))
+    assert kernel_route(kernel) == ROUTE_SORT
+    x = np.random.default_rng(67).normal(1.0, 1.0, n)
+    assert np.array_equal(studentized_path(kernel, x, 1.0).values,
+                          studentized_path(base, x, 1.0).values)
+    x[n // 2] = 1e3 * kernel.accel_thr
+    with pytest.raises(SortRouteRan):
+        studentized_path(kernel, x, 1.0)
