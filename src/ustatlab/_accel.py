@@ -10,7 +10,16 @@ untruncated kernel when the truncation keeps every evaluation: when
 |h| is at most ``thr``.  Any other threshold takes the sort route.  The
 bound is at least every |h| as the enumeration of :mod:`ustatlab.engine`
 rounds it, so the shortcut keeps exactly the enumeration's kept set; an
-overflowed bound is infinite and takes the sort route.
+overflowed bound is infinite and takes the sort route.  A fourth
+reduction, ``square_sum(code, data, m)``, sums h^2 over the
+m-combinations of an untruncated kernel, for the diagonal-square
+statistic of :mod:`ustatlab.decomposition`.
+
+A kernel's code is ``KERNEL_PRODUCT`` or ``KERNEL_VARIANCE``, or the pair
+``(KERNEL_CONSTANT, c)`` for the constant kernel h = c of any order,
+whose value travels with its code.  A truncation keeps all of its
+evaluations when |c| <= thr and none otherwise, so every reduction takes
+its closed form with c or with 0.
 
 Closed forms:
 
@@ -23,6 +32,12 @@ Closed forms:
   shared-pair total ``product_shared_pair_total`` is separate.
 * Variance kernel ``h = (x - y)^2 / 2``: power sums in O(n), taken over
   the data centered on its mean.
+* Constant kernel: c C(n, m), c C(k, m) over the prefixes (Pascal's rule,
+  the ESP recurrence on ones) and c C(n - 1, m - 1) per point, the same
+  float at every point.
+* Sums of h^2: e_m(x^2) for the product kernel, whose square is the
+  product kernel of x^2; fourth power sums of the centered data for the
+  variance kernel; c^2 C(n, m) for the constant kernel.
 
 Sort routes, for the product kernel of order m <= 3 and the variance
 kernel: the kept partners of a point (or of a pair, for m = 3) form a
@@ -58,6 +73,7 @@ from .errors import ResourceLimitError
 
 KERNEL_PRODUCT = 1   # h(x_1..x_m) = prod x_i
 KERNEL_VARIANCE = 2  # m = 2, h(x, y) = (x - y)^2 / 2
+KERNEL_CONSTANT = 3  # h = c, coded as the pair (KERNEL_CONSTANT, c)
 MAX_SORT_ORDER = 3   # the sort routes cover the built-in kernels of order <= 3
 MAX_SORT_PAIRS = 2 * 10 ** 6  # the order-3 sort route holds ~125 bytes per pair
 
@@ -175,7 +191,43 @@ def _variance_prefix(x: np.ndarray) -> np.ndarray:
     return 0.5 * (k * c2 - c1 * c1)
 
 
-def max_abs_kernel(code: int, data, m: int) -> float:
+def _variance_square_sum(x: np.ndarray) -> float:
+    """sum over i < j of (x_i - x_j)^4 / 4 = (n S4 - 4 S1 S3 + 3 S2^2) / 4,
+    S_p the power sums of the centered data, where S1 is rounding noise."""
+    y = _centered(x)
+    y2 = y * y
+    s1 = float(y.sum())
+    s2 = float(y2.sum())
+    s3 = float(np.einsum("i,i->", y2, y))
+    s4 = float(np.einsum("i,i->", y2, y2))
+    return 0.25 * (y.shape[0] * s4 - 4.0 * s1 * s3 + 3.0 * s2 * s2)
+
+
+def _constant(code, thr: float):
+    """The value the constant kernel, coded (KERNEL_CONSTANT, c), keeps
+    under thr: c when |c| <= thr, else 0, since then every evaluation is
+    dropped.  None for the other kernels, whose codes are plain integers."""
+    if not isinstance(code, tuple):
+        return None
+    c = code[1]
+    return c if abs(c) <= thr else 0.0
+
+
+def square_sum(code, data, m: int) -> float:
+    """Sum of h^2 over all m-combinations of an untruncated built-in
+    kernel: c^2 C(n, m) for the constant kernel, e_m(x^2) for the product
+    kernel (whose square is the product kernel of x^2) and
+    :func:`_variance_square_sum` for the variance kernel."""
+    x = _as_f64(data)
+    c = _constant(code, math.inf)
+    if c is not None:
+        return c * c * math.comb(x.shape[0], m)
+    if code == KERNEL_VARIANCE:
+        return _variance_square_sum(x)
+    return _esp_totals(x * x, m)[-1]
+
+
+def max_abs_kernel(code, data, m: int) -> float:
     """The largest |h| over the m-subsets of an untruncated built-in
     kernel, in O(n): 0.5 (max x - min x)^2 for the variance kernel, and
     for the product kernel the product of the m largest |x|, multiplied
@@ -189,7 +241,11 @@ def max_abs_kernel(code: int, data, m: int) -> float:
     most the matching one of the m largest |x|.  An overflow, or a 0 *
     inf where the enumeration overflows too, gives inf.  For m > 3 the
     product is taken in ascending order, the bound only up to rounding.
+    The constant kernel's bound is |c|.
     """
+    c = _constant(code, math.inf)
+    if c is not None:
+        return abs(c)
     x = _as_f64(data)
     with np.errstate(over="ignore"):
         if code == KERNEL_VARIANCE:
@@ -400,26 +456,37 @@ def _keeps_all(code: int, thr: float, x: np.ndarray, m: int) -> bool:
     return thr == math.inf or max_abs_kernel(code, x, m) <= thr
 
 
-def ustat_sum(code: int, thr: float, data, m: int) -> float:
+def ustat_sum(code, thr: float, data, m: int) -> float:
     """Sum of the kernel over all m-combinations."""
     x = _as_f64(data)
+    c = _constant(code, thr)
+    if c is not None:
+        return c * math.comb(x.shape[0], m)
     if _keeps_all(code, thr, x, m):
         return _variance_sum(x) if code == KERNEL_VARIANCE else _esp_totals(x, m)[-1]
     return float(_by_last(code, thr, x, m).sum())
 
 
-def prefix_sums(code: int, thr: float, data, m: int) -> np.ndarray:
+def prefix_sums(code, thr: float, data, m: int) -> np.ndarray:
     """out[k] = sum of the kernel over the combinations of data[:k],
     k = 0..n."""
     x = _as_f64(data)
+    c = _constant(code, thr)
+    if c is not None:
+        # C(k, m) by Pascal's rule, C(k, m) = sum over i < k of C(i, m - 1):
+        # the ESP recurrence on n ones, exact below 2^53
+        return c * _esp_prefix(np.ones(x.shape[0]), m)
     if _keeps_all(code, thr, x, m):
         return _variance_prefix(x) if code == KERNEL_VARIANCE else _esp_prefix(x, m)
     return running_sums(_by_last(code, thr, x, m))
 
 
-def q_raw(code: int, thr: float, data, m: int) -> np.ndarray:
+def q_raw(code, thr: float, data, m: int) -> np.ndarray:
     """q_raw[i] = sum of the kernel over the m-subsets containing i."""
     x = _as_f64(data)
+    c = _constant(code, thr)
+    if c is not None:
+        return np.full(x.shape[0], c * math.comb(x.shape[0] - 1, m - 1))
     if _keeps_all(code, thr, x, m):
         return _variance_q_raw(x) if code == KERNEL_VARIANCE else _product_q_raw(x, m)
     if code == KERNEL_VARIANCE:

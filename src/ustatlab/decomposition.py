@@ -388,19 +388,25 @@ def negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float
     the sum of h^2 over distinct tuples scaled by the falling factorial
     [n]^-(2m-1); ``shared-pair`` = the order-3 statistic pairing two
     kernel evaluations that share their first two arguments, same scale.
+    On the closed-form route diagonal-square takes ``_accel.square_sum``
+    and shared-pair, for the product kernel, the closed-form pair total;
+    every other kernel (truncated ones included) enumerates.
     """
     n, m = len(x), kernel.order
     if statistic_id == "centered-usq":
         v = (u_statistic(kernel, x) - theta) ** 2
     elif statistic_id == "diagonal-square":
-        _routed(kernel, n)  # raises for n < m
-        squares = float(np.sum([(vals * vals).sum()
-                                for _, _, vals in _combination_blocks(kernel, x)]))
+        if _routed(kernel, n) == ROUTE_CLOSED_FORM:  # raises for n < m
+            squares = _accel.square_sum(kernel.accel_code, x, m)
+        else:
+            squares = float(np.sum([(vals * vals).sum()
+                                    for _, _, vals in _combination_blocks(kernel, x)]))
         v = math.factorial(m) * squares / _falling(n, 2 * m - 1)
     else:
-        # m == 3 here, and the only closed-form kernel of order 3 is the
-        # untruncated product kernel
-        if _routed(kernel, n) == ROUTE_CLOSED_FORM:
+        # m == 3 here; the closed form is the untruncated product kernel's,
+        # and every other kernel of order 3 takes the generic contraction
+        route = _routed(kernel, n)
+        if route == ROUTE_CLOSED_FORM and kernel.accel_code == _accel.KERNEL_PRODUCT:
             tot = _accel.product_shared_pair_total(x)
         else:
             tot = _shared_pair_generic(kernel, x)
@@ -434,20 +440,24 @@ def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
 
 
 def _shared_pair_generic(kernel: Kernel, x: np.ndarray) -> float:
+    """sum over distinct ordered (i, j, k, l) of h(x_i, x_j, x_k) *
+    h(x_i, x_j, x_l) for any order-3 kernel: per i, one block of the rows
+    (x_i, x_j, x_k) over j != i and k not in {i, j}, whose row sums s_j
+    give sum over j of s_j^2 - (sum over k of h^2)."""
     n = len(x)
     _check_enumeration(n, kernel.order)
+    b = np.arange(n - 2)
+    skip = b + (b >= np.arange(n - 1)[:, None])  # column b of row a skips a
     total = 0.0
     for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            mask = np.ones(n, dtype=bool)
-            mask[i] = mask[j] = False
-            rows = np.column_stack([
-                np.full(n - 2, x[i]), np.full(n - 2, x[j]), x[mask],
-            ])
-            v = eval_kernel_rows(kernel, rows)
-            total += float(v.sum() ** 2 - (v * v).sum())
+        others = np.delete(x, i)
+        rows = np.empty((n - 1, n - 2, 3))
+        rows[:, :, 0] = x[i]
+        rows[:, :, 1] = others[:, None]
+        rows[:, :, 2] = others[skip]
+        v = eval_kernel_rows(kernel, rows.reshape(-1, 3)).reshape(n - 1, n - 2)
+        s = v.sum(axis=1)
+        total += float((s * s).sum() - (v * v).sum())
     return total
 
 

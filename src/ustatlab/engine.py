@@ -3,8 +3,8 @@
 Everything here is deterministic; Monte Carlo belongs to
 :mod:`ustatlab.experiments`.  :func:`kernel_route` picks, once per
 kernel, one of three routes: the closed forms for the untruncated
-built-in kernels, the sort routes for the truncated product kernel of
-order <= 3 and the truncated variance kernel, or one enumeration of
+built-in kernels, the sort routes for the truncated built-in kernels of
+order <= 3, or one enumeration of
 every m-combination (:func:`_combination_blocks`) for every other
 kernel, which sums, prefix sums and the jackknife reduce in their own
 way.  The first two are the reductions ``ustat_sum``, ``prefix_sums``
@@ -100,15 +100,16 @@ def _check_enumeration(n: int, m: int) -> None:
 
 def kernel_route(kernel: Kernel) -> str:
     """Which implementation evaluates ``kernel``: ROUTE_CLOSED_FORM for an
-    untruncated built-in kernel, ROUTE_SORT for a truncated product kernel
-    of order <= 3 or a truncated variance kernel, ROUTE_ENUMERATION for
-    any other.
+    untruncated built-in kernel (product of any order, variance, constant
+    of any order), ROUTE_SORT for a truncated built-in kernel of order
+    <= 3, ROUTE_ENUMERATION for any other.
 
     Decided for every computation alike: sums, prefix sums, jackknife
-    q-accumulation and the decomposition statistics.  A ROUTE_SORT kernel
-    may still take the closed form at run time: ``_accel`` takes it on
-    data where an O(n) bound on |h| shows that the threshold keeps every
-    evaluation.
+    q-accumulation and the decomposition statistics, whose diagonal-square
+    and shared-pair sums enumerate off ROUTE_CLOSED_FORM.  A ROUTE_SORT
+    kernel may still take the closed form at run time: ``_accel`` takes it
+    on data where an O(n) bound on |h| shows that the threshold keeps
+    every evaluation, and a truncated constant always does, with c or 0.
     """
     if kernel.accel_code is None:
         return ROUTE_ENUMERATION

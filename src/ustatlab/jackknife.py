@@ -14,9 +14,11 @@ The identity is exact for every sample, because the mean of the q_i is
 U_n.  It is evaluated in two passes, U_n first and then the squares of
 q_i - U_n, so a location shift of the kernel costs no digits in the
 reduction; the one-pass form sum q_i^2 - n U_n^2 cancels once |U_n|
-dwarfs the spread of the q_i.  The sum of squares is an ``np.einsum``
-loop rather than a BLAS dot product, which would run on BLAS's own
-threads next to the study's worker processes.  The naive per-``i``
+dwarfs the spread of the q_i.  When every q_i is the same float (the
+constant kernel), each is U_n and the sum of squares is exactly 0.  The
+sum of squares is an ``np.einsum`` loop rather than a BLAS dot product,
+which would run on BLAS's own threads next to the study's worker
+processes.  The naive per-``i``
 re-enumeration (:func:`leave_one_out`) is retained as the independent
 oracle.
 """
@@ -105,8 +107,13 @@ def jackknife_closed_form(kernel: Kernel, data) -> JackknifeSummary:
     q_raw = _q_raw(kernel, x, _routed(kernel, n))
     u_n = float(q_raw.sum()) / (m * math.comb(n, m))
     q = q_raw / math.comb(n - 1, m - 1)
-    d = q - u_n
-    sum_sq = m ** 2 * (n - 1) / (n - m) ** 2 * float(np.einsum("i,i->", d, d))
+    if q[0] == q[-1] and (q == q[0]).all():
+        # the q_i average to U_n, so equal q_i are each U_n and the sum of
+        # squares is 0, where q - u_n would square the rounding of u_n
+        sum_sq = 0.0
+    else:
+        d = q - u_n
+        sum_sq = m ** 2 * (n - 1) / (n - m) ** 2 * float(np.einsum("i,i->", d, d))
     return JackknifeSummary(n=n, m=m, u_n=u_n, q=q, sum_sq=sum_sq,
                             variance_estimator=sum_sq / m ** 2)
 

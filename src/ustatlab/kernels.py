@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -54,6 +54,10 @@ class Kernel:
     ``(x, dist)`` to the analytic ``h1(x)`` when one exists.
     ``affine_projection`` maps a distribution to ``(slope, intercept)``
     when ``h1`` is affine in ``x``, which unlocks vectorized paths.
+    ``accel_code`` sends a built-in kernel to :mod:`ustatlab._accel`: an
+    integer code, or ``(KERNEL_CONSTANT, c)`` for the constant kernel,
+    whose code carries its value; ``accel_thr`` is its truncation
+    threshold.
     """
 
     name: str
@@ -63,7 +67,7 @@ class Kernel:
     projection: Optional[Callable] = None
     batch_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     affine_projection: Optional[Callable] = None
-    accel_code: Optional[int] = None
+    accel_code: Union[int, tuple, None] = None
     accel_thr: float = field(default=math.inf)
 
     def __post_init__(self):
@@ -368,14 +372,16 @@ def variance_kernel() -> Kernel:
 
 
 def constant_kernel(c: float, m: int = 1) -> Kernel:
+    c = float(c)
     return Kernel(
         name=f"constant:c={c:g}" + (f",m={m}" if m != 1 else ""),
         order=m,
         eval_fn=lambda *xs: c,
-        theta=float(c),
+        theta=c,
         projection=lambda x, d: 0.0,
-        batch_fn=lambda rows: np.full(rows.shape[0], float(c)),
+        batch_fn=lambda rows: np.full(rows.shape[0], c),
         affine_projection=lambda d: (0.0, 0.0),
+        accel_code=(_accel.KERNEL_CONSTANT, c),
     )
 
 

@@ -11,12 +11,14 @@ from ustatlab import product_kernel, variance_kernel
 from ustatlab.kernels import eval_kernel_rows
 
 from ustatlab._accel import (
+    KERNEL_CONSTANT,
     KERNEL_PRODUCT,
     KERNEL_VARIANCE,
     max_abs_kernel,
     prefix_sums,
     product_shared_pair_total,
     q_raw,
+    square_sum,
     ustat_sum,
 )
 
@@ -66,6 +68,7 @@ def test_max_abs_kernel():
     assert max_abs_kernel(KERNEL_PRODUCT, x, 2) == pytest.approx(6.0)
     assert max_abs_kernel(KERNEL_VARIANCE, x, 2) == pytest.approx(12.5)
     assert max_abs_kernel(KERNEL_PRODUCT, x, 1) == pytest.approx(3.0)
+    assert max_abs_kernel((KERNEL_CONSTANT, -0.7), x, 3) == 0.7
     # a * a underflows to the least subnormal, 5/3 of its exact value, so the
     # enumeration's (a * a) * c exceeds (c * a) * a by far more than a few
     # ulps: the bound takes every order of the factors
@@ -119,3 +122,34 @@ def test_max_abs_kernel_bounds_every_enumerated_value(data):
         assert bound == math.inf
     if code == KERNEL_VARIANCE or m <= 2:
         assert bound == h.max()  # one rounding: the bound is attained
+
+
+# ---------------------------------------------------------------------------
+# sum of h^2
+# ---------------------------------------------------------------------------
+
+def _exact_variance_square_sum(x):
+    """sum over i < j of ((x_i - x_j)^2 / 2)^2 in exact rational arithmetic."""
+    x = [Fraction(v) for v in x]
+    return sum(((a - b) ** 2 / 2) ** 2 for a, b in itertools.combinations(x, 2))
+
+
+@given(base=st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6).map(lambda k: k / 1e5),
+                               # Cauchy tails: tan(pi (u - 1/2))
+                               st.floats(1e-6, 1.0 - 1e-6).map(
+                                   lambda u: math.tan(math.pi * (u - 0.5)))),
+                     min_size=2, max_size=8),
+       shift=st.sampled_from([0.0, 1.0, -1e2, 1e4, 1e6, -1e8, 1e8]),
+       scale=st.integers(-5, 5).map(lambda e: 10.0 ** e))
+def test_variance_square_sum_against_exact_oracle(base, shift, scale):
+    # the power sums are taken about the mean, so a shift costs no digits
+    x = [shift + scale * v for v in base]
+    exact = _exact_variance_square_sum(x)
+    got = square_sum(KERNEL_VARIANCE, x, 2)
+    assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact, x
+
+
+def test_constant_square_sum_is_exact():
+    x = np.zeros(400)
+    assert square_sum((KERNEL_CONSTANT, 1.0), x, 2) == math.comb(400, 2)
+    assert square_sum((KERNEL_CONSTANT, -3.0), x, 3) == 9 * math.comb(400, 3)

@@ -18,6 +18,7 @@ from ustatlab import (
     eval_product_statistic,
     finite,
     degenerate_moment_bound,
+    identity_kernel,
     make_kernel,
     negligibility_trend,
     normal,
@@ -26,11 +27,13 @@ from ustatlab import (
     truncate_kernel,
     variance_kernel,
 )
+from ustatlab import _accel, decomposition, engine
 from ustatlab.decomposition import (
     expansion_report,
     negligibility_value,
     truncation_coupling_rate,
 )
+from ustatlab.engine import ROUTE_CLOSED_FORM, kernel_route
 from ustatlab import example_density
 
 from _oracles import brute_combination_sum, brute_ordered_sum, finite_expectation
@@ -215,24 +218,73 @@ def test_trend_p3_constant_closed_form():
     assert table.decreasing
 
 
+def _truncated_product2(thr):
+    return lambda x, y: x * y if abs(x * y) <= thr else 0.0
+
+
 def test_diagonal_square_matches_oracle():
     # factorial(m) * (sum of h^2 over the combinations) / [n]_(2m-1), on
     # every route's kernel; n < m raises rather than dividing 0 by 0
-    cut = TruncationRule(TruncationMode.FULL_M, 4)
-    cases = [(product_kernel(2), lambda x, y: x * y),
-             (product_kernel(3), lambda x, y, z: x * y * z),
-             (variance_kernel(), lambda x, y: 0.5 * (x - y) ** 2),
-             (truncate_kernel(product_kernel(2), cut),
-              lambda x, y: x * y if abs(x * y) <= cut.threshold(2) else 0.0)]
-    x = list(np.random.default_rng(17).standard_cauchy(11))
-    for kernel, h in cases:
+    rng = np.random.default_rng(17)
+    cauchy = list(rng.standard_cauchy(11))
+    shifted = list(rng.normal(1e6, 1.0, 11))
+    bites = truncate_kernel(product_kernel(2), TruncationRule(TruncationMode.FULL_M, 4))
+    clears = truncate_kernel(product_kernel(2), TruncationRule(TruncationMode.FULL_M, 10 ** 6))
+    # the sort route's O(n) bound keeps every evaluation of one, not the other
+    assert _accel.max_abs_kernel(_accel.KERNEL_PRODUCT, cauchy, 2) > bites.accel_thr
+    assert _accel.max_abs_kernel(_accel.KERNEL_PRODUCT, cauchy, 2) <= clears.accel_thr
+    cases = [(identity_kernel(), lambda x: x, cauchy),
+             (product_kernel(2), lambda x, y: x * y, cauchy),
+             (product_kernel(3), lambda x, y, z: x * y * z, cauchy),
+             (product_kernel(3), lambda x, y, z: x * y * z, shifted),
+             (variance_kernel(), lambda x, y: 0.5 * (x - y) ** 2, cauchy),
+             (variance_kernel(), lambda x, y: 0.5 * (x - y) ** 2, shifted),
+             (constant_kernel(0.1, 2), lambda x, y: 0.1, cauchy),
+             (constant_kernel(-3, 3), lambda x, y, z: -3.0, cauchy),
+             (bites, _truncated_product2(bites.accel_thr), cauchy),
+             (clears, _truncated_product2(clears.accel_thr), cauchy)]
+    for kernel, h, x in cases:
         m = kernel.order
         want = math.factorial(m) * brute_combination_sum(
             lambda *xs: h(*xs) ** 2, x, m) / math.perm(len(x), 2 * m - 1)
         got = negligibility_value("diagonal-square", kernel, None, np.array(x))
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12), kernel.name
         with pytest.raises(InsufficientDataError):
             negligibility_value("diagonal-square", kernel, None, np.array(x[:m - 1]))
+
+
+class EnumerationRan(Exception):
+    pass
+
+
+def test_diagonal_square_closed_forms_never_enumerate(monkeypatch):
+    # the built-in kernels on the closed-form route sum h^2 without
+    # enumerating a combination, at the largest trend size of each order
+    def enumerate_(*args, **kwargs):
+        raise EnumerationRan
+
+    monkeypatch.setattr(engine, "_combination_blocks", enumerate_)
+    monkeypatch.setattr(decomposition, "_combination_blocks", enumerate_)
+    rng = np.random.default_rng(23)
+    for kernel in (identity_kernel(), product_kernel(2), product_kernel(3),
+                   variance_kernel(), constant_kernel(1.0, 2), constant_kernel(-3.0, 3)):
+        assert kernel_route(kernel) == ROUTE_CLOSED_FORM
+        x = rng.normal(0.5, 1.0, 400 if kernel.order <= 2 else 60)
+        assert negligibility_value("diagonal-square", kernel, None, x) > 0
+    with pytest.raises(EnumerationRan):
+        negligibility_value("diagonal-square", make_kernel("user", 2, lambda a, b: a * b),
+                            None, rng.normal(0, 1, 5))
+
+
+def test_shared_pair_constant_kernel():
+    # the order-3 constant kernel is on the closed-form route, but the
+    # shared-pair total is the product kernel's: the generic contraction
+    # gives c^2 [n]_4 / [n]_5
+    kernel = constant_kernel(2.0, 3)
+    assert kernel_route(kernel) == ROUTE_CLOSED_FORM
+    x = np.random.default_rng(5).normal(0, 1, 12)
+    assert negligibility_value("shared-pair", kernel, None, x) == pytest.approx(
+        4.0 / (12 - 4), rel=1e-12)
 
 
 def test_trend_p1_zero_kernel():

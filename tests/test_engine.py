@@ -11,6 +11,7 @@ from ustatlab import (
     ResourceLimitError,
     TruncationMode,
     TruncationRule,
+    constant_kernel,
     identity_kernel,
     jackknife_closed_form,
     leave_one_out,
@@ -160,6 +161,13 @@ def test_kernel_route():
     user = make_kernel("sum", 2, lambda x, y: x + y)
     assert kernel_route(user) == ROUTE_ENUMERATION
     assert kernel_route(truncate_kernel(user, cut)) == ROUTE_ENUMERATION
+    # the constant kernel is a built-in of any order, and a truncated one
+    # keeps its code
+    for m in (1, 2, 3, 4, 7):
+        assert kernel_route(constant_kernel(2.5, m)) == ROUTE_CLOSED_FORM
+        truncated = truncate_kernel(constant_kernel(2.5, m), cut)
+        assert truncated.accel_code == constant_kernel(2.5, m).accel_code
+        assert kernel_route(truncated) == (ROUTE_SORT if m <= 3 else ROUTE_ENUMERATION)
 
 
 @pytest.mark.parametrize("n,m", [(40, 1), (40, 3), (55_000, 4), (60_000, 4)])
@@ -291,6 +299,50 @@ def test_enumeration_of_order_4_uses_heads_of_size_3():
         brute_u_stat(fx, list(x), 4), rel=1e-10, abs=1e-12)
     assert jackknife_closed_form(kernel, x).q == pytest.approx(
         brute_q(fx, list(x), 4), rel=1e-10, abs=1e-10)
+
+
+def _check_constant(kernel, c, x):
+    """combination_sum, u_prefix_process at every k and the jackknife q of
+    a kernel that is c on every combination, against brute force."""
+    m, n = kernel.order, len(x)
+
+    def h(*xs):
+        return c
+
+    assert combination_sum(kernel, x) == pytest.approx(
+        brute_combination_sum(h, x, m), rel=1e-12, abs=1e-300)
+    pre = u_prefix_process(kernel, x)
+    assert np.isnan(pre.values[:m]).all()
+    for k, want in brute_prefix(h, x, m).items():
+        assert pre.u_at(k) == pytest.approx(want, rel=1e-12, abs=1e-300), k
+    assert jackknife_closed_form(kernel, x).q == pytest.approx(
+        brute_q(h, x, m), rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("c,m", [(0.1, 1), (1 / 3, 2), (-0.7, 3), (2.5, 4), (-3.0, 6)])
+def test_constant_kernel_closed_form_against_oracle(c, m):
+    kernel = constant_kernel(c, m)
+    assert kernel_route(kernel) == ROUTE_CLOSED_FORM
+    _check_constant(kernel, c, list(np.random.default_rng(47).normal(0, 1.5, 10)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("c", [0.7, -1.0, -1.5, 3.0])
+def test_truncated_constant_keeps_all_or_nothing(c, m):
+    # at thr = 1.0 the truncated constant is c on every combination when
+    # |c| <= 1 and 0 on every one otherwise; m <= 3 takes the sort route
+    # (and again without its code, the enumeration), m = 4 the enumeration
+    kernel = truncate_kernel(constant_kernel(c, m), CUT)
+    kept = c if abs(c) <= 1.0 else 0.0
+    x = list(np.random.default_rng(53).normal(0, 1.5, 9))
+    if m <= 3:
+        assert kernel_route(kernel) == ROUTE_SORT
+        enumerated = dataclasses.replace(kernel, accel_code=None)
+        assert kernel_route(enumerated) == ROUTE_ENUMERATION
+        _check_constant(enumerated, kept, x)
+    else:
+        assert kernel_route(kernel) == ROUTE_ENUMERATION
+    _check_constant(kernel, kept, x)
 
 
 def _variance_data(v):

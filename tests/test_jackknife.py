@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ustatlab import (
+    DegenerateNormalizerError,
     InsufficientDataError,
     arvesen_estimator,
     constant_kernel,
@@ -15,6 +16,7 @@ from ustatlab import (
     normal,
     product_kernel,
     sample,
+    studentized_path,
     u_statistic,
     variance_kernel,
 )
@@ -59,6 +61,22 @@ def test_constant_kernel_sum_sq_zero():
     s = jackknife_closed_form(constant_kernel(3.0, m=2), [1.0, 5.0, 9.0, 2.0])
     assert s.sum_sq == pytest.approx(0.0, abs=1e-12)
     assert arvesen_estimator(s) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.1, 1 / 3, -0.7])
+@pytest.mark.parametrize("n", [5, 50, 400])
+def test_constant_kernel_scale_is_exactly_zero(c, n):
+    # c C(n-1, m-1) / C(n-1, m-1) and the rounded U_n need not agree, so a
+    # sum of squares of q_i - U_n read noise; equal q_i give exactly 0, and
+    # the Studentized path refuses the degenerate scale
+    x = np.random.default_rng(n).normal(0, 1, n)
+    for m in (1, 2, 3):
+        kernel = constant_kernel(c, m)
+        s = jackknife_closed_form(kernel, x)
+        assert np.all(s.q == s.q[0])
+        assert s.sum_sq == 0.0
+        with pytest.raises(DegenerateNormalizerError):
+            studentized_path(kernel, x, c)
 
 
 def test_identity_m1_example():
