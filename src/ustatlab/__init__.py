@@ -29,6 +29,7 @@ from .distributions import (
     normal,
     pareto,
     sample,
+    sample_grid,
 )
 from .engine import (
     OrderedTupleSum,

@@ -39,9 +39,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _accel
-from .distributions import Distribution, derive_seed, sample
+from .distributions import Distribution, derive_seed, sample_grid
 from .engine import (
     ROUTE_CLOSED_FORM,
+    ROUTE_ENUMERATION,
     _check_enumeration,
     _combination_blocks,
     _routed,
@@ -388,25 +389,33 @@ def negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float
     the sum of h^2 over distinct tuples scaled by the falling factorial
     [n]^-(2m-1); ``shared-pair`` = the order-3 statistic pairing two
     kernel evaluations that share their first two arguments, same scale.
-    On the closed-form route diagonal-square takes ``_accel.square_sum``
-    and shared-pair, for the product kernel, the closed-form pair total;
-    every other kernel (truncated ones included) enumerates.
+    Diagonal-square takes ``_accel.square_sum`` for a built-in kernel whose
+    threshold keeps every evaluation on x (always so untruncated, else
+    when ``_accel``'s O(n) bound on |h| clears it).  Shared-pair is
+    c^2 [n]_4 for a constant c (0 when truncation drops it) and the
+    closed-form pair total for the untruncated product kernel.  Every
+    other case enumerates.
     """
     n, m = len(x), kernel.order
     if statistic_id == "centered-usq":
         v = (u_statistic(kernel, x) - theta) ** 2
     elif statistic_id == "diagonal-square":
-        if _routed(kernel, n) == ROUTE_CLOSED_FORM:  # raises for n < m
-            squares = _accel.square_sum(kernel.accel_code, x, m)
+        route = _routed(kernel, n)  # raises for n < m
+        code, thr = kernel.accel_code, kernel.accel_thr
+        if route != ROUTE_ENUMERATION and _accel._keeps_all(code, thr, x, m):
+            squares = _accel.square_sum(code, x, m)
         else:
             squares = float(np.sum([(vals * vals).sum()
                                     for _, _, vals in _combination_blocks(kernel, x)]))
         v = math.factorial(m) * squares / _falling(n, 2 * m - 1)
     else:
-        # m == 3 here; the closed form is the untruncated product kernel's,
-        # and every other kernel of order 3 takes the generic contraction
+        # m == 3 here; every kernel of order 3 without a closed form takes
+        # the generic contraction
         route = _routed(kernel, n)
-        if route == ROUTE_CLOSED_FORM and kernel.accel_code == _accel.KERNEL_PRODUCT:
+        c = _accel._constant(kernel.accel_code, kernel.accel_thr)
+        if c is not None:
+            tot = c * c * _falling(n, 4)
+        elif route == ROUTE_CLOSED_FORM and kernel.accel_code == _accel.KERNEL_PRODUCT:
             tot = _accel.product_shared_pair_total(x)
         else:
             tot = _shared_pair_generic(kernel, x)
@@ -422,19 +431,18 @@ def trend_decreasing(means) -> bool:
 def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
                         n_grid, R: int, seed: int) -> TrendTable:
     """Monte Carlo mean of |statistic| (see :func:`negligibility_value`)
-    along ``n_grid``, replication r drawn with ``derive_seed(seed, r)``."""
+    along ``n_grid``; replication r draws one stream with
+    ``derive_seed(seed, r)`` and cuts its sample at each n from it."""
     n_grid = list(n_grid)
     theta = theta_under(kernel, dist)
     check_trend(statistic_id, kernel, dist, n_grid, theta)
-    rows = []
-    for n in n_grid:
-        vals = np.array([
-            negligibility_value(statistic_id, kernel, theta,
-                                sample(dist, n, derive_seed(seed, rep)))
-            for rep in range(R)
-        ])
-        rows.append(TrendRow(n=n, mean_abs=float(vals.mean()),
-                             se=float(vals.std(ddof=1) / math.sqrt(R))))
+    vals = np.empty((len(n_grid), R))
+    for rep in range(R):
+        for j, x in enumerate(sample_grid(dist, n_grid, derive_seed(seed, rep))):
+            vals[j, rep] = negligibility_value(statistic_id, kernel, theta, x)
+    rows = [TrendRow(n=n, mean_abs=float(v.mean()),
+                     se=float(v.std(ddof=1) / math.sqrt(R)))
+            for n, v in zip(n_grid, vals)]
     return TrendTable(statistic=statistic_id, rows=rows,
                       decreasing=trend_decreasing([r.mean_abs for r in rows]))
 
@@ -467,20 +475,18 @@ def truncation_coupling_rate(kernel: Kernel, dist: Distribution, n_grid,
     order-level threshold n^(3m/5), i.e. the truncated statistic differs
     from the raw one; decreases with n when E|h|^(5/3) is finite."""
     m = kernel.order
-    out = []
-    for n in n_grid:
-        thr = float(n) ** (0.6 * m)
-        hits = 0
-        for rep in range(R):
-            x = sample(dist, n, derive_seed(seed, rep))
+    n_grid = list(n_grid)
+    hits = [0] * len(n_grid)
+    for rep in range(R):
+        for j, x in enumerate(sample_grid(dist, n_grid, derive_seed(seed, rep))):
+            n = len(x)
             if _routed(kernel, n) == ROUTE_CLOSED_FORM:
                 peak = _accel.max_abs_kernel(kernel.accel_code, x, m)
             else:
                 peak = max(float(np.abs(vals).max())
                            for _, _, vals in _combination_blocks(kernel, x))
-            hits += peak > thr
-        out.append((n, hits / R))
-    return out
+            hits[j] += peak > float(n) ** (0.6 * m)
+    return [(n, h / R) for n, h in zip(n_grid, hits)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ All sampling uses numpy's PCG64 generator (version-pinned bit stream)
 seeded explicitly; samplers are stateless, so identical seeds give
 identical samples regardless of thread or process count.  Replication
 seeds derive from a base seed via ``derive_seed``:
-``seed_r = base ^ (r * 0x9E3779B97F4A7C15) mod 2^64``.
+``seed_r = base ^ (r * 0x9E3779B97F4A7C15) mod 2^64``.  A replication
+draws one stream for its whole n-grid: ``sample_grid`` cuts the sample
+at each n from it, bit for bit the sample ``sample`` draws at that n.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "pareto",
     "finite",
     "sample",
+    "sample_grid",
     "pdf",
     "derive_seed",
     "estimate_ell",
@@ -116,35 +119,78 @@ def finite(points, probs) -> Distribution:
                         points=pts, probs=pr)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(int(seed) & _SEED_MASK))
-
-
 def sample(dist: Distribution, n: int, seed: int) -> np.ndarray:
-    """Draw n variates, deterministically in ``seed``.
+    """Draw n variates, deterministically in ``seed``: the one-n case of
+    :func:`sample_grid`."""
+    return sample_grid(dist, (n,), seed)[0]
 
-    The example density uses the inverse CDF X = a + S * U^(-1/2) with
-    U uniform on (0, 1] and S a uniform sign; U is drawn before S.
+
+def sample_grid(dist: Distribution, ns, seed: int) -> list:
+    """For each n in ``ns``, in its order, the n variates ``sample(dist, n,
+    seed)`` draws, all cut from one PCG64 stream of N = max(ns) draws.
+
+    The normal, Pareto and finite laws draw their variates in sequence,
+    so the sample at n is the first n values of the sample at N.  The
+    example density uses the inverse CDF X = a + S * U^(-1/2): U is
+    uniform on (0, 1] from the first n 64-bit words of the stream, and the
+    n signs S from the words after them, so the signs at n start at word
+    n and each n gets its own array.  See :func:`_example_grid`.  With
+    more than one n the arrays are read-only, since prefixes share one
+    buffer.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"sample size must be >= 1, got {n}")
-    rng = _rng(seed)
+    ns = [int(n) for n in ns]
+    if not ns or min(ns) < 1:
+        raise InvalidArgumentError(f"sample sizes must be >= 1, got {ns}")
+    N = max(ns)
+    bits = np.random.PCG64(int(seed) & _SEED_MASK)
     if dist.kind == "example":
-        a = dist.params[0]
-        u = 1.0 - rng.random(n)
-        s = 2.0 * rng.integers(0, 2, n) - 1.0
-        return a + s * u ** -0.5
-    if dist.kind == "normal":
-        mu, sigma = dist.params
-        return rng.normal(mu, sigma, n)
-    if dist.kind == "pareto":
-        alpha, xm = dist.params
-        u = 1.0 - rng.random(n)
-        return xm * u ** (-1.0 / alpha)
-    if dist.kind == "finite":
-        idx = rng.choice(len(dist.points), size=n, p=dist.probs)
-        return dist.points[idx]
-    raise InvalidArgumentError(f"unknown distribution kind {dist.kind!r}")
+        out = _example_grid(dist.params[0], ns, bits)
+    else:
+        rng = np.random.Generator(bits)
+        if dist.kind == "normal":
+            mu, sigma = dist.params
+            full = rng.normal(mu, sigma, N)
+        elif dist.kind == "pareto":
+            alpha, xm = dist.params
+            full = xm * (1.0 - rng.random(N)) ** (-1.0 / alpha)
+        elif dist.kind == "finite":
+            full = dist.points[rng.choice(len(dist.points), size=N, p=dist.probs)]
+        else:
+            raise InvalidArgumentError(f"unknown distribution kind {dist.kind!r}")
+        out = [full[:n] for n in ns]
+    if len(ns) > 1:
+        for x in out:
+            x.flags.writeable = False
+    return out
+
+
+def _example_grid(a: float, ns: list, bits: np.random.PCG64) -> list:
+    """The example law's samples, decoded from the raw 64-bit words that
+    ``Generator.random(n)`` and then ``Generator.integers(0, 2, n)`` read:
+    U = 1 - (word >> 11) * 2^-53 from words 0..n-1 (numpy's double), and
+    from words n..n+ceil(n/2)-1 one sign per 32-bit half, the low half
+    first, +1 when its bit 31 is set (Lemire's bounded draw on a range of
+    two)."""
+    N, lo = max(ns), min(ns)
+    raw = bits.random_raw(N + (N + 1) // 2)
+    # the halves low first on any byte order; read before raw is overwritten
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    positive = np.greater_equal(halves[2 * lo:], 1 << 31).view(np.uint8)
+    # U^(-1/2) in place of words 0..N-1: (word >> 11) * -2^-53 + 1 is U
+    words = raw[:N]
+    np.right_shift(words, 11, out=words)
+    mag = words.view(np.float64)
+    np.multiply(words.view(np.int64), -2.0 ** -53, out=mag)
+    mag += 1.0
+    mag **= -0.5
+    out = []
+    for n in ns:
+        x = np.multiply(positive[2 * (n - lo):2 * (n - lo) + n], 2.0)
+        x -= 1.0
+        x *= mag[:n]
+        x += a
+        out.append(x)
+    return out
 
 
 def pdf(dist: Distribution, x: float) -> float:

@@ -1,11 +1,13 @@
 """Monte Carlo experiment harness with seeded, order-stable replication.
 
-Each experiment draws R independent replications per sample size, with
-replication r seeded by ``replication_seed(base_seed, r)``; the same
-seeds are shared across the n-grid (common random numbers), so grid
-trends compare like against like.  Results are reduced in replication
-order, which makes reports byte-identical (runtime aside) for any worker
-count.
+Each experiment draws R independent replications, with replication r
+seeded by ``replication_seed(base_seed, r)``.  A replication draws one
+random stream and takes its sample at each n of the grid as a prefix of
+that stream (``distributions.sample_grid``), so the grid shares its
+random numbers and trends compare like against like.  Replications run
+in chunks, each returning its values at every n; results are reduced in
+replication order, which makes reports byte-identical (runtime aside)
+for any worker count.
 
 Experiments
 -----------
@@ -45,7 +47,7 @@ from .distributions import (
     derive_seed,
     dist_from_name,
     estimate_ell,
-    sample,
+    sample_grid,
 )
 from .errors import (
     ConfigError,
@@ -277,9 +279,20 @@ def _studentized_scalar(kernel, data, theta, k):
     return k * (u_k - theta) / math.sqrt(summary.n * summary.sum_sq)
 
 
-def _rep_value(config: ExperimentConfig, kernel, dist, theta, ell_sq, n: int,
-               rep: int) -> Optional[float]:
-    data = sample(dist, n, replication_seed(config.base_seed, rep))
+def _rep_value(config: ExperimentConfig, kernel, dist, theta, ells,
+               rep: int) -> list:
+    """Replication ``rep``'s value at every n of the grid, None where it
+    is dropped; ``ells`` holds ell^2(n) per n.  One stream is drawn for
+    the whole grid."""
+    samples = sample_grid(dist, config.n_grid,
+                          replication_seed(config.base_seed, rep))
+    return [_value(config, kernel, dist, theta, ell_sq, data)
+            for ell_sq, data in zip(ells, samples)]
+
+
+def _value(config: ExperimentConfig, kernel, dist, theta, ell_sq,
+           data: np.ndarray) -> Optional[float]:
+    n = len(data)
     try:
         if config.experiment == "CLT_T0":
             k = int(n * config.t0)
@@ -308,11 +321,12 @@ def _rep_value(config: ExperimentConfig, kernel, dist, theta, ell_sq, n: int,
 
 
 def _run_chunk(payload) -> list:
-    config_dict, n, start, stop = payload
+    """Replications start..stop-1, each as its list of values per n."""
+    config_dict, start, stop = payload
     config = ExperimentConfig.from_dict(config_dict)
     kernel, dist, theta = _resolve(config)
-    ell_sq = _ell_for(config, kernel, dist, n)
-    return [_rep_value(config, kernel, dist, theta, ell_sq, n, rep)
+    ells = [_ell_for(config, kernel, dist, n) for n in config.n_grid]
+    return [_rep_value(config, kernel, dist, theta, ells, rep)
             for rep in range(start, stop)]
 
 
@@ -366,19 +380,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     per_n = []
     values_by_n = {}
     dropped_total = 0
-    # one pool serves every grid point of the study
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for n in config.n_grid:
-            values = values_by_n[n] = _collect(config, n, workers, pool)
-            kept = [v for v in values if v is not None]
-            dropped = len(values) - len(kept)
-            dropped_total += dropped
-            record = _summarize(config, kernel, dist, n, kept, dropped)
-            per_n.append(record)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    rows = _collect(config, workers)
+    for j, n in enumerate(config.n_grid):
+        values = values_by_n[n] = [row[j] for row in rows]
+        kept = [v for v in values if v is not None]
+        dropped = len(values) - len(kept)
+        dropped_total += dropped
+        per_n.append(_summarize(config, kernel, dist, n, kept, dropped))
     if config.experiment == "NEGLIGIBILITY":
         decreasing = trend_decreasing([r.mean for r in per_n])
         per_n = [replace(r, passed=decreasing) for r in per_n]
@@ -396,20 +404,23 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     )
 
 
-def _collect(config: ExperimentConfig, n: int, workers: int,
-             pool: Optional[ProcessPoolExecutor]) -> list:
-    """The replications at one n, serially without a pool, else in
-    workers * 4 chunks on ``pool``."""
+def _collect(config: ExperimentConfig, workers: int) -> list:
+    """Every replication's values per n, in replication order: serially
+    for one worker, else in workers * 4 chunks on one process pool."""
     R = config.replications
-    if pool is None:
-        return _run_chunk((config.to_dict(), n, 0, R))
+    if workers <= 1:
+        return _run_chunk((config.to_dict(), 0, R))
     bounds = np.linspace(0, R, workers * 4 + 1).astype(int)
-    payloads = [(config.to_dict(), n, int(a), int(b))
+    payloads = [(config.to_dict(), int(a), int(b))
                 for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    values: list = []
-    for chunk in pool.map(_run_chunk, payloads):
-        values.extend(chunk)  # submission order == replication order
-    return values
+    rows: list = []
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        for chunk in pool.map(_run_chunk, payloads):
+            rows.extend(chunk)  # submission order == replication order
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return rows
 
 
 def _statistic_name(config: ExperimentConfig) -> str:

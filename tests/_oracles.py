@@ -8,6 +8,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def brute_u_stat(h, data, m):
     """C(n,m)^-1 * sum over index combinations of h."""
@@ -95,3 +97,24 @@ def finite_expectation(g, points, probs, arity):
         w = math.prod(probs[i] for i in idx)
         total += w * g(*(points[i] for i in idx))
     return total
+
+
+def stream_sample(dist, n, seed):
+    """n variates of ``dist`` through numpy's public Generator transforms
+    on PCG64(seed), one fresh generator per call: the example law as
+    a + S * U^(-1/2) with U = 1 - random(n) drawn before the signs
+    S = 2 * integers(0, 2, n) - 1."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if dist.kind == "example":
+        a = dist.params[0]
+        u = 1.0 - rng.random(n)
+        s = 2.0 * rng.integers(0, 2, n) - 1.0
+        return a + s * u ** -0.5
+    if dist.kind == "normal":
+        mu, sigma = dist.params
+        return rng.normal(mu, sigma, n)
+    if dist.kind == "pareto":
+        alpha, xm = dist.params
+        return xm * (1.0 - rng.random(n)) ** (-1.0 / alpha)
+    idx = rng.choice(len(dist.points), size=n, p=dist.probs)
+    return dist.points[idx]

@@ -33,7 +33,7 @@ from ustatlab.decomposition import (
     negligibility_value,
     truncation_coupling_rate,
 )
-from ustatlab.engine import ROUTE_CLOSED_FORM, kernel_route
+from ustatlab.engine import ROUTE_CLOSED_FORM, ROUTE_SORT, kernel_route
 from ustatlab import example_density
 
 from _oracles import brute_combination_sum, brute_ordered_sum, finite_expectation
@@ -271,20 +271,43 @@ def test_diagonal_square_closed_forms_never_enumerate(monkeypatch):
         assert kernel_route(kernel) == ROUTE_CLOSED_FORM
         x = rng.normal(0.5, 1.0, 400 if kernel.order <= 2 else 60)
         assert negligibility_value("diagonal-square", kernel, None, x) > 0
+    # FULL_M-truncated kernels on the sort route whose O(n) bound clears the
+    # threshold: h^2 sums to the untruncated square_sum
+    for base, n in ((product_kernel(2), 400), (product_kernel(3), 60),
+                    (variance_kernel(), 400), (constant_kernel(-3.0, 3), 60)):
+        kernel = truncate_kernel(base, TruncationRule(TruncationMode.FULL_M, n))
+        assert kernel_route(kernel) == ROUTE_SORT
+        x = rng.normal(0.5, 1.0, n)
+        assert _accel._keeps_all(kernel.accel_code, kernel.accel_thr, x, kernel.order)
+        want = math.factorial(base.order) * _accel.square_sum(base.accel_code, x, base.order) \
+            / math.perm(n, 2 * base.order - 1)
+        assert negligibility_value("diagonal-square", kernel, None, x) == want
     with pytest.raises(EnumerationRan):
         negligibility_value("diagonal-square", make_kernel("user", 2, lambda a, b: a * b),
                             None, rng.normal(0, 1, 5))
 
 
-def test_shared_pair_constant_kernel():
-    # the order-3 constant kernel is on the closed-form route, but the
-    # shared-pair total is the product kernel's: the generic contraction
-    # gives c^2 [n]_4 / [n]_5
+def test_shared_pair_constant_kernel(monkeypatch):
+    # the order-3 constant's shared-pair total is c^2 [n]_4 in closed form,
+    # so the statistic is c^2 [n]_4 / [n]_5 = c^2 / (n - 4), exactly; a
+    # truncation that drops c makes it 0
+    def generic(*args, **kwargs):
+        raise AssertionError("generic contraction ran")
+
+    x = np.random.default_rng(5).normal(0, 1, 12)
     kernel = constant_kernel(2.0, 3)
     assert kernel_route(kernel) == ROUTE_CLOSED_FORM
-    x = np.random.default_rng(5).normal(0, 1, 12)
-    assert negligibility_value("shared-pair", kernel, None, x) == pytest.approx(
-        4.0 / (12 - 4), rel=1e-12)
+    want = decomposition._shared_pair_generic(kernel, x) / math.perm(12, 5)
+    assert want == pytest.approx(0.5, rel=1e-12)
+    monkeypatch.setattr(decomposition, "_shared_pair_generic", generic)
+    assert negligibility_value("shared-pair", kernel, None, x) == 0.5
+    keeps = truncate_kernel(kernel, TruncationRule(TruncationMode.FULL_M, 12))
+    drops = truncate_kernel(kernel, TruncationRule(TruncationMode.FULL_M, 1))
+    assert kernel_route(keeps) == kernel_route(drops) == ROUTE_SORT
+    assert negligibility_value("shared-pair", keeps, None, x) == 0.5
+    assert negligibility_value("shared-pair", drops, None, x) == 0.0
+    assert negligibility_value("shared-pair", constant_kernel(-0.5, 3), None,
+                               x[:5]) == 0.25
 
 
 def test_trend_p1_zero_kernel():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 from ustatlab import (
@@ -19,9 +20,12 @@ from ustatlab import (
     pareto,
     product_kernel,
     sample,
+    sample_grid,
     variance_kernel,
 )
 from ustatlab.distributions import pdf
+
+from _oracles import stream_sample
 
 
 def test_example_support_and_median():
@@ -59,6 +63,70 @@ def test_seed_determinism():
     assert np.array_equal(a, b)
     c = sample(d, 1000, 43)
     assert not np.array_equal(a, c)
+
+
+LAWS = [example_density(2.0), example_density(-0.5), normal(1.0, 2.0),
+        pareto(2.5, 1.5), finite([-1.0, 0.0, 2.0], [0.5, 0.3, 0.2])]
+SIZES = st.sampled_from([1, 2, 3, 10 ** 4 + 1]) | st.integers(4, 300)
+SEEDS = st.integers(2 ** 63, 2 ** 64 - 1) | st.integers(0, 2 ** 64 - 1)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@given(law=st.sampled_from(LAWS), ns=st.lists(SIZES, min_size=1, max_size=5),
+       seed=SEEDS)
+@example(law=LAWS[0], ns=[10 ** 4 + 1, 3, 1, 2, 3], seed=2 ** 63)
+@example(law=LAWS[2], ns=[2, 10 ** 4 + 1, 1], seed=2 ** 64 - 1)
+@example(law=LAWS[3], ns=[7, 1, 8], seed=2 ** 63 + 1)
+@example(law=LAWS[4], ns=[3, 3, 10 ** 4 + 1], seed=0)
+def test_sample_grid_matches_stream_oracle(law, ns, seed):
+    # each n's sample, cut from one stream at max(ns), is bit for bit the
+    # one numpy's Generator transforms give a fresh stream at that n;
+    # the example law's raw-bit decode fails this if those transforms move
+    grid = sample_grid(law, ns, seed)
+    assert len(grid) == len(ns)
+    for n, x in zip(ns, grid):
+        assert np.array_equal(_bits(x), _bits(stream_sample(law, n, seed))), (n, seed)
+        assert x.flags.writeable == (len(ns) == 1)
+    n = ns[0]
+    assert np.array_equal(_bits(sample(law, n, seed)), _bits(grid[0]))
+
+
+def test_sample_stream_is_pinned():
+    # the first draws at one seed, as recorded: the stored study references
+    # hold only while numpy's PCG64 stream and transforms stay as they are
+    pinned = {
+        "example:a=2": ["0x1.82d5e745c8174p+1", "0x1.c2a33011d7818p+1",
+                        "0x1.d9ca9f8e317fep-1", "0x1.cee28731b5054p-1"],
+        "normal:1,2": ["0x1.f867f52e3684bp+0", "-0x1.63ad8711a32d2p+0",
+                       "0x1.6387059e9c3ecp+0", "0x1.752143dc48ff6p+1"],
+        "pareto:2.5,1.5": ["0x1.86ca57b305d3ep+0", "0x1.0c7b443f0324ap+1",
+                           "0x1.96c24914fa425p+0", "0x1.9d325a632dc1cp+0"],
+        "finite:[-1,0,2];[0.5,0.3,0.2]": ["-0x1.0000000000000p+0", "0x0.0p+0",
+                                          "-0x1.0000000000000p+0",
+                                          "-0x1.0000000000000p+0"],
+    }
+    for law in (LAWS[0], LAWS[2], LAWS[3], LAWS[4]):
+        want = [float.fromhex(h) for h in pinned[law.name]]
+        assert list(stream_sample(law, 4, 2 ** 63 + 7)) == want, law.name
+        assert list(sample(law, 4, 2 ** 63 + 7)) == want, law.name
+
+
+def test_sample_grid_prefixes_are_read_only():
+    # a kernel that writes into a small n's sample must not reach a larger n's
+    for law in LAWS:
+        small, large = sample_grid(law, (5, 50), 11)
+        with pytest.raises(ValueError):
+            small[0] = 0.0
+        with pytest.raises(ValueError):
+            large[0] = 0.0
+        assert sample(law, 5, 11).flags.writeable
+    with pytest.raises(InvalidArgumentError):
+        sample_grid(normal(0, 1), [], 1)
+    with pytest.raises(InvalidArgumentError):
+        sample_grid(normal(0, 1), [3, 0], 1)
 
 
 def test_finite_sampling_multinomial():

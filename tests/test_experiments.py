@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,6 +266,25 @@ def test_negligibility_checks_run_before_the_pool(monkeypatch, overrides, error,
         run_experiment(_negligibility_config("shared-pair", **overrides), workers=2)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("raw", [
+    dict(experiment="CLT_T0", kernel="product:m=2,a=2", dist="example:a=2",
+         n_grid=[3, 40, 41, 200], ks_threshold=0.5),
+    dict(experiment="FCLT_SUP", kernel="identity", dist="normal:0,1",
+         n_grid=[2, 3, 50, 101], ks_threshold=0.5),
+])
+def test_grid_values_equal_single_n_runs(raw, workers):
+    # a replication cuts every n's sample from one stream, and each equals
+    # the sample a run at that n alone draws
+    config = ExperimentConfig.from_dict(dict(raw, version=1, replications=50,
+                                             base_seed=2 ** 63 + 29))
+    grid = run_experiment(config, workers=workers)
+    for n, record in zip(config.n_grid, grid.per_n):
+        single = run_experiment(replace(config, n_grid=(n,)), workers=workers)
+        assert grid.values[n] == single.values[n]
+        assert single.per_n == [record]
+
+
 def test_drop_policy_over_one_percent_fails():
     # a finite two-point distribution makes all-equal samples likely at
     # tiny n, so studentized replications degenerate more than 1% of the time
@@ -310,7 +330,8 @@ def test_replication_makes_no_blas_call(monkeypatch):
 
     monkeypatch.setattr(np, "dot", no_blas)
     for config, size, kernel, dist, theta in resolved:
-        value = _rep_value(config, kernel, dist, theta, 1.0, size, 0)
+        # the replication draws its own sample, inside the guard
+        (value,) = _rep_value(config, kernel, dist, theta, (1.0,), 0)
         assert value is not None and math.isfinite(value), config.experiment
     path = pseudo_selfnormalized_path(product_kernel(2), data, 1.0, data - 1.0)
     assert math.isfinite(path.values[n])
