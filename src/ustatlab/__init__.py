@@ -84,6 +84,7 @@ from .processes import (
     abs_sup_functional,
     pseudo_selfnormalized_path,
     studentized_path,
+    studentized_value,
     sup_functional,
 )
 

@@ -76,6 +76,7 @@ KERNEL_VARIANCE = 2  # m = 2, h(x, y) = (x - y)^2 / 2
 KERNEL_CONSTANT = 3  # h = c, coded as the pair (KERNEL_CONSTANT, c)
 MAX_SORT_ORDER = 3   # the sort routes cover the built-in kernels of order <= 3
 MAX_SORT_PAIRS = 2 * 10 ** 6  # the order-3 sort route holds ~125 bytes per pair
+_BLOCK = 1 << 12  # length of the index blocks of _times_index
 
 
 def _as_f64(data) -> np.ndarray:
@@ -91,6 +92,22 @@ def running_sums(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _accumulate(out: np.ndarray) -> np.ndarray:
+    """:func:`running_sums` in place: out[1:] holds the terms on entry and
+    out[k] their running sums on return."""
+    out[0] = 0.0
+    np.cumsum(out[1:], out=out[1:])
+    return out
+
+
+def _times_index(v: np.ndarray) -> None:
+    """v[k] *= k in place, the float k-grid made one block at a time, so
+    no n-vector of indices is held."""
+    for a in range(0, v.shape[0], _BLOCK):
+        block = v[a:a + _BLOCK]
+        block *= np.arange(a, a + block.shape[0], dtype=np.float64)
+
+
 # ---------------------------------------------------------------------------
 # closed forms: untruncated kernels
 # ---------------------------------------------------------------------------
@@ -102,7 +119,9 @@ def _esp_rows(x: np.ndarray):
     e = running_sums(x)
     while True:
         yield e
-        e = running_sums(x * e[:-1])
+        nxt = np.empty_like(e)
+        np.multiply(x, e[:-1], out=nxt[1:])
+        e = _accumulate(nxt)
 
 
 def _esp_prefix(x: np.ndarray, m: int) -> np.ndarray:
@@ -184,11 +203,20 @@ def _variance_q_raw(x: np.ndarray) -> np.ndarray:
 
 
 def _variance_prefix(x: np.ndarray) -> np.ndarray:
-    y = _centered(x)
-    c1 = running_sums(y)
-    c2 = running_sums(y * y)
-    k = np.arange(y.shape[0] + 1, dtype=np.float64)
-    return 0.5 * (k * c2 - c1 * c1)
+    """0.5 (k c2 - c1^2) over the prefixes, c_p the running power sums of
+    the centered data, built in the buffers of c1 and c2."""
+    c1 = np.empty(x.shape[0] + 1)
+    y = c1[1:]
+    np.subtract(x, x.sum() / x.shape[0], out=y)  # _centered, in place
+    c2 = np.empty_like(c1)
+    np.multiply(y, y, out=c2[1:])
+    _accumulate(c2)
+    _accumulate(c1)
+    _times_index(c2)
+    c1 *= c1
+    c2 -= c1
+    c2 *= 0.5
+    return c2
 
 
 def _variance_square_sum(x: np.ndarray) -> float:
@@ -469,7 +497,8 @@ def ustat_sum(code, thr: float, data, m: int) -> float:
 
 def prefix_sums(code, thr: float, data, m: int) -> np.ndarray:
     """out[k] = sum of the kernel over the combinations of data[:k],
-    k = 0..n."""
+    k = 0..n, in a fresh array on every route: it shares no memory with
+    ``data`` or with any other result, so the caller may overwrite it."""
     x = _as_f64(data)
     c = _constant(code, thr)
     if c is not None:

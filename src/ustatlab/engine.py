@@ -20,7 +20,6 @@ silently subsampling.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -214,32 +213,44 @@ def u_prefix_process(kernel: Kernel, data) -> UPrefixValues:
         for _, lo, vals in _combination_blocks(kernel, x):
             by_last[lo:] += vals.sum(axis=0)
         sums = _accel.running_sums(by_last)
-    values = np.empty(n + 1)
+    # both routes return fresh sums, so U_k overwrites them
+    values = sums
     values[:m] = np.nan
-    np.divide(sums[m:], _comb_column(n, m), out=values[m:])
+    np.divide(values[m:], _comb_column(n, m), out=values[m:])
     return UPrefixValues(n=n, m=m, values=values)
 
 
 def _binomials(n: int, r: int) -> np.ndarray:
     """C(t, r) for t = 0..n, exact: the falling factorial t (t-1) .. (t-r+1),
     which is 0 for t < r, floor-divided by r!, in int64 while n^r fits;
-    Python integers from math.comb past that."""
+    Python integers from math.comb past that.  The factor t - j of entry
+    t is entry t - j of the index grid, so the product is formed in place
+    on shifted slices."""
     if n ** r >= 2 ** 63:
         return np.array([math.comb(t, r) for t in range(n + 1)], dtype=object)
     ts = np.arange(n + 1, dtype=np.int64)
     falling = np.ones(n + 1, dtype=np.int64)
-    for j in range(r):
-        falling *= ts - j
-    return falling // math.factorial(r)
+    for j in range(min(r, n + 1)):
+        falling[j:] *= ts[:n + 1 - j]  # entries below j already hold 0
+    falling //= math.factorial(r)
+    return falling
 
 
-@functools.lru_cache(maxsize=2)
+_COLUMNS: dict = {}  # order m -> the read-only float(C(k, m)), k = m..N
+
+
 def _comb_column(n: int, m: int) -> np.ndarray:
-    """float(C(k, m)) for k = m..n, read-only and cached, since a study
-    asks for the same (n, m) in every replication."""
-    out = _binomials(n, m)[m:].astype(np.float64)
-    out.flags.writeable = False
-    return out
+    """float(C(k, m)) for k = m..n, read-only.  C(k, m) does not depend on
+    n, so one column is kept per order m, grown to the largest n asked
+    for, and every smaller n gets a prefix view of it: a study builds each
+    column once, in its first replication, whatever its n-grid.  The
+    order-1 column is the float k-grid k = 1..n."""
+    col = _COLUMNS.get(m)
+    if col is None or col.shape[0] < n - m + 1:
+        col = _binomials(n, m)[m:].astype(np.float64)
+        col.flags.writeable = False
+        _COLUMNS[m] = col
+    return col[:n - m + 1]
 
 
 def ordered_distinct_sum(f, data, r: int) -> OrderedTupleSum:

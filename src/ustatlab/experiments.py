@@ -57,8 +57,7 @@ from .errors import (
 )
 from .jackknife import jackknife_closed_form
 from .kernels import Kernel, kernel_from_name, theta_under
-from .engine import u_statistic
-from .processes import studentized_path, sup_functional
+from .processes import studentized_path, studentized_value, sup_functional
 
 __all__ = [
     "EXPERIMENTS",
@@ -270,15 +269,6 @@ def _projection_values(kernel: Kernel, dist: Distribution, x: np.ndarray) -> np.
     return np.array([project_h1(kernel, float(v), dist) for v in x])
 
 
-def _studentized_scalar(kernel, data, theta, k):
-    """k * (U_k - theta) / sqrt(n * (n-1) sum (U^i - U_n)^2), one grid point."""
-    summary = jackknife_closed_form(kernel, data)
-    if not summary.sum_sq > 0:
-        raise DegenerateNormalizerError("zero jackknife scale")
-    u_k = summary.u_n if k == summary.n else u_statistic(kernel, data[:k])
-    return k * (u_k - theta) / math.sqrt(summary.n * summary.sum_sq)
-
-
 def _rep_value(config: ExperimentConfig, kernel, dist, theta, ells,
                rep: int) -> list:
     """Replication ``rep``'s value at every n of the grid, None where it
@@ -298,7 +288,7 @@ def _value(config: ExperimentConfig, kernel, dist, theta, ell_sq,
             k = int(n * config.t0)
             if k < max(kernel.order, 1):
                 raise ConfigError(f"t0={config.t0} gives k={k} < m at n={n}")
-            return _studentized_scalar(kernel, data, theta, k)
+            return studentized_value(kernel, data, theta, k)
         if config.experiment == "FCLT_SUP":
             return sup_functional(studentized_path(kernel, data, theta))
         if config.experiment == "RAIKOV":

@@ -106,7 +106,10 @@ def jackknife_closed_form(kernel: Kernel, data) -> JackknifeSummary:
     _check_loo_size(n, m)
     q_raw = _q_raw(kernel, x, _routed(kernel, n))
     u_n = float(q_raw.sum()) / (m * math.comb(n, m))
-    q = q_raw / math.comb(n - 1, m - 1)
+    # q_raw is fresh on every route but the order-1 product's, which
+    # returns the data itself
+    q = np.divide(q_raw, math.comb(n - 1, m - 1),
+                  out=None if np.shares_memory(q_raw, x) else q_raw)
     if q[0] == q[-1] and (q == q[0]).all():
         # the q_i average to U_n, so equal q_i are each U_n and the sum of
         # squares is 0, where q - u_n would square the rounding of u_n

@@ -359,14 +359,25 @@ def variance_kernel() -> Kernel:
             raise UnsupportedOperationError(
                 f"distribution '{d.name}' has no finite variance"
             )
-        return 0.5 * ((x - mu) ** 2 - d.variance)
+        dx = x - mu
+        return 0.5 * (dx * dx - d.variance)
+
+    # every path squares by one multiplication, as the _accel routes do:
+    # a scalar ** 2 goes through libm pow, which need not round correctly
+    def eval_fn(x, y):
+        d = x - y
+        return 0.5 * (d * d)
+
+    def batch_fn(rows):
+        d = rows[:, 0] - rows[:, 1]
+        return 0.5 * (d * d)
 
     return Kernel(
         name="variance",
         order=2,
-        eval_fn=lambda x, y: 0.5 * (x - y) ** 2,
+        eval_fn=eval_fn,
         projection=projection,
-        batch_fn=lambda rows: 0.5 * (rows[:, 0] - rows[:, 1]) ** 2,
+        batch_fn=batch_fn,
         accel_code=_accel.KERNEL_VARIANCE,
     )
 

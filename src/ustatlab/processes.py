@@ -7,15 +7,21 @@ every t:
 * pseudo-selfnormalized: value_k = (k/m) (U_k - theta) / V_n with
   V_n^2 = sum_i h1(X_i)^2 (depends on the distribution through h1);
 * Studentized: value_k = k (U_k - theta) / sqrt(n (n-1) sum_i (U^i - U_n)^2),
-  fully computable from the sample given theta.
+  fully computable from the sample given theta;
+  :func:`studentized_value` is the same value at one k.
 
 On the Studentized scale: with the denominator written as
 sqrt((n-1) sum (U^i - U_n)^2) alone, the m = 1 case of k * value grows
 like sqrt(n) times the classical t-statistic and cannot settle to a
 normal limit; including the extra factor n inside the root makes m = 1
-reduce exactly to the self-normalized partial-sum process.  The
-equivalent "scaled multiplier" convention (k / sqrt(n) times the bare
-ratio) is offered as well; the two produce identical paths.
+reduce exactly to the self-normalized partial-sum process.
+
+A path is built in place in the buffer of prefix values U_k that
+:func:`ustatlab.engine.u_prefix_process` returns, and its factor k is
+the engine's cached float k-grid (the order-1 binomial column), so the
+path holds one n-vector.  The Studentized path takes its jackknife scale
+first, and releases the jackknife's per-observation vector, before the
+prefix pass.
 """
 
 from __future__ import annotations
@@ -26,21 +32,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import u_prefix_process
-from .errors import DegenerateNormalizerError, DomainError, InvalidArgumentError
-from .jackknife import jackknife_closed_form
+from .engine import UPrefixValues, _comb_column, u_prefix_process, u_statistic
+from .errors import (
+    DegenerateNormalizerError,
+    DomainError,
+    InsufficientDataError,
+    InvalidArgumentError,
+)
+from .jackknife import JackknifeSummary, jackknife_closed_form
 from .kernels import Kernel
 
 __all__ = [
     "StepProcess",
     "pseudo_selfnormalized_path",
     "studentized_path",
+    "studentized_value",
     "sup_functional",
     "abs_sup_functional",
     "path_to_csv",
 ]
-
-CONVENTIONS = ("n-in-root", "scaled-multiplier")
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,24 @@ def _check_theta(theta: float) -> None:
         raise DomainError(f"theta must be finite, got {theta}")
 
 
+def _step_path(prefix: UPrefixValues, theta: float, factor: np.ndarray,
+               scale: float) -> StepProcess:
+    """factor (U_k - theta) / scale for k = m..n, zero below k = m, in the
+    buffer of ``prefix``, which the path takes over."""
+    values = prefix.values
+    values[:prefix.m] = 0.0
+    tail = values[prefix.m:]
+    tail -= theta
+    tail *= factor
+    tail /= scale
+    return StepProcess(n=prefix.n, m=prefix.m, values=values)
+
+
+def _k_grid(n: int, m: int) -> np.ndarray:
+    """float(k) for k = m..n, a view of the engine's order-1 column."""
+    return _comb_column(n, 1)[m - 1:]
+
+
 def pseudo_selfnormalized_path(kernel: Kernel, data, theta: float,
                                projections) -> StepProcess:
     """(k/m) (U_k - theta) / V_n on the prefix grid; zero below k = m."""
@@ -79,40 +107,40 @@ def pseudo_selfnormalized_path(kernel: Kernel, data, theta: float,
     if not v_n > 0:
         raise DegenerateNormalizerError("V_n = 0: all projections vanish")
     prefix = u_prefix_process(kernel, x)
-    n, m = prefix.n, prefix.m
-    values = np.zeros(n + 1)
-    tail = values[m:]  # a view: the arithmetic below runs in place
-    np.subtract(prefix.values[m:], theta, out=tail)
-    tail *= np.arange(m, n + 1) / m
-    tail /= v_n
-    return StepProcess(n=n, m=m, values=values)
+    return _step_path(prefix, theta, _k_grid(prefix.n, prefix.m) / prefix.m, v_n)
 
 
-def studentized_path(kernel: Kernel, data, theta: float,
-                     convention: str = "n-in-root") -> StepProcess:
-    """k (U_k - theta) / jack_scale with the full-sample jackknife scale."""
-    if convention not in CONVENTIONS:
-        raise InvalidArgumentError(f"convention must be one of {CONVENTIONS}")
-    _check_theta(theta)
-    x = np.asarray(data, dtype=np.float64)
-    summary = jackknife_closed_form(kernel, x)
-    n, m = summary.n, summary.m
+def _jackknife_scale(summary: JackknifeSummary) -> float:
+    """sqrt(n (n-1) sum (U^i - U_n)^2), the Studentized scale."""
     if not summary.sum_sq > 0:
         raise DegenerateNormalizerError(
             "jackknife scale is zero: all leave-one-out values coincide"
         )
+    return math.sqrt(summary.n * summary.sum_sq)
+
+
+def studentized_path(kernel: Kernel, data, theta: float) -> StepProcess:
+    """k (U_k - theta) / jack_scale with the full-sample jackknife scale."""
+    _check_theta(theta)
+    x = np.asarray(data, dtype=np.float64)
+    scale = _jackknife_scale(jackknife_closed_form(kernel, x))
     prefix = u_prefix_process(kernel, x)
-    values = np.zeros(n + 1)
-    tail = values[m:]  # a view: the arithmetic below runs in place
-    np.subtract(prefix.values[m:], theta, out=tail)
-    ks = np.arange(m, n + 1)
-    if convention == "n-in-root":
-        tail *= ks
-        tail /= math.sqrt(n * summary.sum_sq)
-    else:
-        tail *= ks / math.sqrt(n)
-        tail /= math.sqrt(summary.sum_sq)
-    return StepProcess(n=n, m=m, values=values)
+    return _step_path(prefix, theta, _k_grid(prefix.n, prefix.m), scale)
+
+
+def studentized_value(kernel: Kernel, data, theta: float, k: int) -> float:
+    """The Studentized path at one k, m <= k <= n: k (U_k - theta) /
+    jack_scale, without the prefix pass.  U_n is the jackknife's own, so
+    k = n costs one jackknife and nothing more."""
+    _check_theta(theta)
+    x = np.asarray(data, dtype=np.float64)
+    n, m = x.shape[0], kernel.order
+    if not m <= k <= n:
+        raise InsufficientDataError(f"need m <= k <= n, got k={k}, m={m}, n={n}")
+    summary = jackknife_closed_form(kernel, x)
+    scale = _jackknife_scale(summary)
+    u_k = summary.u_n if k == n else u_statistic(kernel, x[:k])
+    return k * (u_k - theta) / scale
 
 
 def sup_functional(path: StepProcess) -> float:

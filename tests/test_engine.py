@@ -23,6 +23,7 @@ from ustatlab import (
     u_statistic,
     variance_kernel,
 )
+from ustatlab import engine
 from ustatlab.engine import (
     ROUTE_CLOSED_FORM,
     ROUTE_ENUMERATION,
@@ -182,6 +183,26 @@ def test_comb_column_exact_cached_read_only(n, m):
     assert np.array_equal(_comb_column(n, m), col)
 
 
+def test_comb_column_one_column_per_order(monkeypatch):
+    # C(k, m) does not depend on n: a column is grown to the largest n asked
+    # for, and any n up to it gets a prefix view without a rebuild
+    monkeypatch.setattr(engine, "_COLUMNS", {})
+    built = []
+    binomials = engine._binomials
+    monkeypatch.setattr(engine, "_binomials",
+                        lambda n, r: built.append((n, r)) or binomials(n, r))
+    small = _comb_column(30, 2)
+    big = _comb_column(90, 2)
+    assert built == [(30, 2), (90, 2)]
+    for n in (2, 30, 57, 90):
+        col = _comb_column(n, 2)
+        assert col.tolist() == [float(math.comb(k, 2)) for k in range(2, n + 1)]
+        assert np.shares_memory(col, big) and not col.flags.writeable
+    assert _comb_column(40, 1).tolist() == [float(k) for k in range(1, 41)]
+    assert built == [(30, 2), (90, 2), (40, 1)]
+    assert np.array_equal(small, big[:29])
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_binomials_exact(r):
     # the block starts of the enumeration: int64 arithmetic, no math.comb
@@ -190,6 +211,7 @@ def test_binomials_exact(r):
         assert got.dtype == np.int64
         assert got.tolist() == [math.comb(t, r) for t in range(n + 1)]
     assert _binomials(30, 20).tolist() == [math.comb(t, 20) for t in range(31)]
+    assert _binomials(2, 7).tolist() == [0, 0, 0]  # r past twice the grid
     for n in (r + 1, 9, 25):
         heads = np.concatenate(list(_head_blocks(n, r + 1)))
         assert heads.tolist() == [list(c) for c in sorted(

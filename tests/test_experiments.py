@@ -2,6 +2,7 @@ import json
 import math
 import statistics
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ustatlab import (
     sample,
     wiener_sup_cdf,
 )
-from ustatlab import experiments
+from ustatlab import engine, experiments
 from ustatlab.decomposition import TREND_STATISTICS
 from ustatlab.experiments import _rep_value, _resolve, report_from_json, report_to_json
 
@@ -111,6 +112,45 @@ def test_config_validation():
     del raw["base_seed"]
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(raw)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.rglob("*.json")),
+                         ids=lambda p: str(p.relative_to(CONFIGS)))
+def test_shipped_configs_resolve(path):
+    # validates and resolves kernel, law and theta; runs no replication
+    cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
+    _resolve(cfg)
+
+
+def test_scaled_configs_shipped():
+    assert (CONFIGS / "scaled" / "fclt_sup_identity.json") in set(CONFIGS.rglob("*.json"))
+
+
+def test_three_point_grid_builds_columns_in_first_replication_only(monkeypatch):
+    # one binomial column per order, grown to the largest n: a study builds
+    # its columns while its first replication walks up the grid, then never
+    monkeypatch.setattr(engine, "_COLUMNS", {})
+    rep = [None]  # the replication running
+    builds = []   # the replication of every build
+    binomials = engine._binomials
+    monkeypatch.setattr(engine, "_binomials",
+                        lambda n, r: builds.append(rep[0]) or binomials(n, r))
+    rep_value = experiments._rep_value
+
+    def counted(config, kernel, dist, theta, ells, r):
+        rep[0] = r
+        return rep_value(config, kernel, dist, theta, ells, r)
+
+    monkeypatch.setattr(experiments, "_rep_value", counted)
+    cfg = ExperimentConfig.from_dict(dict(
+        version=1, experiment="FCLT_SUP", kernel="identity", dist="normal:0,1",
+        n_grid=[100, 200, 400], replications=50, base_seed=3, ks_threshold=0.5))
+    run_experiment(cfg)
+    assert rep[0] == 49
+    assert builds == [0, 0, 0]
 
 
 def test_unknown_registry_names_are_config_errors():

@@ -25,6 +25,8 @@ from ustatlab import (
     truncate_kernel,
     variance_kernel,
 )
+from ustatlab import _accel
+from ustatlab.kernels import eval_kernel_rows
 
 from _oracles import finite_expectation
 
@@ -206,3 +208,17 @@ def test_theta_under_matches_finite_enumeration():
         else:
             oracle = finite_expectation(fn, d.points, d.probs, 2)
         assert theta == pytest.approx(oracle, abs=1e-12)
+
+
+def test_variance_kernel_rounds_alike_on_every_path():
+    # (x - y)^2 by one multiplication everywhere: for d = -1.5e10 - 1e7,
+    # libm pow gives 0.5 * d**2 = 1.1265005000000001e20, one ulp above
+    # 0.5 * (d * d), which the batch, the bound and the sort route compute
+    x = [-0.0, -1.5e10, 1e7]
+    kernel = variance_kernel()
+    pairs = [(x[i], x[j]) for i in range(3) for j in range(i + 1, 3)]
+    scalar = [eval_kernel(kernel, p) for p in pairs]
+    batch = eval_kernel_rows(kernel, np.array(pairs)).tolist()
+    assert scalar == batch
+    assert max(scalar) == _accel.max_abs_kernel(_accel.KERNEL_VARIANCE, np.array(x), 2)
+    assert max(scalar) == 1.1265005e20

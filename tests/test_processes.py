@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,20 +8,29 @@ import pytest
 from ustatlab import (
     DegenerateNormalizerError,
     DomainError,
-    InvalidArgumentError,
+    InsufficientDataError,
+    TruncationMode,
+    TruncationRule,
     constant_kernel,
     example_density,
     identity_kernel,
     jackknife_closed_form,
+    make_kernel,
     normal,
     product_kernel,
     pseudo_selfnormalized_path,
     sample,
     studentized_path,
+    studentized_value,
     sup_functional,
     abs_sup_functional,
+    truncate_kernel,
+    u_prefix_process,
     u_statistic,
+    variance_kernel,
 )
+from ustatlab import _accel, engine
+from ustatlab.engine import ROUTE_CLOSED_FORM, ROUTE_ENUMERATION, ROUTE_SORT, kernel_route
 from ustatlab.processes import StepProcess, path_to_csv
 
 
@@ -87,18 +97,123 @@ def test_studentized_m1_t_statistic():
     assert path1.values[-1] == pytest.approx(1.0, abs=1e-14)
 
 
-def test_studentized_conventions_identical():
-    x = sample(normal(0, 1), 30, 2)
-    a = studentized_path(identity_kernel(), x, 0.0)
-    b = studentized_path(identity_kernel(), x, 0.0, convention="scaled-multiplier")
-    assert a.values == pytest.approx(b.values, rel=1e-12, abs=1e-15)
-    with pytest.raises(InvalidArgumentError):
-        studentized_path(identity_kernel(), x, 0.0, convention="bogus")
-
-
 def test_studentized_degenerate_constant_kernel():
-    with pytest.raises(DegenerateNormalizerError):
+    with pytest.raises(DegenerateNormalizerError) as path_error:
         studentized_path(constant_kernel(2.0, m=2), [1.0, 2.0, 3.0], 2.0)
+    with pytest.raises(DegenerateNormalizerError) as value_error:
+        studentized_value(constant_kernel(2.0, m=2), [1.0, 2.0, 3.0], 2.0, 3)
+    assert str(value_error.value) == str(path_error.value)
+
+
+@pytest.mark.parametrize("kernel", [identity_kernel(), product_kernel(2),
+                                    variance_kernel(), product_kernel(3),
+                                    make_kernel("sum", 2, lambda x, y: x + y)],
+                         ids=["identity", "product2", "variance", "product3", "user"])
+def test_studentized_value_is_the_path_at_k(kernel):
+    x = sample(normal(0.5, 2.0), 40, 8)
+    theta = 0.3
+    path = studentized_path(kernel, x, theta)
+    for k in (kernel.order, 17, 40):
+        assert studentized_value(kernel, x, theta, k) == pytest.approx(
+            path.values[k], rel=1e-9, abs=1e-12)
+    # at k = n, U_n is the jackknife's own
+    summary = jackknife_closed_form(kernel, x)
+    assert studentized_value(kernel, x, theta, 40) == \
+        40 * (summary.u_n - theta) / math.sqrt(40 * summary.sum_sq)
+    for k in (kernel.order - 1, 41):
+        with pytest.raises(InsufficientDataError):
+            studentized_value(kernel, x, theta, k)
+    with pytest.raises(DomainError):
+        studentized_value(kernel, x, math.nan, 40)
+
+
+N_MEMORY = 100_000
+MEMORY_THETA = {"identity": 0.0, "product2": 0.0, "variance": 1.0}
+
+
+def _memory_kernel(name):
+    return {"identity": identity_kernel(), "product2": product_kernel(2),
+            "variance": variance_kernel()}[name]
+
+
+def _peak_vectors(fn, *args):
+    """Peak traced allocation of fn(*args), in float64 vectors of N_MEMORY."""
+    fn(*args)  # builds the cached binomial columns
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / (8 * N_MEMORY)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", sorted(MEMORY_THETA))
+def test_studentized_path_holds_two_vectors(name):
+    # the path is built in the prefix buffer, and the jackknife's q vector
+    # is released before the prefix pass: two n-vectors above the sample,
+    # plus index blocks of a twentieth of one
+    x = sample(normal(0, 1), N_MEMORY, 5)
+    kernel = _memory_kernel(name)
+    assert kernel_route(kernel) == ROUTE_CLOSED_FORM
+    assert _peak_vectors(studentized_path, kernel, x, MEMORY_THETA[name]) <= 2.05
+
+
+def test_truncated_studentized_path_holds_nothing_past_its_sort_route():
+    # a FULL_M-truncated product whose truncation bites runs the sort
+    # routes, whose merge levels hold many n-vectors; the path adds none
+    kernel = truncate_kernel(product_kernel(2, a=2.0),
+                             TruncationRule(TruncationMode.FULL_M, N_MEMORY))
+    x = sample(example_density(2.0), N_MEMORY, 5).copy()
+    x[7] = 1e7
+    code, thr = kernel.accel_code, kernel.accel_thr
+    assert kernel_route(kernel) == ROUTE_SORT
+    assert _accel.max_abs_kernel(code, x, 2) > thr
+    route_peak = max(_peak_vectors(_accel.prefix_sums, code, thr, x, 2),
+                     _peak_vectors(_accel.q_raw, code, thr, x, 2))
+    assert _peak_vectors(studentized_path, kernel, x, 4.0) <= route_peak + 0.05
+
+
+def _bites(kernel, n):
+    return truncate_kernel(kernel, TruncationRule(TruncationMode.FULL_M, n))
+
+
+UNTOUCHED = {
+    "identity": (identity_kernel(), ROUTE_CLOSED_FORM),
+    "product2": (product_kernel(2), ROUTE_CLOSED_FORM),
+    "variance": (variance_kernel(), ROUTE_CLOSED_FORM),
+    "product1-sort": (_bites(product_kernel(1), 30), ROUTE_SORT),
+    "product2-sort": (_bites(product_kernel(2), 30), ROUTE_SORT),
+    "variance-sort": (_bites(variance_kernel(), 30), ROUTE_SORT),
+    "user1": (make_kernel("cube", 1, lambda x: x * x * x), ROUTE_ENUMERATION),
+    "user2": (make_kernel("sum", 2, lambda x, y: x + y), ROUTE_ENUMERATION),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTOUCHED))
+def test_paths_leave_data_and_columns_untouched(name):
+    # the prefix buffer is overwritten in place: it must never be the data
+    # (the order-1 product's q_raw is the data itself) or a cached column
+    kernel, route = UNTOUCHED[name]
+    assert kernel_route(kernel) == route
+    x = sample(normal(0, 1), 30, 3)
+    x[4] = 400.0
+    if route == ROUTE_SORT:
+        assert _accel.max_abs_kernel(kernel.accel_code, x, kernel.order) > kernel.accel_thr
+    x.flags.writeable = False
+    before = x.copy()
+    studentized_path(kernel, x, 0.1)
+    columns = {m: col.copy() for m, col in engine._COLUMNS.items()}
+    assert {1, kernel.order} <= set(columns)
+    outputs = [studentized_path(kernel, x, 0.1).values,
+               u_prefix_process(kernel, x).values,
+               pseudo_selfnormalized_path(kernel, x, 0.1, x - 0.1).values,
+               jackknife_closed_form(kernel, x).q]
+    assert np.array_equal(x, before)
+    for m, col in engine._COLUMNS.items():
+        assert not col.flags.writeable
+        assert np.array_equal(col, columns[m])
+        assert not any(np.shares_memory(out, col) for out in outputs)
+    assert not any(np.shares_memory(out, x) for out in outputs)
 
 
 def test_scale_invariance():

@@ -40,7 +40,7 @@ KERNELS = {
     "product1": (product_kernel(1), lambda x: x),
     "product2": (product_kernel(2), lambda x, y: x * y),
     "product3": (product_kernel(3), lambda x, y, z: x * y * z),
-    "variance": (variance_kernel(), lambda x, y: 0.5 * (x - y) ** 2),
+    "variance": (variance_kernel(), lambda x, y: 0.5 * ((x - y) * (x - y))),
 }
 
 
@@ -190,7 +190,7 @@ def _boundary_data(name, thr, kept):
             x0, cut = head[0], head[0] + math.sqrt(2.0 * thr)
 
             def holds(v):
-                return 0.5 * (v - x0) ** 2 <= thr
+                return 0.5 * ((v - x0) * (v - x0)) <= thr
         else:
             head = [float(v) for v in rng.uniform(0.3, 3.0, m - 1)]
             a = math.prod(head)
