@@ -1,25 +1,33 @@
 """Closed forms and sort routes of the built-in kernels, in numpy.
 
+This is the one module that tells the built-in kernels apart and picks
+between their closed forms and their sort routes; :mod:`ustatlab.engine`,
+:mod:`ustatlab.jackknife` and :mod:`ustatlab.decomposition` ask it only
+whether it serves a kernel (:func:`serves`) and otherwise enumerate.
+
 Three reductions serve every built-in kernel: ``ustat_sum`` (the sum of h
 over all m-combinations), ``prefix_sums`` (that sum over each prefix of
 the data) and ``q_raw`` (per point, the sum of h over the m-subsets
-containing it).  Each takes ``(code, thr, data, m)`` and computes the
-truncated kernel ``h * 1(|h| <= thr)``.  It takes the closed form of the
-untruncated kernel when the truncation keeps every evaluation: when
-``thr`` is infinite, or when the O(n) bound :func:`max_abs_kernel` on
-|h| is at most ``thr``.  Any other threshold takes the sort route.  The
-bound is at least every |h| as the enumeration of :mod:`ustatlab.engine`
-rounds it, so the shortcut keeps exactly the enumeration's kept set; an
-overflowed bound is infinite and takes the sort route.  A fourth
-reduction, ``square_sum(code, data, m)``, sums h^2 over the
-m-combinations of an untruncated kernel, for the diagonal-square
-statistic of :mod:`ustatlab.decomposition`.
+containing it).  Each takes ``(code, thr, data, m)``, computes the
+truncated kernel ``h * 1(|h| <= thr)`` and returns a result that shares
+no memory with ``data``.  It takes the closed form of the untruncated
+kernel when the truncation keeps every evaluation: when ``thr`` is
+infinite, or when the O(n) bound :func:`max_abs_kernel` on |h| is at
+most ``thr``.  Any other threshold takes the sort route.  The bound is
+at least every |h| as the enumeration of :mod:`ustatlab.engine` rounds
+it, so the shortcut keeps exactly the enumeration's kept set; an
+overflowed bound is infinite and takes the sort route.  Two more
+reductions serve the statistics of :mod:`ustatlab.decomposition` by the
+same decision, and return None where the truncation bites, for the
+caller to enumerate: ``square_sum(code, thr, data, m)``, the sum of h^2
+over the m-combinations (diagonal-square), and ``shared_pair_total(code,
+thr, data)``, the order-3 shared-pair total.
 
 A kernel's code is ``KERNEL_PRODUCT`` or ``KERNEL_VARIANCE``, or the pair
 ``(KERNEL_CONSTANT, c)`` for the constant kernel h = c of any order,
 whose value travels with its code.  A truncation keeps all of its
 evaluations when |c| <= thr and none otherwise, so every reduction takes
-its closed form with c or with 0.
+its closed form with c or with 0, at any order.
 
 Closed forms:
 
@@ -29,15 +37,16 @@ Closed forms:
   e_(j-1)(x[:i])``, one running sum per order, in O(n m).  ``q_raw``
   downdates the totals e_1..e_(m-1), and sums e_(m-1) again without each
   of the m - 1 largest |x|, where the downdate cancels.  The order-3
-  shared-pair total ``product_shared_pair_total`` is separate.
+  shared-pair total is one n x n contraction.
 * Variance kernel ``h = (x - y)^2 / 2``: power sums in O(n), taken over
   the data centered on its mean.
-* Constant kernel: c C(n, m), c C(k, m) over the prefixes (Pascal's rule,
-  the ESP recurrence on ones) and c C(n - 1, m - 1) per point, the same
-  float at every point.
+* Constant kernel: c C(n, m), c times the cached column of C(k, m) over
+  the prefixes (:func:`_comb_column`) and c C(n - 1, m - 1) per point,
+  the same float at every point; c^2 C(n, m) and c^2 [n]_4 for the two
+  decomposition sums.
 * Sums of h^2: e_m(x^2) for the product kernel, whose square is the
   product kernel of x^2; fourth power sums of the centered data for the
-  variance kernel; c^2 C(n, m) for the constant kernel.
+  variance kernel.
 
 Sort routes, for the product kernel of order m <= 3 and the variance
 kernel: the kept partners of a point (or of a pair, for m = 3) form a
@@ -57,9 +66,10 @@ the kept terms; the variance route adds power sums of x about its median
 element, whose rounding error scales with the squared spread of the data
 instead.
 
-Which route a kernel takes is decided once, in
-:func:`ustatlab.engine.kernel_route`; its sort route may still take the
-closed form at run time, by the bound above.
+The exact binomial columns C(k, m) live here too (:func:`_binomials`,
+:func:`_comb_column`): the engine's enumeration takes its block starts
+from them and divides prefix sums by them, the variance prefix and the
+Studentized path take the order-1 column as their float k-grid.
 """
 
 from __future__ import annotations
@@ -76,7 +86,6 @@ KERNEL_VARIANCE = 2  # m = 2, h(x, y) = (x - y)^2 / 2
 KERNEL_CONSTANT = 3  # h = c, coded as the pair (KERNEL_CONSTANT, c)
 MAX_SORT_ORDER = 3   # the sort routes cover the built-in kernels of order <= 3
 MAX_SORT_PAIRS = 2 * 10 ** 6  # the order-3 sort route holds ~125 bytes per pair
-_BLOCK = 1 << 12  # length of the index blocks of _times_index
 
 
 def _as_f64(data) -> np.ndarray:
@@ -100,12 +109,37 @@ def _accumulate(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _times_index(v: np.ndarray) -> None:
-    """v[k] *= k in place, the float k-grid made one block at a time, so
-    no n-vector of indices is held."""
-    for a in range(0, v.shape[0], _BLOCK):
-        block = v[a:a + _BLOCK]
-        block *= np.arange(a, a + block.shape[0], dtype=np.float64)
+def _binomials(n: int, r: int) -> np.ndarray:
+    """C(t, r) for t = 0..n, exact: the falling factorial t (t-1) .. (t-r+1),
+    which is 0 for t < r, floor-divided by r!, in int64 while n^r fits;
+    Python integers from math.comb past that.  The factor t - j of entry
+    t is entry t - j of the index grid, so the product is formed in place
+    on shifted slices."""
+    if n ** r >= 2 ** 63:
+        return np.array([math.comb(t, r) for t in range(n + 1)], dtype=object)
+    ts = np.arange(n + 1, dtype=np.int64)
+    falling = np.ones(n + 1, dtype=np.int64)
+    for j in range(min(r, n + 1)):
+        falling[j:] *= ts[:n + 1 - j]  # entries below j already hold 0
+    falling //= math.factorial(r)
+    return falling
+
+
+_COLUMNS: dict = {}  # order m -> the read-only float(C(k, m)), k = m..N
+
+
+def _comb_column(n: int, m: int) -> np.ndarray:
+    """float(C(k, m)) for k = m..n, read-only.  C(k, m) does not depend on
+    n, so one column is kept per order m, grown to the largest n asked
+    for, and every smaller n gets a prefix view of it: a study builds each
+    column once, in its first replication, whatever its n-grid.  The
+    order-1 column is the float k-grid k = 1..n."""
+    col = _COLUMNS.get(m)
+    if col is None or col.shape[0] < n - m + 1:
+        col = _binomials(n, m)[m:].astype(np.float64)
+        col.flags.writeable = False
+        _COLUMNS[m] = col
+    return col[:max(n - m + 1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +179,7 @@ def _product_q_raw(x: np.ndarray, m: int) -> np.ndarray:
     without x_i, in O(n m^2) in all, so every q_raw[i] is accurate to the
     sum of |h| over the subsets containing i."""
     if m == 1:
-        return x  # callers only read q_raw, so no copy
+        return x.copy()
     if m == 2:
         # e_1 summed around the largest |x|, whose q then needs no downdate;
         # q holds |x| first, so the call allocates one array
@@ -164,21 +198,6 @@ def _product_q_raw(x: np.ndarray, m: int) -> np.ndarray:
     for i in np.argpartition(np.abs(x), x.shape[0] - m + 1)[x.shape[0] - m + 1:]:
         q[i] = x[i] * _esp_totals(np.delete(x, i), m - 1)[-1]
     return q
-
-
-def product_shared_pair_total(data) -> float:
-    """sum over distinct ordered (i1,i2,i3,i4) of h(x1,x2,x3) * h(x1,x2,x4)
-    for the order-3 product kernel: over the ordered pairs i != j,
-    (x_i x_j)^2 ((sum of the other x)^2 - sum of the other x^2), as one
-    n x n array."""
-    x = _as_f64(data)
-    xx = x * x
-    s1 = float(x.sum())
-    s2 = float(xx.sum())
-    t = (x[:, None] * x) * ((s1 - x)[:, None] - x)
-    d = t * t - (xx[:, None] * xx) * ((s2 - xx)[:, None] - xx)
-    np.fill_diagonal(d, 0.0)
-    return float(d.sum())
 
 
 def _centered(x: np.ndarray) -> np.ndarray:
@@ -212,7 +231,7 @@ def _variance_prefix(x: np.ndarray) -> np.ndarray:
     np.multiply(y, y, out=c2[1:])
     _accumulate(c2)
     _accumulate(c1)
-    _times_index(c2)
+    c2[1:] *= _comb_column(x.shape[0], 1)
     c1 *= c1
     c2 -= c1
     c2 *= 0.5
@@ -239,20 +258,6 @@ def _constant(code, thr: float):
         return None
     c = code[1]
     return c if abs(c) <= thr else 0.0
-
-
-def square_sum(code, data, m: int) -> float:
-    """Sum of h^2 over all m-combinations of an untruncated built-in
-    kernel: c^2 C(n, m) for the constant kernel, e_m(x^2) for the product
-    kernel (whose square is the product kernel of x^2) and
-    :func:`_variance_square_sum` for the variance kernel."""
-    x = _as_f64(data)
-    c = _constant(code, math.inf)
-    if c is not None:
-        return c * c * math.comb(x.shape[0], m)
-    if code == KERNEL_VARIANCE:
-        return _variance_square_sum(x)
-    return _esp_totals(x * x, m)[-1]
 
 
 def max_abs_kernel(code, data, m: int) -> float:
@@ -474,9 +479,18 @@ def _by_last(code: int, thr: float, x: np.ndarray, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the three reductions: a threshold that keeps every evaluation takes the
-# closed form, any other the sort route
+# the reductions: a threshold that keeps every evaluation takes the closed
+# form, any other the sort route (or None, for the decomposition sums)
 # ---------------------------------------------------------------------------
+
+def serves(code, thr: float, m: int) -> bool:
+    """Whether the reductions serve the kernel coded ``code`` (None for a
+    kernel that is not built in) at threshold ``thr`` and order m: every
+    untruncated built-in and every truncated constant, of any order, and
+    the truncated product and variance kernels of order <= 3."""
+    return code is not None and (thr == math.inf or isinstance(code, tuple)
+                                 or m <= MAX_SORT_ORDER)
+
 
 def _keeps_all(code: int, thr: float, x: np.ndarray, m: int) -> bool:
     """Whether h * 1(|h| <= thr) keeps every evaluation on x, so that it
@@ -502,16 +516,17 @@ def prefix_sums(code, thr: float, data, m: int) -> np.ndarray:
     x = _as_f64(data)
     c = _constant(code, thr)
     if c is not None:
-        # C(k, m) by Pascal's rule, C(k, m) = sum over i < k of C(i, m - 1):
-        # the ESP recurrence on n ones, exact below 2^53
-        return c * _esp_prefix(np.ones(x.shape[0]), m)
+        out = np.zeros(x.shape[0] + 1)
+        np.multiply(_comb_column(x.shape[0], m), c, out=out[m:])
+        return out
     if _keeps_all(code, thr, x, m):
         return _variance_prefix(x) if code == KERNEL_VARIANCE else _esp_prefix(x, m)
     return running_sums(_by_last(code, thr, x, m))
 
 
 def q_raw(code, thr: float, data, m: int) -> np.ndarray:
-    """q_raw[i] = sum of the kernel over the m-subsets containing i."""
+    """q_raw[i] = sum of the kernel over the m-subsets containing i, in a
+    fresh array on every route, which the caller may overwrite."""
     x = _as_f64(data)
     c = _constant(code, thr)
     if c is not None:
@@ -530,3 +545,40 @@ def q_raw(code, thr: float, data, m: int) -> np.ndarray:
         c = running_sums(x[order])
         return x * (c[np.minimum(cut, rank)] + (c[np.maximum(cut, rank + 1)] - c[rank + 1]))
     return _product3_q_raw(x, thr)
+
+
+def square_sum(code, thr: float, data, m: int):
+    """Sum of h^2 over all m-combinations: c^2 C(n, m) for the constant
+    kernel, e_m(x^2) for the product kernel (whose square is the product
+    kernel of x^2) and :func:`_variance_square_sum` for the variance
+    kernel; None when the truncation bites."""
+    x = _as_f64(data)
+    c = _constant(code, thr)
+    if c is not None:
+        return c * c * math.comb(x.shape[0], m)
+    if not _keeps_all(code, thr, x, m):
+        return None
+    if code == KERNEL_VARIANCE:
+        return _variance_square_sum(x)
+    return _esp_totals(x * x, m)[-1]
+
+
+def shared_pair_total(code, thr: float, data):
+    """sum over distinct ordered (i1,i2,i3,i4) of h(x1,x2,x3) * h(x1,x2,x4)
+    for an order-3 kernel: c^2 [n]_4 for the constant kernel, and for the
+    product kernel, over the ordered pairs i != j, (x_i x_j)^2 ((sum of
+    the other x)^2 - sum of the other x^2), as one n x n array; None for
+    any other kernel, or when the truncation bites."""
+    x = _as_f64(data)
+    c = _constant(code, thr)
+    if c is not None:
+        return c * c * float(math.perm(x.shape[0], 4))
+    if code != KERNEL_PRODUCT or not _keeps_all(code, thr, x, 3):
+        return None
+    xx = x * x
+    s1 = float(x.sum())
+    s2 = float(xx.sum())
+    t = (x[:, None] * x) * ((s1 - x)[:, None] - x)
+    d = t * t - (xx[:, None] * xx) * ((s2 - xx)[:, None] - xx)
+    np.fill_diagonal(d, 0.0)
+    return float(d.sum())

@@ -43,6 +43,7 @@ from .distributions import Distribution, derive_seed, sample_grid
 from .engine import (
     ROUTE_CLOSED_FORM,
     ROUTE_ENUMERATION,
+    _as_sample,
     _check_enumeration,
     _combination_blocks,
     _routed,
@@ -389,35 +390,28 @@ def negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float
     the sum of h^2 over distinct tuples scaled by the falling factorial
     [n]^-(2m-1); ``shared-pair`` = the order-3 statistic pairing two
     kernel evaluations that share their first two arguments, same scale.
-    Diagonal-square takes ``_accel.square_sum`` for a built-in kernel whose
-    threshold keeps every evaluation on x (always so untruncated, else
-    when ``_accel``'s O(n) bound on |h| clears it).  Shared-pair is
-    c^2 [n]_4 for a constant c (0 when truncation drops it) and the
-    closed-form pair total for the untruncated product kernel.  Every
-    other case enumerates.
+    The sample is checked first: a non-finite value raises DomainError.
+    Diagonal-square and shared-pair take ``_accel.square_sum`` and
+    ``_accel.shared_pair_total`` for a kernel that ``_accel`` serves, and
+    enumerate where it has no kernel code or where the truncation bites
+    on x (those return None).
     """
-    n, m = len(x), kernel.order
+    x = _as_sample(x)
+    n, m = x.shape[0], kernel.order
     if statistic_id == "centered-usq":
-        v = (u_statistic(kernel, x) - theta) ** 2
-    elif statistic_id == "diagonal-square":
-        route = _routed(kernel, n)  # raises for n < m
-        code, thr = kernel.accel_code, kernel.accel_thr
-        if route != ROUTE_ENUMERATION and _accel._keeps_all(code, thr, x, m):
-            squares = _accel.square_sum(code, x, m)
-        else:
+        return float(abs((u_statistic(kernel, x) - theta) ** 2))
+    served = _routed(kernel, n) != ROUTE_ENUMERATION  # raises for n < m
+    code, thr = kernel.accel_code, kernel.accel_thr
+    if statistic_id == "diagonal-square":
+        squares = _accel.square_sum(code, thr, x, m) if served else None
+        if squares is None:
             squares = float(np.sum([(vals * vals).sum()
                                     for _, _, vals in _combination_blocks(kernel, x)]))
         v = math.factorial(m) * squares / _falling(n, 2 * m - 1)
     else:
-        # m == 3 here; every kernel of order 3 without a closed form takes
-        # the generic contraction
-        route = _routed(kernel, n)
-        c = _accel._constant(kernel.accel_code, kernel.accel_thr)
-        if c is not None:
-            tot = c * c * _falling(n, 4)
-        elif route == ROUTE_CLOSED_FORM and kernel.accel_code == _accel.KERNEL_PRODUCT:
-            tot = _accel.product_shared_pair_total(x)
-        else:
+        # m == 3 here
+        tot = _accel.shared_pair_total(code, thr, x) if served else None
+        if tot is None:
             tot = _shared_pair_generic(kernel, x)
         v = tot / _falling(n, 2 * m - 1)
     return float(abs(v))

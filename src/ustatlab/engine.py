@@ -1,21 +1,19 @@
 """Exact and incremental U-statistic evaluation.
 
 Everything here is deterministic; Monte Carlo belongs to
-:mod:`ustatlab.experiments`.  :func:`kernel_route` picks, once per
-kernel, one of three routes: the closed forms for the untruncated
-built-in kernels, the sort routes for the truncated built-in kernels of
-order <= 3, or one enumeration of
-every m-combination (:func:`_combination_blocks`) for every other
-kernel, which sums, prefix sums and the jackknife reduce in their own
-way.  The first two are the reductions ``ustat_sum``, ``prefix_sums``
-and ``q_raw`` of :mod:`ustatlab._accel`, which tell the kernels apart by
-their code and the routes by their threshold; so the engine and the
-jackknife ask only "enumeration or ``_accel``?".
-Enumeration is capped wherever it runs (combination count <= 1e8,
-ordered-tuple arity <= 6), and the order-3 sort route, which holds every
-pair, at C(n, 2) <= 2e6 where it runs (``_accel.MAX_SORT_PAIRS``): past a
-cap the engine refuses with :class:`ResourceLimitError` rather than
-silently subsampling.
+:mod:`ustatlab.experiments`.  :func:`kernel_route` asks one question of
+each kernel: does :mod:`ustatlab._accel` serve it (``_accel.serves``)?
+If so, its reductions ``ustat_sum``, ``prefix_sums`` and ``q_raw``
+evaluate it, and only they tell the built-in kernels apart and pick
+between their closed forms and their sort routes; the route is reported
+as closed form for an untruncated kernel and as sort for a truncated
+one.  Every other kernel takes one enumeration of every m-combination
+(:func:`_combination_blocks`), which sums, prefix sums and the jackknife
+reduce in their own way.  Enumeration is capped wherever it runs
+(combination count <= 1e8, ordered-tuple arity <= 6), and the order-3
+sort route, which holds every pair, at C(n, 2) <= 2e6 where it runs
+(``_accel.MAX_SORT_PAIRS``): past a cap the engine refuses with
+:class:`ResourceLimitError` rather than silently subsampling.
 """
 
 from __future__ import annotations
@@ -49,8 +47,8 @@ MAX_ENUMERATION = 10 ** 8
 MAX_ORDERED_ARITY = 6
 _CHUNK = 1 << 16
 
-ROUTE_CLOSED_FORM = "closed-form"  # untruncated built-in: _accel closed forms
-ROUTE_SORT = "sort"                # truncated built-in: _accel sort routes
+ROUTE_CLOSED_FORM = "closed-form"  # untruncated, served by _accel
+ROUTE_SORT = "sort"                # truncated, served by _accel
 ROUTE_ENUMERATION = "enumeration"  # anything else: block enumeration
 
 
@@ -98,25 +96,20 @@ def _check_enumeration(n: int, m: int) -> None:
 
 
 def kernel_route(kernel: Kernel) -> str:
-    """Which implementation evaluates ``kernel``: ROUTE_CLOSED_FORM for an
-    untruncated built-in kernel (product of any order, variance, constant
-    of any order), ROUTE_SORT for a truncated built-in kernel of order
-    <= 3, ROUTE_ENUMERATION for any other.
+    """Which implementation evaluates ``kernel``: ROUTE_ENUMERATION unless
+    ``_accel`` serves it, else ROUTE_CLOSED_FORM untruncated and ROUTE_SORT
+    truncated.
 
     Decided for every computation alike: sums, prefix sums, jackknife
-    q-accumulation and the decomposition statistics, whose diagonal-square
-    and shared-pair sums enumerate off ROUTE_CLOSED_FORM.  A ROUTE_SORT
-    kernel may still take the closed form at run time: ``_accel`` takes it
-    on data where an O(n) bound on |h| shows that the threshold keeps
-    every evaluation, and a truncated constant always does, with c or 0.
+    q-accumulation and the decomposition statistics.  A ROUTE_SORT kernel
+    may still take the closed form at run time: ``_accel`` takes it on
+    data where an O(n) bound on |h| shows that the threshold keeps every
+    evaluation, and a truncated constant of any order always does, with c
+    or 0.
     """
-    if kernel.accel_code is None:
+    if not _accel.serves(kernel.accel_code, kernel.accel_thr, kernel.order):
         return ROUTE_ENUMERATION
-    if kernel.accel_thr == math.inf:
-        return ROUTE_CLOSED_FORM
-    if kernel.order <= _accel.MAX_SORT_ORDER:
-        return ROUTE_SORT
-    return ROUTE_ENUMERATION
+    return ROUTE_CLOSED_FORM if kernel.accel_thr == math.inf else ROUTE_SORT
 
 
 def _routed(kernel: Kernel, n: int) -> str:
@@ -140,7 +133,7 @@ def _colex_subsets(n: int, r: int) -> np.ndarray:
     """All r-subsets of range(n) as index rows in colex order."""
     if r == 0:
         return np.zeros((1, 0), dtype=np.intp)
-    starts = _binomials(n, r).astype(np.intp, copy=False)
+    starts = _accel._binomials(n, r).astype(np.intp, copy=False)
     return _colex_rows(np.arange(starts[-1]), starts, _colex_subsets(n - 1, r - 1))
 
 
@@ -152,7 +145,7 @@ def _head_blocks(n: int, m: int):
     if r == 0:
         yield np.zeros((1, 0), dtype=np.intp)
         return
-    starts = _binomials(n - 1, r).astype(np.intp, copy=False)
+    starts = _accel._binomials(n - 1, r).astype(np.intp, copy=False)
     rest = _colex_subsets(n - 2, r - 1)
     p = 0
     while p < starts[-1]:
@@ -216,41 +209,8 @@ def u_prefix_process(kernel: Kernel, data) -> UPrefixValues:
     # both routes return fresh sums, so U_k overwrites them
     values = sums
     values[:m] = np.nan
-    np.divide(values[m:], _comb_column(n, m), out=values[m:])
+    np.divide(values[m:], _accel._comb_column(n, m), out=values[m:])
     return UPrefixValues(n=n, m=m, values=values)
-
-
-def _binomials(n: int, r: int) -> np.ndarray:
-    """C(t, r) for t = 0..n, exact: the falling factorial t (t-1) .. (t-r+1),
-    which is 0 for t < r, floor-divided by r!, in int64 while n^r fits;
-    Python integers from math.comb past that.  The factor t - j of entry
-    t is entry t - j of the index grid, so the product is formed in place
-    on shifted slices."""
-    if n ** r >= 2 ** 63:
-        return np.array([math.comb(t, r) for t in range(n + 1)], dtype=object)
-    ts = np.arange(n + 1, dtype=np.int64)
-    falling = np.ones(n + 1, dtype=np.int64)
-    for j in range(min(r, n + 1)):
-        falling[j:] *= ts[:n + 1 - j]  # entries below j already hold 0
-    falling //= math.factorial(r)
-    return falling
-
-
-_COLUMNS: dict = {}  # order m -> the read-only float(C(k, m)), k = m..N
-
-
-def _comb_column(n: int, m: int) -> np.ndarray:
-    """float(C(k, m)) for k = m..n, read-only.  C(k, m) does not depend on
-    n, so one column is kept per order m, grown to the largest n asked
-    for, and every smaller n gets a prefix view of it: a study builds each
-    column once, in its first replication, whatever its n-grid.  The
-    order-1 column is the float k-grid k = 1..n."""
-    col = _COLUMNS.get(m)
-    if col is None or col.shape[0] < n - m + 1:
-        col = _binomials(n, m)[m:].astype(np.float64)
-        col.flags.writeable = False
-        _COLUMNS[m] = col
-    return col[:n - m + 1]
 
 
 def ordered_distinct_sum(f, data, r: int) -> OrderedTupleSum:

@@ -311,20 +311,13 @@ def _value(config: ExperimentConfig, kernel, dist, theta, ell_sq,
 
 
 def _run_chunk(payload) -> list:
-    """Replications start..stop-1, each as its list of values per n."""
-    config_dict, start, stop = payload
+    """Replications start..stop-1, each as its list of values per n;
+    ``ells`` holds the study's ell^2(n) per n."""
+    config_dict, ells, start, stop = payload
     config = ExperimentConfig.from_dict(config_dict)
     kernel, dist, theta = _resolve(config)
-    ells = [_ell_for(config, kernel, dist, n) for n in config.n_grid]
     return [_rep_value(config, kernel, dist, theta, ells, rep)
             for rep in range(start, stop)]
-
-
-def _ell_for(config: ExperimentConfig, kernel, dist, n: int) -> Optional[float]:
-    if config.experiment not in ("RAIKOV", "JACK_RAIKOV"):
-        return None
-    est = estimate_ell(dist, kernel, n, method=config.ell_method)
-    return est.ell_sq
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +331,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     notes: list = []
     if config.experiment == "NEGLIGIBILITY":
         check_trend(config.statistic, kernel, dist, config.n_grid, theta)
+    ells = [None] * len(config.n_grid)
     # degenerate configuration guard: a zero normalizing variance makes
     # every replication a drop, which the report records rather than hides
     if config.experiment in ("RAIKOV", "JACK_RAIKOV", "ARVESEN"):
@@ -367,16 +361,20 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
                 notes=notes, runtime_seconds=time.monotonic() - started,
                 values={n: [None] * config.replications for n in config.n_grid},
             )
+        # ell^2(n) per n, once per study: the normalizer of RAIKOV and
+        # JACK_RAIKOV, and ARVESEN's target E h1^2
+        ells = [estimate_ell(dist, kernel, n, method=config.ell_method).ell_sq
+                for n in config.n_grid]
     per_n = []
     values_by_n = {}
     dropped_total = 0
-    rows = _collect(config, workers)
+    rows = _collect(config, ells, workers)
     for j, n in enumerate(config.n_grid):
         values = values_by_n[n] = [row[j] for row in rows]
         kept = [v for v in values if v is not None]
         dropped = len(values) - len(kept)
         dropped_total += dropped
-        per_n.append(_summarize(config, kernel, dist, n, kept, dropped))
+        per_n.append(_summarize(config, n, ells[j], kept, dropped))
     if config.experiment == "NEGLIGIBILITY":
         decreasing = trend_decreasing([r.mean for r in per_n])
         per_n = [replace(r, passed=decreasing) for r in per_n]
@@ -394,14 +392,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     )
 
 
-def _collect(config: ExperimentConfig, workers: int) -> list:
+def _collect(config: ExperimentConfig, ells: list, workers: int) -> list:
     """Every replication's values per n, in replication order: serially
     for one worker, else in workers * 4 chunks on one process pool."""
     R = config.replications
     if workers <= 1:
-        return _run_chunk((config.to_dict(), 0, R))
+        return _run_chunk((config.to_dict(), ells, 0, R))
     bounds = np.linspace(0, R, workers * 4 + 1).astype(int)
-    payloads = [(config.to_dict(), int(a), int(b))
+    payloads = [(config.to_dict(), ells, int(a), int(b))
                 for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     rows: list = []
     pool = ProcessPoolExecutor(max_workers=workers)
@@ -424,8 +422,8 @@ def _statistic_name(config: ExperimentConfig) -> str:
     }[config.experiment]
 
 
-def _summarize(config: ExperimentConfig, kernel, dist, n: int, kept: list,
-               dropped: int) -> PerNRecord:
+def _summarize(config: ExperimentConfig, n: int, ell_sq: Optional[float],
+               kept: list, dropped: int) -> PerNRecord:
     name = _statistic_name(config)
     drop_ok = dropped <= MAX_DROP_RATE * config.replications
     if not kept:
@@ -448,9 +446,7 @@ def _summarize(config: ExperimentConfig, kernel, dist, n: int, kept: list,
                           se=_se(arr), ks=ks, dropped=dropped,
                           passed=bool(drop_ok and ks <= config.ks_threshold))
     # mean-based experiments
-    target = 1.0
-    if config.experiment == "ARVESEN":
-        target = estimate_ell(dist, kernel, n, method="analytic-finite-var").ell_sq
+    target = ell_sq if config.experiment == "ARVESEN" else 1.0
     mean = float(arr.mean())
     rel_gap = abs(mean - target) / abs(target)
     return PerNRecord(n=n, statistic=name, mean=mean, se=_se(arr), ks=None,

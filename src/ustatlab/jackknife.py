@@ -21,6 +21,11 @@ which would run on BLAS's own threads next to the study's worker
 processes.  The naive per-``i``
 re-enumeration (:func:`leave_one_out`) is retained as the independent
 oracle.
+
+The per-observation sums come from :func:`ustatlab._accel.q_raw` for
+every kernel that ``_accel`` serves, and from the engine's block
+enumeration otherwise; either returns a fresh array, which the closed
+form normalizes in place.
 """
 
 from __future__ import annotations
@@ -104,12 +109,10 @@ def jackknife_closed_form(kernel: Kernel, data) -> JackknifeSummary:
     x = _as_sample(data)
     n, m = x.shape[0], kernel.order
     _check_loo_size(n, m)
-    q_raw = _q_raw(kernel, x, _routed(kernel, n))
-    u_n = float(q_raw.sum()) / (m * math.comb(n, m))
-    # q_raw is fresh on every route but the order-1 product's, which
-    # returns the data itself
-    q = np.divide(q_raw, math.comb(n - 1, m - 1),
-                  out=None if np.shares_memory(q_raw, x) else q_raw)
+    q = _q_raw(kernel, x, _routed(kernel, n))
+    u_n = float(q.sum()) / (m * math.comb(n, m))
+    if m > 1:
+        q /= math.comb(n - 1, m - 1)  # q_raw is fresh on every route
     if q[0] == q[-1] and (q == q[0]).all():
         # the q_i average to U_n, so equal q_i are each U_n and the sum of
         # squares is 0, where q - u_n would square the rounding of u_n

@@ -18,10 +18,10 @@ reduce exactly to the self-normalized partial-sum process.
 
 A path is built in place in the buffer of prefix values U_k that
 :func:`ustatlab.engine.u_prefix_process` returns, and its factor k is
-the engine's cached float k-grid (the order-1 binomial column), so the
-path holds one n-vector.  The Studentized path takes its jackknife scale
-first, and releases the jackknife's per-observation vector, before the
-prefix pass.
+the cached float k-grid of :mod:`ustatlab._accel` (the order-1 binomial
+column), so the path holds one n-vector.  The Studentized path takes its
+jackknife scale first, and releases the jackknife's per-observation
+vector, before the prefix pass.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import UPrefixValues, _comb_column, u_prefix_process, u_statistic
+from ._accel import _comb_column
+from .engine import UPrefixValues, u_prefix_process, u_statistic
 from .errors import (
     DegenerateNormalizerError,
     DomainError,
@@ -89,7 +90,7 @@ def _step_path(prefix: UPrefixValues, theta: float, factor: np.ndarray,
 
 
 def _k_grid(n: int, m: int) -> np.ndarray:
-    """float(k) for k = m..n, a view of the engine's order-1 column."""
+    """float(k) for k = m..n, a view of the cached order-1 column."""
     return _comb_column(n, 1)[m - 1:]
 
 

@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +18,8 @@ from ustatlab._accel import (
     KERNEL_VARIANCE,
     max_abs_kernel,
     prefix_sums,
-    product_shared_pair_total,
     q_raw,
+    shared_pair_total,
     square_sum,
     ustat_sum,
 )
@@ -60,7 +62,7 @@ def test_shared_pair_total():
 
     want = brute_ordered_sum(lambda a, b, c, e: (a * b * c) * (a * b * e),
                              list(x), 4)
-    assert product_shared_pair_total(x) == pytest.approx(want, rel=1e-10)
+    assert shared_pair_total(KERNEL_PRODUCT, math.inf, x) == pytest.approx(want, rel=1e-10)
 
 
 def test_max_abs_kernel():
@@ -145,11 +147,59 @@ def test_variance_square_sum_against_exact_oracle(base, shift, scale):
     # the power sums are taken about the mean, so a shift costs no digits
     x = [shift + scale * v for v in base]
     exact = _exact_variance_square_sum(x)
-    got = square_sum(KERNEL_VARIANCE, x, 2)
+    got = square_sum(KERNEL_VARIANCE, math.inf, x, 2)
     assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact, x
 
 
 def test_constant_square_sum_is_exact():
     x = np.zeros(400)
-    assert square_sum((KERNEL_CONSTANT, 1.0), x, 2) == math.comb(400, 2)
-    assert square_sum((KERNEL_CONSTANT, -3.0), x, 3) == 9 * math.comb(400, 3)
+    assert square_sum((KERNEL_CONSTANT, 1.0), math.inf, x, 2) == math.comb(400, 2)
+    assert square_sum((KERNEL_CONSTANT, -3.0), math.inf, x, 3) == 9 * math.comb(400, 3)
+
+
+# ---------------------------------------------------------------------------
+# one dispatch point
+# ---------------------------------------------------------------------------
+
+_KERNEL_DECISIONS = {"MAX_SORT_ORDER", "_keeps_all", "_constant"}
+
+
+def _kernel_decisions_read(tree):
+    """Names of ``_accel`` that pick between the built-in kernels or their
+    routes, as a module reads them: ``_accel.NAME`` through any name bound
+    to the module, or ``from ._accel import NAME``."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "_accel":  # from . import _accel
+                    bound.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "ustatlab._accel" and alias.asname:
+                    bound.add(alias.asname)
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_accel"):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in bound:
+            read.add(node.attr)
+    return {name for name in read
+            if name.startswith("KERNEL_") or name in _KERNEL_DECISIONS}
+
+
+def test_only_accel_tells_the_builtin_kernels_apart():
+    # outside _accel, and kernels, which assigns the codes, no module reads
+    # a kernel code or a route decision of _accel: they ask only whether
+    # _accel serves a kernel
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "ustatlab"
+    modules = sorted(src.glob("*.py"))
+    assert {"_accel.py", "engine.py", "decomposition.py"} <= {p.name for p in modules}
+    readers = {p.stem: _kernel_decisions_read(ast.parse(p.read_text()))
+               for p in modules if p.stem not in ("_accel", "kernels")}
+    assert {name: read for name, read in readers.items() if read} == {}
+    assert _kernel_decisions_read(ast.parse(
+        "from . import _accel as a\nfrom ._accel import _keeps_all\n"
+        "a.KERNEL_PRODUCT, a.MAX_SORT_ORDER, a.serves")) \
+        == {"KERNEL_PRODUCT", "MAX_SORT_ORDER", "_keeps_all"}

@@ -1,10 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ustatlab import (
+    DomainError,
     InsufficientDataError,
     InvalidArgumentError,
     PreconditionViolationError,
@@ -29,6 +31,7 @@ from ustatlab import (
 )
 from ustatlab import _accel, decomposition, engine
 from ustatlab.decomposition import (
+    TREND_STATISTICS,
     expansion_report,
     negligibility_value,
     truncation_coupling_rate,
@@ -279,7 +282,8 @@ def test_diagonal_square_closed_forms_never_enumerate(monkeypatch):
         assert kernel_route(kernel) == ROUTE_SORT
         x = rng.normal(0.5, 1.0, n)
         assert _accel._keeps_all(kernel.accel_code, kernel.accel_thr, x, kernel.order)
-        want = math.factorial(base.order) * _accel.square_sum(base.accel_code, x, base.order) \
+        want = math.factorial(base.order) \
+            * _accel.square_sum(base.accel_code, math.inf, x, base.order) \
             / math.perm(n, 2 * base.order - 1)
         assert negligibility_value("diagonal-square", kernel, None, x) == want
     with pytest.raises(EnumerationRan):
@@ -310,6 +314,44 @@ def test_shared_pair_constant_kernel(monkeypatch):
                                x[:5]) == 0.25
 
 
+def test_negligibility_shortcuts_where_the_bound_clears(monkeypatch):
+    # FULL_M-truncated products whose O(n) bound on |h| clears the
+    # threshold: shared-pair and diagonal-square take their closed forms,
+    # as the untruncated kernels do, and give the untruncated values
+    def enumerate_(*args, **kwargs):
+        raise EnumerationRan
+
+    monkeypatch.setattr(decomposition, "_shared_pair_generic", enumerate_)
+    monkeypatch.setattr(decomposition, "_combination_blocks", enumerate_)
+    monkeypatch.setattr(engine, "_combination_blocks", enumerate_)
+    rng = np.random.default_rng(31)
+    for statistic, base, n in (("shared-pair", product_kernel(3), 60),
+                               ("diagonal-square", product_kernel(3), 60),
+                               ("diagonal-square", product_kernel(2), 400)):
+        kernel = truncate_kernel(base, TruncationRule(TruncationMode.FULL_M, n))
+        x = rng.normal(0.5, 1.0, n)
+        assert _accel.max_abs_kernel(base.accel_code, x, base.order) <= kernel.accel_thr
+        assert negligibility_value(statistic, kernel, None, x) \
+            == negligibility_value(statistic, base, None, x)
+
+
+@pytest.mark.parametrize("user", [False, True], ids=["closed-form", "user"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("statistic", TREND_STATISTICS)
+def test_negligibility_value_rejects_non_finite_samples(statistic, bad, user):
+    # every statistic checks the sample before it computes anything, so a
+    # non-finite value raises DomainError and warns of nothing
+    m = 3 if statistic == "shared-pair" else 2
+    kernel = make_kernel("prod", m, lambda *xs: math.prod(xs)) if user \
+        else product_kernel(m)
+    x = np.array([1.0, 2.0, 3.0, 0.5, -1.0, 0.25])
+    x[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            negligibility_value(statistic, kernel, 0.0, x)
+
+
 def test_trend_p1_zero_kernel():
     table = negligibility_trend("centered-usq", constant_kernel(0.0, m=2),
                                 normal(0, 1), [10, 20], R=50, seed=3)
@@ -320,13 +362,13 @@ def test_trend_shared_pair_matches_ordered_enumeration():
     # the pair-contraction path must equal the direct 4-index ordered sum,
     # on shifted and scaled data too
     rng = np.random.default_rng(7)
-    from ustatlab._accel import product_shared_pair_total
+    from ustatlab._accel import KERNEL_PRODUCT, shared_pair_total
 
     for n in (4, 5, 8, 13):
         for loc, scale in ((0.0, 1.0), (5.0, 1.0), (0.0, 1e3), (3.0, 1e-3),
                            (-100.0, 10.0)):
             x = scale * rng.normal(loc, 1, n)
-            got = product_shared_pair_total(x)
+            got = shared_pair_total(KERNEL_PRODUCT, math.inf, x)
             want = brute_ordered_sum(
                 lambda a, b, c, e: (a * b * c) * (a * b * e), list(x), 4)
             assert got == pytest.approx(want, rel=1e-10), (n, loc, scale)

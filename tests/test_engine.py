@@ -23,13 +23,12 @@ from ustatlab import (
     u_statistic,
     variance_kernel,
 )
-from ustatlab import engine
+from ustatlab import _accel, engine
+from ustatlab._accel import _binomials, _comb_column
 from ustatlab.engine import (
     ROUTE_CLOSED_FORM,
     ROUTE_ENUMERATION,
     ROUTE_SORT,
-    _binomials,
-    _comb_column,
     _combination_blocks,
     _head_blocks,
     combination_sum,
@@ -163,12 +162,12 @@ def test_kernel_route():
     assert kernel_route(user) == ROUTE_ENUMERATION
     assert kernel_route(truncate_kernel(user, cut)) == ROUTE_ENUMERATION
     # the constant kernel is a built-in of any order, and a truncated one
-    # keeps its code
+    # keeps its code and stays on _accel at any order
     for m in (1, 2, 3, 4, 7):
         assert kernel_route(constant_kernel(2.5, m)) == ROUTE_CLOSED_FORM
         truncated = truncate_kernel(constant_kernel(2.5, m), cut)
         assert truncated.accel_code == constant_kernel(2.5, m).accel_code
-        assert kernel_route(truncated) == (ROUTE_SORT if m <= 3 else ROUTE_ENUMERATION)
+        assert kernel_route(truncated) == ROUTE_SORT
 
 
 @pytest.mark.parametrize("n,m", [(40, 1), (40, 3), (55_000, 4), (60_000, 4)])
@@ -186,10 +185,10 @@ def test_comb_column_exact_cached_read_only(n, m):
 def test_comb_column_one_column_per_order(monkeypatch):
     # C(k, m) does not depend on n: a column is grown to the largest n asked
     # for, and any n up to it gets a prefix view without a rebuild
-    monkeypatch.setattr(engine, "_COLUMNS", {})
+    monkeypatch.setattr(_accel, "_COLUMNS", {})
     built = []
-    binomials = engine._binomials
-    monkeypatch.setattr(engine, "_binomials",
+    binomials = _accel._binomials
+    monkeypatch.setattr(_accel, "_binomials",
                         lambda n, r: built.append((n, r)) or binomials(n, r))
     small = _comb_column(30, 2)
     big = _comb_column(90, 2)
@@ -352,19 +351,49 @@ def test_constant_kernel_closed_form_against_oracle(c, m):
 @pytest.mark.parametrize("c", [0.7, -1.0, -1.5, 3.0])
 def test_truncated_constant_keeps_all_or_nothing(c, m):
     # at thr = 1.0 the truncated constant is c on every combination when
-    # |c| <= 1 and 0 on every one otherwise; m <= 3 takes the sort route
-    # (and again without its code, the enumeration), m = 4 the enumeration
+    # |c| <= 1 and 0 on every one otherwise, on _accel at every order and
+    # again without its code, on the enumeration
     kernel = truncate_kernel(constant_kernel(c, m), CUT)
     kept = c if abs(c) <= 1.0 else 0.0
     x = list(np.random.default_rng(53).normal(0, 1.5, 9))
-    if m <= 3:
-        assert kernel_route(kernel) == ROUTE_SORT
-        enumerated = dataclasses.replace(kernel, accel_code=None)
-        assert kernel_route(enumerated) == ROUTE_ENUMERATION
-        _check_constant(enumerated, kept, x)
-    else:
-        assert kernel_route(kernel) == ROUTE_ENUMERATION
+    assert kernel_route(kernel) == ROUTE_SORT
+    enumerated = dataclasses.replace(kernel, accel_code=None)
+    assert kernel_route(enumerated) == ROUTE_ENUMERATION
+    _check_constant(enumerated, kept, x)
     _check_constant(kernel, kept, x)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_truncated_constant_of_high_order_is_served_in_closed_form(m):
+    # C(300, m) is past the enumeration cap, and _accel serves a truncated
+    # constant of any order: c C(n, m), c C(k, m) and c C(n - 1, m - 1)
+    n, c = 300, 1.0
+    kernel = truncate_kernel(constant_kernel(c, m), TruncationRule(TruncationMode.FULL_M, n))
+    assert math.comb(n, m) > engine.MAX_ENUMERATION
+    x = np.random.default_rng(61).normal(0, 1, n)
+    assert combination_sum(kernel, x) == c * math.comb(n, m)
+    if m == 4:
+        assert combination_sum(kernel, x) == 330791175.0
+    sums = _accel.prefix_sums(kernel.accel_code, kernel.accel_thr, x, m)
+    assert sums.tolist() == [c * float(math.comb(k, m)) for k in range(n + 1)]
+    pre = u_prefix_process(kernel, x)
+    assert np.isnan(pre.values[:m]).all()
+    assert (pre.values[m:] == c).all()
+    q = jackknife_closed_form(kernel, x).q
+    assert (q == c * math.comb(n - 1, m - 1) / math.comb(n - 1, m - 1)).all()
+    assert (_accel.q_raw(kernel.accel_code, kernel.accel_thr, x, m)
+            == c * math.comb(n - 1, m - 1)).all()
+
+
+def test_constant_prefix_is_correctly_rounded_past_two_to_the_53():
+    # the constant's prefix sums are c times the correctly rounded column
+    # float(C(k, m)), so U_k = c (C(k, m) c) / C(k, m) is within 1 ulp of c
+    # where C(k, m) >= 2^53 too
+    n, m, c = 10 ** 5, 5, 0.1
+    kernel = constant_kernel(c, m)
+    assert float(math.comb(n, m)) >= 2.0 ** 53
+    values = u_prefix_process(kernel, np.zeros(n)).values[m:]
+    assert np.abs(values - c).max() <= math.ulp(c)
 
 
 def _variance_data(v):

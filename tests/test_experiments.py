@@ -24,7 +24,7 @@ from ustatlab import (
     sample,
     wiener_sup_cdf,
 )
-from ustatlab import engine, experiments
+from ustatlab import _accel, experiments
 from ustatlab.decomposition import TREND_STATISTICS
 from ustatlab.experiments import _rep_value, _resolve, report_from_json, report_to_json
 
@@ -132,11 +132,11 @@ def test_scaled_configs_shipped():
 def test_three_point_grid_builds_columns_in_first_replication_only(monkeypatch):
     # one binomial column per order, grown to the largest n: a study builds
     # its columns while its first replication walks up the grid, then never
-    monkeypatch.setattr(engine, "_COLUMNS", {})
+    monkeypatch.setattr(_accel, "_COLUMNS", {})
     rep = [None]  # the replication running
     builds = []   # the replication of every build
-    binomials = engine._binomials
-    monkeypatch.setattr(engine, "_binomials",
+    binomials = _accel._binomials
+    monkeypatch.setattr(_accel, "_binomials",
                         lambda n, r: builds.append(rep[0]) or binomials(n, r))
     rep_value = experiments._rep_value
 

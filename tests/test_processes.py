@@ -29,7 +29,7 @@ from ustatlab import (
     u_statistic,
     variance_kernel,
 )
-from ustatlab import _accel, engine
+from ustatlab import _accel
 from ustatlab.engine import ROUTE_CLOSED_FORM, ROUTE_ENUMERATION, ROUTE_SORT, kernel_route
 from ustatlab.processes import StepProcess, path_to_csv
 
@@ -180,9 +180,11 @@ def _bites(kernel, n):
 UNTOUCHED = {
     "identity": (identity_kernel(), ROUTE_CLOSED_FORM),
     "product2": (product_kernel(2), ROUTE_CLOSED_FORM),
+    "product3": (product_kernel(3), ROUTE_CLOSED_FORM),
     "variance": (variance_kernel(), ROUTE_CLOSED_FORM),
     "product1-sort": (_bites(product_kernel(1), 30), ROUTE_SORT),
     "product2-sort": (_bites(product_kernel(2), 30), ROUTE_SORT),
+    "product3-sort": (_bites(product_kernel(3), 30), ROUTE_SORT),
     "variance-sort": (_bites(variance_kernel(), 30), ROUTE_SORT),
     "user1": (make_kernel("cube", 1, lambda x: x * x * x), ROUTE_ENUMERATION),
     "user2": (make_kernel("sum", 2, lambda x, y: x + y), ROUTE_ENUMERATION),
@@ -191,8 +193,8 @@ UNTOUCHED = {
 
 @pytest.mark.parametrize("name", sorted(UNTOUCHED))
 def test_paths_leave_data_and_columns_untouched(name):
-    # the prefix buffer is overwritten in place: it must never be the data
-    # (the order-1 product's q_raw is the data itself) or a cached column
+    # the prefix buffer and the jackknife's q are overwritten in place:
+    # neither may be the data or a cached column
     kernel, route = UNTOUCHED[name]
     assert kernel_route(kernel) == route
     x = sample(normal(0, 1), 30, 3)
@@ -202,18 +204,22 @@ def test_paths_leave_data_and_columns_untouched(name):
     x.flags.writeable = False
     before = x.copy()
     studentized_path(kernel, x, 0.1)
-    columns = {m: col.copy() for m, col in engine._COLUMNS.items()}
+    columns = {m: col.copy() for m, col in _accel._COLUMNS.items()}
     assert {1, kernel.order} <= set(columns)
     outputs = [studentized_path(kernel, x, 0.1).values,
                u_prefix_process(kernel, x).values,
                pseudo_selfnormalized_path(kernel, x, 0.1, x - 0.1).values,
                jackknife_closed_form(kernel, x).q]
     assert np.array_equal(x, before)
-    for m, col in engine._COLUMNS.items():
+    for m, col in _accel._COLUMNS.items():
         assert not col.flags.writeable
         assert np.array_equal(col, columns[m])
         assert not any(np.shares_memory(out, col) for out in outputs)
     assert not any(np.shares_memory(out, x) for out in outputs)
+    # _accel's q_raw is fresh on every route, the order-1 product's too
+    if kernel.accel_code is not None:
+        assert not np.shares_memory(
+            _accel.q_raw(kernel.accel_code, kernel.accel_thr, x, kernel.order), x)
 
 
 def test_scale_invariance():
