@@ -138,30 +138,54 @@ def sample_grid(dist: Distribution, ns, seed: int) -> list:
     more than one n the arrays are read-only, since prefixes share one
     buffer.
     """
-    ns = [int(n) for n in ns]
-    if not ns or min(ns) < 1:
-        raise InvalidArgumentError(f"sample sizes must be >= 1, got {ns}")
-    N = max(ns)
-    bits = np.random.PCG64(int(seed) & _SEED_MASK)
-    if dist.kind == "example":
-        out = _example_grid(dist.params[0], ns, bits)
-    else:
-        rng = np.random.Generator(bits)
-        if dist.kind == "normal":
-            mu, sigma = dist.params
-            full = rng.normal(mu, sigma, N)
-        elif dist.kind == "pareto":
-            alpha, xm = dist.params
-            full = xm * (1.0 - rng.random(N)) ** (-1.0 / alpha)
-        elif dist.kind == "finite":
-            full = dist.points[rng.choice(len(dist.points), size=N, p=dist.probs)]
+    return _GridSampler(dist, ns)(seed)
+
+
+class _GridSampler:
+    """:func:`sample_grid` at one n-grid, seed after seed.  The normal,
+    Pareto and finite laws are drawn into one float64 buffer of length
+    max(ns), which every call reuses, so a call's samples are overwritten
+    by the next call.  Each law's transform runs in place and rounds as
+    numpy's own does: ``Generator.normal`` returns mu + sigma * z for the
+    z that ``standard_normal`` draws from the same words, and Pareto's
+    xm * (1 - U)^(-1/alpha) is the same product in either order."""
+
+    def __init__(self, dist: Distribution, ns):
+        ns = [int(n) for n in ns]
+        if not ns or min(ns) < 1:
+            raise InvalidArgumentError(f"sample sizes must be >= 1, got {ns}")
+        self.dist, self.ns = dist, ns
+        self.buf = None if dist.kind == "example" else np.empty(max(ns))
+
+    def __call__(self, seed: int) -> list:
+        dist, ns = self.dist, self.ns
+        bits = np.random.PCG64(int(seed) & _SEED_MASK)
+        if dist.kind == "example":
+            out = _example_grid(dist.params[0], ns, bits)
         else:
-            raise InvalidArgumentError(f"unknown distribution kind {dist.kind!r}")
-        out = [full[:n] for n in ns]
-    if len(ns) > 1:
-        for x in out:
-            x.flags.writeable = False
-    return out
+            rng = np.random.Generator(bits)
+            full = self.buf
+            if dist.kind == "normal":
+                mu, sigma = dist.params
+                rng.standard_normal(out=full)
+                full *= sigma
+                full += mu
+            elif dist.kind == "pareto":
+                alpha, xm = dist.params
+                rng.random(out=full)
+                np.subtract(1.0, full, out=full)
+                full **= -1.0 / alpha
+                full *= xm
+            elif dist.kind == "finite":
+                idx = rng.choice(len(dist.points), size=full.shape[0], p=dist.probs)
+                np.take(dist.points, idx, out=full)
+            else:
+                raise InvalidArgumentError(f"unknown distribution kind {dist.kind!r}")
+            out = [full[:n] for n in ns]
+        if len(ns) > 1:
+            for x in out:
+                x.flags.writeable = False
+        return out
 
 
 def _example_grid(a: float, ns: list, bits: np.random.PCG64) -> list:

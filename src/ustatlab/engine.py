@@ -14,6 +14,11 @@ reduce in their own way.  Enumeration is capped wherever it runs
 sort route, which holds every pair, at C(n, 2) <= 2e6 where it runs
 (``_accel.MAX_SORT_PAIRS``): past a cap the engine refuses with
 :class:`ResourceLimitError` rather than silently subsampling.
+
+The public functions check their data (``_as_sample``: float64, finite).
+``_combination_total`` and ``_prefix_values`` are ``combination_sum`` and
+``u_prefix_process`` for a sample already checked, for callers that check
+a sample once and evaluate it more than once.
 """
 
 from __future__ import annotations
@@ -178,7 +183,11 @@ def _combination_blocks(kernel: Kernel, x: np.ndarray):
 
 def combination_sum(kernel: Kernel, data) -> float:
     """Sum of h over all C(n, m) combinations."""
-    x = _as_sample(data)
+    return _combination_total(kernel, _as_sample(data))
+
+
+def _combination_total(kernel: Kernel, x: np.ndarray) -> float:
+    """:func:`combination_sum` of a sample already through ``_as_sample``."""
     n, m = x.shape[0], kernel.order
     if _routed(kernel, n) != ROUTE_ENUMERATION:
         return _accel.ustat_sum(kernel.accel_code, kernel.accel_thr, x, m)
@@ -197,7 +206,11 @@ def u_prefix_process(kernel: Kernel, data) -> UPrefixValues:
     each combination is credited to its largest index, so sums is the
     running total of the per-index column sums.
     """
-    x = _as_sample(data)
+    return _prefix_values(kernel, _as_sample(data))
+
+
+def _prefix_values(kernel: Kernel, x: np.ndarray) -> UPrefixValues:
+    """:func:`u_prefix_process` of a sample already through ``_as_sample``."""
     n, m = x.shape[0], kernel.order
     if _routed(kernel, n) != ROUTE_ENUMERATION:
         sums = _accel.prefix_sums(kernel.accel_code, kernel.accel_thr, x, m)

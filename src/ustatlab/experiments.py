@@ -5,9 +5,10 @@ seeded by ``replication_seed(base_seed, r)``.  A replication draws one
 random stream and takes its sample at each n of the grid as a prefix of
 that stream (``distributions.sample_grid``), so the grid shares its
 random numbers and trends compare like against like.  Replications run
-in chunks, each returning its values at every n; results are reduced in
-replication order, which makes reports byte-identical (runtime aside)
-for any worker count.
+in chunks, each returning its values at every n; a chunk draws every
+replication's stream into one reused sample buffer, and a replication
+checks its stream once.  Results are reduced in replication order, which
+makes reports byte-identical (runtime aside) for any worker count.
 
 Experiments
 -----------
@@ -44,20 +45,21 @@ from .decomposition import (
 )
 from .distributions import (
     Distribution,
+    _GridSampler,
     derive_seed,
     dist_from_name,
     estimate_ell,
-    sample_grid,
 )
+from .engine import _as_sample
 from .errors import (
     ConfigError,
     DegenerateNormalizerError,
     InvalidArgumentError,
     UnsupportedOperationError,
 )
-from .jackknife import jackknife_closed_form
+from .jackknife import _u_and_sum_sq
 from .kernels import Kernel, kernel_from_name, theta_under
-from .processes import studentized_path, studentized_value, sup_functional
+from .processes import _studentized_sup, _studentized_value
 
 __all__ = [
     "EXPERIMENTS",
@@ -269,13 +271,22 @@ def _projection_values(kernel: Kernel, dist: Distribution, x: np.ndarray) -> np.
     return np.array([project_h1(kernel, float(v), dist) for v in x])
 
 
+# experiments whose statistics take each sample unchecked, after
+# _rep_value has checked the replication's stream once
+_VALIDATED_ONCE = ("CLT_T0", "FCLT_SUP", "JACK_RAIKOV", "ARVESEN")
+
+
 def _rep_value(config: ExperimentConfig, kernel, dist, theta, ells,
-               rep: int) -> list:
+               rep: int, sampler: _GridSampler) -> list:
     """Replication ``rep``'s value at every n of the grid, None where it
     is dropped; ``ells`` holds ell^2(n) per n.  One stream is drawn for
-    the whole grid."""
-    samples = sample_grid(dist, config.n_grid,
-                          replication_seed(config.base_seed, rep))
+    the whole grid, by the chunk's ``sampler``."""
+    samples = sampler(replication_seed(config.base_seed, rep))
+    if config.experiment in _VALIDATED_ONCE:
+        # the grid ascends, and each smaller n's sample is a prefix of the
+        # last one or, for the example law, has its magnitudes |x - a|
+        # with other signs: checking the last one checks them all
+        _as_sample(samples[-1])
     return [_value(config, kernel, dist, theta, ell_sq, data)
             for ell_sq, data in zip(ells, samples)]
 
@@ -285,12 +296,9 @@ def _value(config: ExperimentConfig, kernel, dist, theta, ell_sq,
     n = len(data)
     try:
         if config.experiment == "CLT_T0":
-            k = int(n * config.t0)
-            if k < max(kernel.order, 1):
-                raise ConfigError(f"t0={config.t0} gives k={k} < m at n={n}")
-            return studentized_value(kernel, data, theta, k)
+            return _studentized_value(kernel, data, theta, _clt_k(config, n))
         if config.experiment == "FCLT_SUP":
-            return sup_functional(studentized_path(kernel, data, theta))
+            return _studentized_sup(kernel, data, theta)
         if config.experiment == "RAIKOV":
             proj = _projection_values(kernel, dist, data)
             v_sq = float(np.einsum("i,i->", proj, proj))
@@ -298,11 +306,9 @@ def _value(config: ExperimentConfig, kernel, dist, theta, ell_sq,
                 raise DegenerateNormalizerError("V_n = 0")
             return v_sq / (n * ell_sq)
         if config.experiment == "JACK_RAIKOV":
-            summary = jackknife_closed_form(kernel, data)
-            return summary.sum_sq / (kernel.order ** 2 * ell_sq)
+            return _u_and_sum_sq(kernel, data)[1] / (kernel.order ** 2 * ell_sq)
         if config.experiment == "ARVESEN":
-            summary = jackknife_closed_form(kernel, data)
-            return summary.sum_sq / kernel.order ** 2
+            return _u_and_sum_sq(kernel, data)[1] / kernel.order ** 2
         if config.experiment == "NEGLIGIBILITY":
             return negligibility_value(config.statistic, kernel, theta, data)
     except DegenerateNormalizerError:
@@ -310,13 +316,20 @@ def _value(config: ExperimentConfig, kernel, dist, theta, ell_sq,
     raise ConfigError(f"unhandled experiment {config.experiment}")
 
 
+def _clt_k(config: ExperimentConfig, n: int) -> int:
+    """CLT_T0's k = [n t0]."""
+    return int(n * config.t0)
+
+
 def _run_chunk(payload) -> list:
     """Replications start..stop-1, each as its list of values per n;
-    ``ells`` holds the study's ell^2(n) per n."""
+    ``ells`` holds the study's ell^2(n) per n.  The chunk draws every
+    replication's stream into one sample buffer."""
     config_dict, ells, start, stop = payload
     config = ExperimentConfig.from_dict(config_dict)
     kernel, dist, theta = _resolve(config)
-    return [_rep_value(config, kernel, dist, theta, ells, rep)
+    sampler = _GridSampler(dist, config.n_grid)
+    return [_rep_value(config, kernel, dist, theta, ells, rep, sampler)
             for rep in range(start, stop)]
 
 
@@ -331,6 +344,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     notes: list = []
     if config.experiment == "NEGLIGIBILITY":
         check_trend(config.statistic, kernel, dist, config.n_grid, theta)
+    if config.experiment == "CLT_T0":
+        for n in config.n_grid:
+            k = _clt_k(config, n)
+            if k < max(kernel.order, 1):
+                raise ConfigError(f"t0={config.t0} gives k={k} < m at n={n}")
     ells = [None] * len(config.n_grid)
     # degenerate configuration guard: a zero normalizing variance makes
     # every replication a drop, which the report records rather than hides

@@ -20,8 +20,14 @@ A path is built in place in the buffer of prefix values U_k that
 :func:`ustatlab.engine.u_prefix_process` returns, and its factor k is
 the cached float k-grid of :mod:`ustatlab._accel` (the order-1 binomial
 column), so the path holds one n-vector.  The Studentized path takes its
-jackknife scale first, and releases the jackknife's per-observation
-vector, before the prefix pass.
+jackknife scale first, from a jackknife that centers its one
+per-observation vector in place and releases it, before the prefix pass.
+
+The public functions check the data once and hand the checked sample
+to helpers that do not check it again.  A Monte Carlo replication checks
+its stream itself and calls the helpers directly: ``_studentized_value``
+for CLT_T0, and ``_studentized_sup`` for FCLT_SUP, which divides the max
+of k (U_k - theta) once by the scale instead of scaling the whole path.
 """
 
 from __future__ import annotations
@@ -33,14 +39,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import _comb_column
-from .engine import UPrefixValues, u_prefix_process, u_statistic
+from .engine import (
+    UPrefixValues,
+    _as_sample,
+    _combination_total,
+    _prefix_values,
+    u_prefix_process,
+)
 from .errors import (
     DegenerateNormalizerError,
     DomainError,
     InsufficientDataError,
     InvalidArgumentError,
 )
-from .jackknife import JackknifeSummary, jackknife_closed_form
+from .jackknife import _u_and_sum_sq
 from .kernels import Kernel
 
 __all__ = [
@@ -76,17 +88,22 @@ def _check_theta(theta: float) -> None:
         raise DomainError(f"theta must be finite, got {theta}")
 
 
-def _step_path(prefix: UPrefixValues, theta: float, factor: np.ndarray,
-               scale: float) -> StepProcess:
-    """factor (U_k - theta) / scale for k = m..n, zero below k = m, in the
-    buffer of ``prefix``, which the path takes over."""
+def _times_centered(prefix: UPrefixValues, theta: float,
+                    factor: np.ndarray) -> UPrefixValues:
+    """factor (U_k - theta) for k = m..n, zero below k = m, written over
+    the U_k in the buffer of ``prefix``, which the path takes over."""
     values = prefix.values
     values[:prefix.m] = 0.0
     tail = values[prefix.m:]
     tail -= theta
     tail *= factor
-    tail /= scale
-    return StepProcess(n=prefix.n, m=prefix.m, values=values)
+    return prefix
+
+
+def _step_path(unscaled: UPrefixValues, scale: float) -> StepProcess:
+    """The path of :func:`_times_centered`, divided by ``scale``."""
+    unscaled.values[unscaled.m:] /= scale
+    return StepProcess(n=unscaled.n, m=unscaled.m, values=unscaled.values)
 
 
 def _k_grid(n: int, m: int) -> np.ndarray:
@@ -108,25 +125,42 @@ def pseudo_selfnormalized_path(kernel: Kernel, data, theta: float,
     if not v_n > 0:
         raise DegenerateNormalizerError("V_n = 0: all projections vanish")
     prefix = u_prefix_process(kernel, x)
-    return _step_path(prefix, theta, _k_grid(prefix.n, prefix.m) / prefix.m, v_n)
+    factor = _k_grid(prefix.n, prefix.m) / prefix.m
+    return _step_path(_times_centered(prefix, theta, factor), v_n)
 
 
-def _jackknife_scale(summary: JackknifeSummary) -> float:
+def _jackknife_scale(n: int, sum_sq: float) -> float:
     """sqrt(n (n-1) sum (U^i - U_n)^2), the Studentized scale."""
-    if not summary.sum_sq > 0:
+    if not sum_sq > 0:
         raise DegenerateNormalizerError(
             "jackknife scale is zero: all leave-one-out values coincide"
         )
-    return math.sqrt(summary.n * summary.sum_sq)
+    return math.sqrt(n * sum_sq)
+
+
+def _unscaled_path(kernel: Kernel, x: np.ndarray, theta: float) -> tuple:
+    """(k (U_k - theta) in the prefix buffer, jackknife scale) for a sample
+    already through ``_as_sample``.  The scale is taken first, so the
+    jackknife's q vector is released before the prefix pass."""
+    scale = _jackknife_scale(x.shape[0], _u_and_sum_sq(kernel, x)[1])
+    prefix = _prefix_values(kernel, x)
+    return _times_centered(prefix, theta, _k_grid(prefix.n, prefix.m)), scale
 
 
 def studentized_path(kernel: Kernel, data, theta: float) -> StepProcess:
     """k (U_k - theta) / jack_scale with the full-sample jackknife scale."""
     _check_theta(theta)
-    x = np.asarray(data, dtype=np.float64)
-    scale = _jackknife_scale(jackknife_closed_form(kernel, x))
-    prefix = u_prefix_process(kernel, x)
-    return _step_path(prefix, theta, _k_grid(prefix.n, prefix.m), scale)
+    return _step_path(*_unscaled_path(kernel, _as_sample(data), theta))
+
+
+def _studentized_sup(kernel: Kernel, x: np.ndarray, theta: float) -> float:
+    """sup_functional(studentized_path(kernel, x, theta)) for a sample
+    already through ``_as_sample``: the max of the unscaled path, the zero
+    at t = 0 included, divided once by the scale.  Rounded division by a
+    positive number is monotone, so this is the max of the scaled path bit
+    for bit."""
+    unscaled, scale = _unscaled_path(kernel, x, theta)
+    return float(np.max(unscaled.values)) / scale
 
 
 def studentized_value(kernel: Kernel, data, theta: float, k: int) -> float:
@@ -138,9 +172,17 @@ def studentized_value(kernel: Kernel, data, theta: float, k: int) -> float:
     n, m = x.shape[0], kernel.order
     if not m <= k <= n:
         raise InsufficientDataError(f"need m <= k <= n, got k={k}, m={m}, n={n}")
-    summary = jackknife_closed_form(kernel, x)
-    scale = _jackknife_scale(summary)
-    u_k = summary.u_n if k == n else u_statistic(kernel, x[:k])
+    return _studentized_value(kernel, _as_sample(x), theta, k)
+
+
+def _studentized_value(kernel: Kernel, x: np.ndarray, theta: float,
+                       k: int) -> float:
+    """:func:`studentized_value` for a sample already through
+    ``_as_sample`` and m <= k <= n."""
+    n = x.shape[0]
+    u_n, sum_sq = _u_and_sum_sq(kernel, x)
+    scale = _jackknife_scale(n, sum_sq)
+    u_k = u_n if k == n else _combination_total(kernel, x[:k]) / math.comb(k, kernel.order)
     return k * (u_k - theta) / scale
 
 

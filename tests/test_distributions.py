@@ -23,7 +23,7 @@ from ustatlab import (
     sample_grid,
     variance_kernel,
 )
-from ustatlab.distributions import pdf
+from ustatlab.distributions import _GridSampler, pdf
 
 from _oracles import stream_sample
 
@@ -112,6 +112,42 @@ def test_sample_stream_is_pinned():
         want = [float.fromhex(h) for h in pinned[law.name]]
         assert list(stream_sample(law, 4, 2 ** 63 + 7)) == want, law.name
         assert list(sample(law, 4, 2 ** 63 + 7)) == want, law.name
+
+
+@pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (1.0, 3.0), (1e8, 3.0),
+                                      (-2.5, 1e-3), (7.0, 0.5)])
+def test_normal_law_is_generator_normal(mu, sigma):
+    # drawn as standard_normal, then * sigma and + mu in place: numpy's
+    # normal(mu, sigma) rounds mu + sigma * z the same way
+    for seed in (0, 2 ** 63 + 5):
+        want = np.random.Generator(np.random.PCG64(seed)).normal(mu, sigma, 5000)
+        small, full = sample_grid(normal(mu, sigma), (17, 5000), seed)
+        assert np.array_equal(_bits(full), _bits(want))
+        assert np.array_equal(_bits(small), _bits(want[:17]))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 2.5])
+def test_pareto_law_is_the_inverse_cdf(alpha):
+    # 1 - U and its power run in place; exponents -2, -1 and -0.5 included
+    law = pareto(alpha, 1.5)
+    want = stream_sample(law, 3000, 8)
+    assert np.array_equal(_bits(sample(law, 3000, 8)), _bits(want))
+
+
+def test_grid_sampler_reuses_one_buffer():
+    # a study chunk draws every replication into one buffer: after draws
+    # at other seeds, each call still gives sample_grid's samples
+    ns = (40, 7, 300)
+    for law in (LAWS[0], LAWS[2], LAWS[3], LAWS[4]):
+        sampler = _GridSampler(law, ns)
+        for seed in (5, 2 ** 64 - 3, 5, 0, 12):
+            got = sampler(seed)
+            want = sample_grid(law, ns, seed)
+            for n, x, y in zip(ns, got, want):
+                assert np.array_equal(_bits(x), _bits(y)), (law.name, seed)
+                assert np.array_equal(_bits(x), _bits(stream_sample(law, n, seed)))
+            if law.kind != "example":
+                assert all(np.shares_memory(x, sampler.buf) for x in got)
 
 
 def test_sample_grid_prefixes_are_read_only():

@@ -18,6 +18,8 @@ from ustatlab import (
     make_kernel,
     ordered_distinct_sum,
     product_kernel,
+    studentized_path,
+    studentized_value,
     truncate_kernel,
     u_prefix_process,
     u_statistic,
@@ -449,6 +451,8 @@ ENTRY_POINTS = {
     "u_prefix_process": u_prefix_process,
     "jackknife_closed_form": jackknife_closed_form,
     "leave_one_out": leave_one_out,
+    "studentized_path": lambda kernel, x: studentized_path(kernel, x, 0.5),
+    "studentized_value": lambda kernel, x: studentized_value(kernel, x, 0.5, 3),
 }
 
 

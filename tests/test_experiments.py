@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,10 +23,13 @@ from ustatlab import (
     replication_seed,
     run_experiment,
     sample,
+    studentized_path,
+    sup_functional,
     wiener_sup_cdf,
 )
-from ustatlab import _accel, experiments
+from ustatlab import _accel, engine, experiments
 from ustatlab.decomposition import TREND_STATISTICS
+from ustatlab.distributions import _GridSampler
 from ustatlab.experiments import _rep_value, _resolve, report_from_json, report_to_json
 
 
@@ -126,7 +130,9 @@ def test_shipped_configs_resolve(path):
 
 
 def test_scaled_configs_shipped():
-    assert (CONFIGS / "scaled" / "fclt_sup_identity.json") in set(CONFIGS.rglob("*.json"))
+    shipped = set(CONFIGS.rglob("*.json"))
+    for name in ("fclt_sup_identity.json", "clt_example_heavy.json"):
+        assert CONFIGS / "scaled" / name in shipped
 
 
 def test_three_point_grid_builds_columns_in_first_replication_only(monkeypatch):
@@ -140,9 +146,9 @@ def test_three_point_grid_builds_columns_in_first_replication_only(monkeypatch):
                         lambda n, r: builds.append(rep[0]) or binomials(n, r))
     rep_value = experiments._rep_value
 
-    def counted(config, kernel, dist, theta, ells, r):
+    def counted(config, kernel, dist, theta, ells, r, sampler):
         rep[0] = r
-        return rep_value(config, kernel, dist, theta, ells, r)
+        return rep_value(config, kernel, dist, theta, ells, r, sampler)
 
     monkeypatch.setattr(experiments, "_rep_value", counted)
     cfg = ExperimentConfig.from_dict(dict(
@@ -307,6 +313,60 @@ def test_negligibility_checks_run_before_the_pool(monkeypatch, overrides, error,
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_clt_k_is_checked_before_any_replication(monkeypatch, workers):
+    # k = [n t0] < m at the grid's first n is a configuration error, raised
+    # before the pool starts or any stream is drawn
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(experiments, "_collect", no_replications)
+    cfg = ExperimentConfig.from_dict(dict(
+        version=1, experiment="CLT_T0", kernel="product:m=2", dist="normal:0,1",
+        n_grid=[50, 1000], t0=0.03, replications=50, base_seed=1,
+        ks_threshold=0.5))
+    with pytest.raises(ConfigError, match=r"^t0=0\.03 gives k=1 < m at n=50$"):
+        run_experiment(cfg, workers=workers)
+
+
+def test_fclt_sup_checks_each_stream_once(monkeypatch):
+    # a replication validates its stream once, at the grid's largest n,
+    # and its statistics take every n's sample unchecked
+    checked = []
+    original = engine._as_sample
+
+    def counted(data):
+        checked.append(len(data))
+        return original(data)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("ustatlab") \
+                and getattr(module, "_as_sample", None) is original:
+            monkeypatch.setattr(module, "_as_sample", counted)
+    cfg = ExperimentConfig.from_dict(dict(
+        version=1, experiment="FCLT_SUP", kernel="identity", dist="normal:0,1",
+        n_grid=[100, 200, 400], replications=50, base_seed=3, ks_threshold=0.5))
+    run_experiment(cfg)
+    assert checked == [400] * 50
+
+
+def test_fclt_sup_replication_is_the_sup_of_each_path():
+    # the replication's value at every n, from the chunk's reused buffer,
+    # is sup_functional(studentized_path(...)) of a fresh sample, bit for bit
+    cfg = ExperimentConfig.from_dict(dict(
+        version=1, experiment="FCLT_SUP", kernel="product:m=2", dist="normal:1,2",
+        n_grid=[30, 200, 500], theta=1.2, replications=50, base_seed=9,
+        ks_threshold=0.5))
+    kernel, dist, theta = _resolve(cfg)
+    sampler = _GridSampler(dist, cfg.n_grid)
+    for rep in (0, 1, 2):
+        got = _rep_value(cfg, kernel, dist, theta, [None] * 3, rep, sampler)
+        seed = replication_seed(cfg.base_seed, rep)
+        assert got == [sup_functional(studentized_path(kernel, sample(dist, n, seed),
+                                                       theta))
+                       for n in cfg.n_grid]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("raw", [
     dict(experiment="CLT_T0", kernel="product:m=2,a=2", dist="example:a=2",
          n_grid=[3, 40, 41, 200], ks_threshold=0.5),
@@ -371,7 +431,8 @@ def test_replication_makes_no_blas_call(monkeypatch):
     monkeypatch.setattr(np, "dot", no_blas)
     for config, size, kernel, dist, theta in resolved:
         # the replication draws its own sample, inside the guard
-        (value,) = _rep_value(config, kernel, dist, theta, (1.0,), 0)
+        sampler = _GridSampler(dist, config.n_grid)
+        (value,) = _rep_value(config, kernel, dist, theta, (1.0,), 0, sampler)
         assert value is not None and math.isfinite(value), config.experiment
     path = pseudo_selfnormalized_path(product_kernel(2), data, 1.0, data - 1.0)
     assert math.isfinite(path.values[n])

@@ -17,6 +17,7 @@ from ustatlab import (
     jackknife_closed_form,
     make_kernel,
     normal,
+    pareto,
     product_kernel,
     pseudo_selfnormalized_path,
     sample,
@@ -31,7 +32,7 @@ from ustatlab import (
 )
 from ustatlab import _accel
 from ustatlab.engine import ROUTE_CLOSED_FORM, ROUTE_ENUMERATION, ROUTE_SORT, kernel_route
-from ustatlab.processes import StepProcess, path_to_csv
+from ustatlab.processes import StepProcess, _studentized_sup, path_to_csv
 
 
 def test_pseudo_path_m1_example():
@@ -127,6 +128,52 @@ def test_studentized_value_is_the_path_at_k(kernel):
         studentized_value(kernel, x, math.nan, 40)
 
 
+SUP_KERNELS = {
+    "identity": identity_kernel(),
+    "product2": product_kernel(2, a=2.0),
+    "product3": product_kernel(3),
+    "variance": variance_kernel(),
+}
+SUP_LAWS = {"normal": normal(0.5, 2.0), "example": example_density(2.0),
+            "pareto": pareto(2.5, 1.5)}
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["full", "full-m"])
+@pytest.mark.parametrize("law", sorted(SUP_LAWS))
+@pytest.mark.parametrize("name", sorted(SUP_KERNELS))
+def test_fclt_sup_is_the_sup_of_the_path(name, law, truncated):
+    # FCLT_SUP divides the max of k (U_k - theta) once by the scale; that
+    # is the max of the scaled path bit for bit, whichever route runs
+    n = 150
+    kernel = SUP_KERNELS[name]
+    x = sample(SUP_LAWS[law], n, 21).copy()
+    if truncated:
+        kernel = truncate_kernel(kernel, TruncationRule(TruncationMode.FULL_M, n))
+        x[7] = 1e4
+        assert _accel.max_abs_kernel(kernel.accel_code, x, kernel.order) > \
+            kernel.accel_thr
+    u_n = u_statistic(kernel, x)
+    step = 0.1 * (abs(u_n) + 1.0)
+    for theta in (u_n - step, u_n, u_n + step):
+        want = sup_functional(studentized_path(kernel, x, theta))
+        assert _studentized_sup(kernel, x, theta) == want
+    # theta above every U_k: the path is negative past t = 0, so the sup is
+    # the 0 there
+    top = float(np.nanmax(u_prefix_process(kernel, x).values)) + 1.0
+    assert np.max(studentized_path(kernel, x, top).values[kernel.order:]) < 0
+    assert _studentized_sup(kernel, x, top) == 0.0 == \
+        sup_functional(studentized_path(kernel, x, top))
+
+
+def test_fclt_sup_of_the_constant_kernel_is_degenerate():
+    x = sample(normal(0, 1), 40, 2)
+    with pytest.raises(DegenerateNormalizerError) as path_error:
+        sup_functional(studentized_path(constant_kernel(2.0, m=2), x, 1.0))
+    with pytest.raises(DegenerateNormalizerError) as sup_error:
+        _studentized_sup(constant_kernel(2.0, m=2), x, 1.0)
+    assert str(sup_error.value) == str(path_error.value)
+
+
 N_MEMORY = 100_000
 MEMORY_THETA = {"identity": 0.0, "product2": 0.0, "variance": 1.0}
 
@@ -149,13 +196,16 @@ def _peak_vectors(fn, *args):
 
 @pytest.mark.parametrize("name", sorted(MEMORY_THETA))
 def test_studentized_path_holds_two_vectors(name):
-    # the path is built in the prefix buffer, and the jackknife's q vector
-    # is released before the prefix pass: two n-vectors above the sample,
-    # plus index blocks of a twentieth of one
+    # the path is built in the prefix buffer, the jackknife centers its q
+    # vector in place and releases it before the prefix pass: one n-vector
+    # above the sample for the identity, two where _accel's product and
+    # variance routes take them, plus index blocks of a twentieth of one
     x = sample(normal(0, 1), N_MEMORY, 5)
     kernel = _memory_kernel(name)
     assert kernel_route(kernel) == ROUTE_CLOSED_FORM
-    assert _peak_vectors(studentized_path, kernel, x, MEMORY_THETA[name]) <= 2.05
+    limit = 1.05 if name == "identity" else 2.05
+    for fn in (studentized_path, _studentized_sup):
+        assert _peak_vectors(fn, kernel, x, MEMORY_THETA[name]) <= limit
 
 
 def test_truncated_studentized_path_holds_nothing_past_its_sort_route():
