@@ -136,7 +136,10 @@ def _comb_column(n: int, m: int) -> np.ndarray:
     order-1 column is the float k-grid k = 1..n."""
     col = _COLUMNS.get(m)
     if col is None or col.shape[0] < n - m + 1:
-        col = _binomials(n, m)[m:].astype(np.float64)
+        # C(k, 1) = k needs no integer pass, and its temporaries would set
+        # the peak memory of a Studentized path's first replication
+        col = (np.arange(1, n + 1, dtype=np.float64) if m == 1
+               else _binomials(n, m)[m:].astype(np.float64))
         col.flags.writeable = False
         _COLUMNS[m] = col
     return col[:max(n - m + 1, 0)]

@@ -16,9 +16,8 @@ sort route, which holds every pair, at C(n, 2) <= 2e6 where it runs
 :class:`ResourceLimitError` rather than silently subsampling.
 
 The public functions check their data (``_as_sample``: float64, finite).
-``_combination_total`` and ``_prefix_values`` are ``combination_sum`` and
-``u_prefix_process`` for a sample already checked, for callers that check
-a sample once and evaluate it more than once.
+``_prefix_values`` is ``u_prefix_process`` for a sample already checked,
+for callers that check a sample once and evaluate it more than once.
 """
 
 from __future__ import annotations
@@ -183,11 +182,7 @@ def _combination_blocks(kernel: Kernel, x: np.ndarray):
 
 def combination_sum(kernel: Kernel, data) -> float:
     """Sum of h over all C(n, m) combinations."""
-    return _combination_total(kernel, _as_sample(data))
-
-
-def _combination_total(kernel: Kernel, x: np.ndarray) -> float:
-    """:func:`combination_sum` of a sample already through ``_as_sample``."""
+    x = _as_sample(data)
     n, m = x.shape[0], kernel.order
     if _routed(kernel, n) != ROUTE_ENUMERATION:
         return _accel.ustat_sum(kernel.accel_code, kernel.accel_thr, x, m)

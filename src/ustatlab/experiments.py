@@ -57,9 +57,9 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedOperationError,
 )
-from .jackknife import _u_and_sum_sq
+from .jackknife import _jackknife
 from .kernels import Kernel, kernel_from_name, theta_under
-from .processes import _studentized_sup, _studentized_value
+from .processes import _check_theta, _studentized, _studentized_value, sup_functional
 
 __all__ = [
     "EXPERIMENTS",
@@ -271,22 +271,16 @@ def _projection_values(kernel: Kernel, dist: Distribution, x: np.ndarray) -> np.
     return np.array([project_h1(kernel, float(v), dist) for v in x])
 
 
-# experiments whose statistics take each sample unchecked, after
-# _rep_value has checked the replication's stream once
-_VALIDATED_ONCE = ("CLT_T0", "FCLT_SUP", "JACK_RAIKOV", "ARVESEN")
-
-
 def _rep_value(config: ExperimentConfig, kernel, dist, theta, ells,
                rep: int, sampler: _GridSampler) -> list:
     """Replication ``rep``'s value at every n of the grid, None where it
     is dropped; ``ells`` holds ell^2(n) per n.  One stream is drawn for
     the whole grid, by the chunk's ``sampler``."""
     samples = sampler(replication_seed(config.base_seed, rep))
-    if config.experiment in _VALIDATED_ONCE:
-        # the grid ascends, and each smaller n's sample is a prefix of the
-        # last one or, for the example law, has its magnitudes |x - a|
-        # with other signs: checking the last one checks them all
-        _as_sample(samples[-1])
+    # the grid ascends, and each smaller n's sample is a prefix of the last
+    # one or, for the example law, has its magnitudes |x - a| with other
+    # signs: checking the last one checks them all
+    _as_sample(samples[-1])
     return [_value(config, kernel, dist, theta, ell_sq, data)
             for ell_sq, data in zip(ells, samples)]
 
@@ -296,9 +290,9 @@ def _value(config: ExperimentConfig, kernel, dist, theta, ell_sq,
     n = len(data)
     try:
         if config.experiment == "CLT_T0":
-            return _studentized_value(kernel, data, theta, _clt_k(config, n))
+            return _studentized_value(kernel, data, theta, int(n * config.t0))
         if config.experiment == "FCLT_SUP":
-            return _studentized_sup(kernel, data, theta)
+            return sup_functional(_studentized(kernel, data, theta))
         if config.experiment == "RAIKOV":
             proj = _projection_values(kernel, dist, data)
             v_sq = float(np.einsum("i,i->", proj, proj))
@@ -306,19 +300,14 @@ def _value(config: ExperimentConfig, kernel, dist, theta, ell_sq,
                 raise DegenerateNormalizerError("V_n = 0")
             return v_sq / (n * ell_sq)
         if config.experiment == "JACK_RAIKOV":
-            return _u_and_sum_sq(kernel, data)[1] / (kernel.order ** 2 * ell_sq)
+            return _jackknife(kernel, data, keep_q=False)[2] / (kernel.order ** 2 * ell_sq)
         if config.experiment == "ARVESEN":
-            return _u_and_sum_sq(kernel, data)[1] / kernel.order ** 2
+            return _jackknife(kernel, data, keep_q=False)[2] / kernel.order ** 2
         if config.experiment == "NEGLIGIBILITY":
             return negligibility_value(config.statistic, kernel, theta, data)
     except DegenerateNormalizerError:
         return None
     raise ConfigError(f"unhandled experiment {config.experiment}")
-
-
-def _clt_k(config: ExperimentConfig, n: int) -> int:
-    """CLT_T0's k = [n t0]."""
-    return int(n * config.t0)
 
 
 def _run_chunk(payload) -> list:
@@ -344,9 +333,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     notes: list = []
     if config.experiment == "NEGLIGIBILITY":
         check_trend(config.statistic, kernel, dist, config.n_grid, theta)
+    if config.experiment in ("CLT_T0", "FCLT_SUP"):
+        # the replications take theta and k unchecked
+        _check_theta(theta)
     if config.experiment == "CLT_T0":
         for n in config.n_grid:
-            k = _clt_k(config, n)
+            k = int(n * config.t0)
             if k < max(kernel.order, 1):
                 raise ConfigError(f"t0={config.t0} gives k={k} < m at n={n}")
     ells = [None] * len(config.n_grid)

@@ -26,10 +26,10 @@ The per-observation sums come from :func:`ustatlab._accel.q_raw` for
 every kernel that ``_accel`` serves, and from the engine's block
 enumeration otherwise; either returns a fresh array, which the closed
 form normalizes in place.  :func:`jackknife_closed_form` returns the
-normalized q, so it squares q - U_n in a second vector; the Studentized
-scale needs only U_n and the sum of squares (``_u_and_sum_sq``), so there
-q is centered in place and the jackknife holds one n-vector.  Both share
-one q/U_n pass (``_normalized_q``) and one sum of squares (``_sum_sq``).
+normalized q, so it squares q - U_n in a second vector.  The Studentized
+scale and the study's jackknife statistics need only U_n and the sum of
+squares: they call ``_jackknife`` on a checked sample without keeping q,
+which is then centered in place, so the jackknife holds one n-vector.
 """
 
 from __future__ import annotations
@@ -107,46 +107,36 @@ def _q_raw(kernel: Kernel, x: np.ndarray, route: str) -> np.ndarray:
     return q
 
 
-def _normalized_q(kernel: Kernel, x: np.ndarray) -> tuple:
-    """(q, U_n) from one q-accumulation pass over a sample already through
-    ``_as_sample``; q is fresh and normalized in place."""
+def _jackknife(kernel: Kernel, x: np.ndarray, keep_q: bool = True) -> tuple:
+    """(q, U_n, sum_sq) for a sample already through ``_as_sample``: one
+    q-accumulation pass, then the two-pass sum of squares
+    m^2 (n-1) / (n-m)^2 * sum_i (q_i - U_n)^2.  Without ``keep_q`` the
+    squares are taken in q's own buffer, so the jackknife holds one
+    n-vector, and q comes back as None."""
     n, m = x.shape[0], kernel.order
     _check_loo_size(n, m)
     q = _q_raw(kernel, x, _routed(kernel, n))
     u_n = float(q.sum()) / (m * math.comb(n, m))
     if m > 1:
         q /= math.comb(n - 1, m - 1)  # q_raw is fresh on every route
-    return q, u_n
-
-
-def _sum_sq(q: np.ndarray, u_n: float, m: int, out=None) -> float:
-    """m^2 (n-1) / (n-m)^2 * sum_i (q_i - U_n)^2, with q - U_n written to
-    ``out`` (``q`` itself when the caller no longer needs q)."""
-    n = q.shape[0]
     if q[0] == q[-1] and (q == q[0]).all():
         # the q_i average to U_n, so equal q_i are each U_n and the sum of
         # squares is 0, where q - u_n would square the rounding of u_n
-        return 0.0
-    d = np.subtract(q, u_n, out=out)
-    return m ** 2 * (n - 1) / (n - m) ** 2 * float(np.einsum("i,i->", d, d))
+        sum_sq = 0.0
+    else:
+        d = np.subtract(q, u_n, out=None if keep_q else q)
+        sum_sq = m ** 2 * (n - 1) / (n - m) ** 2 * float(np.einsum("i,i->", d, d))
+    return (q if keep_q else None), u_n, sum_sq
 
 
 def jackknife_closed_form(kernel: Kernel, data) -> JackknifeSummary:
     """One q-accumulation pass, then the two-pass sum of squares
     m^2 (n-1) / (n-m)^2 * sum_i (q_i - U_n)^2."""
     x = _as_sample(data)
-    q, u_n = _normalized_q(kernel, x)
+    q, u_n, sum_sq = _jackknife(kernel, x)
     m = kernel.order
-    sum_sq = _sum_sq(q, u_n, m)
     return JackknifeSummary(n=x.shape[0], m=m, u_n=u_n, q=q, sum_sq=sum_sq,
                             variance_estimator=sum_sq / m ** 2)
-
-
-def _u_and_sum_sq(kernel: Kernel, x: np.ndarray) -> tuple:
-    """(U_n, sum_sq) of :func:`jackknife_closed_form` for a sample already
-    through ``_as_sample``, holding one n-vector: q is centered in place."""
-    q, u_n = _normalized_q(kernel, x)
-    return u_n, _sum_sq(q, u_n, kernel.order, out=q)
 
 
 def arvesen_estimator(summary: JackknifeSummary) -> float:

@@ -26,8 +26,7 @@ per-observation vector in place and releases it, before the prefix pass.
 The public functions check the data once and hand the checked sample
 to helpers that do not check it again.  A Monte Carlo replication checks
 its stream itself and calls the helpers directly: ``_studentized_value``
-for CLT_T0, and ``_studentized_sup`` for FCLT_SUP, which divides the max
-of k (U_k - theta) once by the scale instead of scaling the whole path.
+for CLT_T0, and ``_studentized`` for FCLT_SUP.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ from ._accel import _comb_column
 from .engine import (
     UPrefixValues,
     _as_sample,
-    _combination_total,
     _prefix_values,
     u_prefix_process,
+    u_statistic,
 )
 from .errors import (
     DegenerateNormalizerError,
@@ -52,7 +51,7 @@ from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
 )
-from .jackknife import _u_and_sum_sq
+from .jackknife import _jackknife
 from .kernels import Kernel
 
 __all__ = [
@@ -88,22 +87,17 @@ def _check_theta(theta: float) -> None:
         raise DomainError(f"theta must be finite, got {theta}")
 
 
-def _times_centered(prefix: UPrefixValues, theta: float,
-                    factor: np.ndarray) -> UPrefixValues:
-    """factor (U_k - theta) for k = m..n, zero below k = m, written over
-    the U_k in the buffer of ``prefix``, which the path takes over."""
+def _step_path(prefix: UPrefixValues, theta: float, factor: np.ndarray,
+               scale: float) -> StepProcess:
+    """factor (U_k - theta) / scale for k = m..n, zero below k = m, in the
+    buffer of ``prefix``, which the path takes over."""
     values = prefix.values
     values[:prefix.m] = 0.0
     tail = values[prefix.m:]
     tail -= theta
     tail *= factor
-    return prefix
-
-
-def _step_path(unscaled: UPrefixValues, scale: float) -> StepProcess:
-    """The path of :func:`_times_centered`, divided by ``scale``."""
-    unscaled.values[unscaled.m:] /= scale
-    return StepProcess(n=unscaled.n, m=unscaled.m, values=unscaled.values)
+    tail /= scale
+    return StepProcess(n=prefix.n, m=prefix.m, values=values)
 
 
 def _k_grid(n: int, m: int) -> np.ndarray:
@@ -125,8 +119,7 @@ def pseudo_selfnormalized_path(kernel: Kernel, data, theta: float,
     if not v_n > 0:
         raise DegenerateNormalizerError("V_n = 0: all projections vanish")
     prefix = u_prefix_process(kernel, x)
-    factor = _k_grid(prefix.n, prefix.m) / prefix.m
-    return _step_path(_times_centered(prefix, theta, factor), v_n)
+    return _step_path(prefix, theta, _k_grid(prefix.n, prefix.m) / prefix.m, v_n)
 
 
 def _jackknife_scale(n: int, sum_sq: float) -> float:
@@ -138,29 +131,19 @@ def _jackknife_scale(n: int, sum_sq: float) -> float:
     return math.sqrt(n * sum_sq)
 
 
-def _unscaled_path(kernel: Kernel, x: np.ndarray, theta: float) -> tuple:
-    """(k (U_k - theta) in the prefix buffer, jackknife scale) for a sample
-    already through ``_as_sample``.  The scale is taken first, so the
-    jackknife's q vector is released before the prefix pass."""
-    scale = _jackknife_scale(x.shape[0], _u_and_sum_sq(kernel, x)[1])
+def _studentized(kernel: Kernel, x: np.ndarray, theta: float) -> StepProcess:
+    """:func:`studentized_path` for a sample already through ``_as_sample``.
+    The scale is taken first, so the jackknife's q vector is released
+    before the prefix pass."""
+    scale = _jackknife_scale(x.shape[0], _jackknife(kernel, x, keep_q=False)[2])
     prefix = _prefix_values(kernel, x)
-    return _times_centered(prefix, theta, _k_grid(prefix.n, prefix.m)), scale
+    return _step_path(prefix, theta, _k_grid(prefix.n, prefix.m), scale)
 
 
 def studentized_path(kernel: Kernel, data, theta: float) -> StepProcess:
     """k (U_k - theta) / jack_scale with the full-sample jackknife scale."""
     _check_theta(theta)
-    return _step_path(*_unscaled_path(kernel, _as_sample(data), theta))
-
-
-def _studentized_sup(kernel: Kernel, x: np.ndarray, theta: float) -> float:
-    """sup_functional(studentized_path(kernel, x, theta)) for a sample
-    already through ``_as_sample``: the max of the unscaled path, the zero
-    at t = 0 included, divided once by the scale.  Rounded division by a
-    positive number is monotone, so this is the max of the scaled path bit
-    for bit."""
-    unscaled, scale = _unscaled_path(kernel, x, theta)
-    return float(np.max(unscaled.values)) / scale
+    return _studentized(kernel, _as_sample(data), theta)
 
 
 def studentized_value(kernel: Kernel, data, theta: float, k: int) -> float:
@@ -180,9 +163,9 @@ def _studentized_value(kernel: Kernel, x: np.ndarray, theta: float,
     """:func:`studentized_value` for a sample already through
     ``_as_sample`` and m <= k <= n."""
     n = x.shape[0]
-    u_n, sum_sq = _u_and_sum_sq(kernel, x)
+    _, u_n, sum_sq = _jackknife(kernel, x, keep_q=False)
     scale = _jackknife_scale(n, sum_sq)
-    u_k = u_n if k == n else _combination_total(kernel, x[:k]) / math.comb(k, kernel.order)
+    u_k = u_n if k == n else u_statistic(kernel, x[:k])
     return k * (u_k - theta) / scale
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,11 +188,14 @@ def test_comb_column_exact_cached_read_only(n, m):
 def test_comb_column_one_column_per_order(monkeypatch):
     # C(k, m) does not depend on n: a column is grown to the largest n asked
     # for, and any n up to it gets a prefix view without a rebuild
-    monkeypatch.setattr(_accel, "_COLUMNS", {})
-    built = []
-    binomials = _accel._binomials
-    monkeypatch.setattr(_accel, "_binomials",
-                        lambda n, r: built.append((n, r)) or binomials(n, r))
+    built = []  # (n, m) of every column stored
+
+    class Columns(dict):
+        def __setitem__(self, m, col):
+            built.append((col.shape[0] + m - 1, m))
+            super().__setitem__(m, col)
+
+    monkeypatch.setattr(_accel, "_COLUMNS", Columns())
     small = _comb_column(30, 2)
     big = _comb_column(90, 2)
     assert built == [(30, 2), (90, 2)]
@@ -202,6 +206,21 @@ def test_comb_column_one_column_per_order(monkeypatch):
     assert _comb_column(40, 1).tolist() == [float(k) for k in range(1, 41)]
     assert built == [(30, 2), (90, 2), (40, 1)]
     assert np.array_equal(small, big[:29])
+
+
+def test_k_grid_builds_in_one_vector(monkeypatch):
+    # the order-1 column is the float k-grid, built without integer
+    # temporaries: its first build peaks at the column itself
+    monkeypatch.setattr(_accel, "_COLUMNS", {})
+    n = 100_000
+    tracemalloc.start()
+    try:
+        col = _comb_column(n, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 8 * n
+    assert col.tobytes() == _binomials(n, 1)[1:].astype(np.float64).tobytes()
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])

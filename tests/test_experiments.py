@@ -11,6 +11,7 @@ from scipy.integrate import quad
 
 from ustatlab import (
     ConfigError,
+    DomainError,
     ExperimentConfig,
     InvalidArgumentError,
     ResourceLimitError,
@@ -138,12 +139,15 @@ def test_scaled_configs_shipped():
 def test_three_point_grid_builds_columns_in_first_replication_only(monkeypatch):
     # one binomial column per order, grown to the largest n: a study builds
     # its columns while its first replication walks up the grid, then never
-    monkeypatch.setattr(_accel, "_COLUMNS", {})
     rep = [None]  # the replication running
-    builds = []   # the replication of every build
-    binomials = _accel._binomials
-    monkeypatch.setattr(_accel, "_binomials",
-                        lambda n, r: builds.append(rep[0]) or binomials(n, r))
+    builds = []   # the replication of every column stored
+
+    class Columns(dict):
+        def __setitem__(self, m, col):
+            builds.append(rep[0])
+            super().__setitem__(m, col)
+
+    monkeypatch.setattr(_accel, "_COLUMNS", Columns())
     rep_value = experiments._rep_value
 
     def counted(config, kernel, dist, theta, ells, r, sampler):
@@ -325,6 +329,24 @@ def test_clt_k_is_checked_before_any_replication(monkeypatch, workers):
         n_grid=[50, 1000], t0=0.03, replications=50, base_seed=1,
         ks_threshold=0.5))
     with pytest.raises(ConfigError, match=r"^t0=0\.03 gives k=1 < m at n=50$"):
+        run_experiment(cfg, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("experiment", ["CLT_T0", "FCLT_SUP"])
+def test_non_finite_theta_is_rejected_before_any_replication(monkeypatch, experiment,
+                                                             theta, workers):
+    # the replications take theta unchecked, so the driver checks it first
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(experiments, "_collect", no_replications)
+    cfg = ExperimentConfig.from_dict(dict(
+        version=1, experiment=experiment, kernel="identity", dist="normal:0,1",
+        n_grid=[50, 100], theta=theta, replications=50, base_seed=1,
+        ks_threshold=0.5))
+    with pytest.raises(DomainError, match="theta must be finite"):
         run_experiment(cfg, workers=workers)
 
 

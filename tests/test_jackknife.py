@@ -21,7 +21,7 @@ from ustatlab import (
     variance_kernel,
 )
 from ustatlab.engine import ROUTE_CLOSED_FORM, kernel_route
-from ustatlab.jackknife import _u_and_sum_sq
+from ustatlab.jackknife import _jackknife
 
 from _oracles import (
     brute_jackknife_sum_sq,
@@ -76,7 +76,7 @@ def test_constant_kernel_scale_is_exactly_zero(c, n):
         s = jackknife_closed_form(kernel, x)
         assert np.all(s.q == s.q[0])
         assert s.sum_sq == 0.0
-        assert _u_and_sum_sq(kernel, x) == (s.u_n, 0.0)
+        assert _jackknife(kernel, x, keep_q=False) == (None, s.u_n, 0.0)
         with pytest.raises(DegenerateNormalizerError):
             studentized_path(kernel, x, c)
 
@@ -103,7 +103,7 @@ def test_identity_naive_vs_closed_form(name):
             sample(example_density(2.0), n, 1000 + trial)
         s = jackknife_closed_form(kernel, data)
         # the Studentized scale's jackknife centers q in place: same bits
-        assert _u_and_sum_sq(kernel, data) == (s.u_n, s.sum_sq)
+        assert _jackknife(kernel, data, keep_q=False) == (None, s.u_n, s.sum_sq)
         naive_loo = brute_leave_one_out(fn, list(data), kernel.order)
         assert s.leave_one_out == pytest.approx(naive_loo, rel=1e-9, abs=1e-9)
         naive = brute_jackknife_sum_sq(fn, list(data), kernel.order)

@@ -32,7 +32,7 @@ from ustatlab import (
 )
 from ustatlab import _accel
 from ustatlab.engine import ROUTE_CLOSED_FORM, ROUTE_ENUMERATION, ROUTE_SORT, kernel_route
-from ustatlab.processes import StepProcess, _studentized_sup, path_to_csv
+from ustatlab.processes import StepProcess, _studentized, path_to_csv
 
 
 def test_pseudo_path_m1_example():
@@ -138,12 +138,26 @@ SUP_LAWS = {"normal": normal(0.5, 2.0), "example": example_density(2.0),
             "pareto": pareto(2.5, 1.5)}
 
 
+def _reference_path(kernel, x, theta):
+    """k (U_k - theta) / scale from the public jackknife and prefix values,
+    in the order of operations of the path's definition."""
+    summary = jackknife_closed_form(kernel, x)
+    scale = math.sqrt(summary.n * summary.sum_sq)
+    values = u_prefix_process(kernel, x).values
+    m = kernel.order
+    values[:m] = 0.0
+    values[m:] = (values[m:] - theta) * np.arange(m, len(x) + 1, dtype=np.float64) / scale
+    return values
+
+
 @pytest.mark.parametrize("truncated", [False, True], ids=["full", "full-m"])
 @pytest.mark.parametrize("law", sorted(SUP_LAWS))
 @pytest.mark.parametrize("name", sorted(SUP_KERNELS))
 def test_fclt_sup_is_the_sup_of_the_path(name, law, truncated):
-    # FCLT_SUP divides the max of k (U_k - theta) once by the scale; that
-    # is the max of the scaled path bit for bit, whichever route runs
+    # FCLT_SUP's replication value, sup_functional(_studentized(...)) on a
+    # checked sample, and the public path both equal the path built from
+    # jackknife_closed_form and u_prefix_process bit for bit, whichever
+    # route runs
     n = 150
     kernel = SUP_KERNELS[name]
     x = sample(SUP_LAWS[law], n, 21).copy()
@@ -155,14 +169,15 @@ def test_fclt_sup_is_the_sup_of_the_path(name, law, truncated):
     u_n = u_statistic(kernel, x)
     step = 0.1 * (abs(u_n) + 1.0)
     for theta in (u_n - step, u_n, u_n + step):
-        want = sup_functional(studentized_path(kernel, x, theta))
-        assert _studentized_sup(kernel, x, theta) == want
+        want = _reference_path(kernel, x, theta)
+        assert np.array_equal(studentized_path(kernel, x, theta).values, want)
+        assert sup_functional(_studentized(kernel, x, theta)) == float(np.max(want))
     # theta above every U_k: the path is negative past t = 0, so the sup is
     # the 0 there
     top = float(np.nanmax(u_prefix_process(kernel, x).values)) + 1.0
     assert np.max(studentized_path(kernel, x, top).values[kernel.order:]) < 0
-    assert _studentized_sup(kernel, x, top) == 0.0 == \
-        sup_functional(studentized_path(kernel, x, top))
+    assert sup_functional(_studentized(kernel, x, top)) == 0.0 == \
+        float(np.max(_reference_path(kernel, x, top)))
 
 
 def test_fclt_sup_of_the_constant_kernel_is_degenerate():
@@ -170,7 +185,7 @@ def test_fclt_sup_of_the_constant_kernel_is_degenerate():
     with pytest.raises(DegenerateNormalizerError) as path_error:
         sup_functional(studentized_path(constant_kernel(2.0, m=2), x, 1.0))
     with pytest.raises(DegenerateNormalizerError) as sup_error:
-        _studentized_sup(constant_kernel(2.0, m=2), x, 1.0)
+        sup_functional(_studentized(constant_kernel(2.0, m=2), x, 1.0))
     assert str(sup_error.value) == str(path_error.value)
 
 
@@ -204,8 +219,7 @@ def test_studentized_path_holds_two_vectors(name):
     kernel = _memory_kernel(name)
     assert kernel_route(kernel) == ROUTE_CLOSED_FORM
     limit = 1.05 if name == "identity" else 2.05
-    for fn in (studentized_path, _studentized_sup):
-        assert _peak_vectors(fn, kernel, x, MEMORY_THETA[name]) <= limit
+    assert _peak_vectors(studentized_path, kernel, x, MEMORY_THETA[name]) <= limit
 
 
 def test_truncated_studentized_path_holds_nothing_past_its_sort_route():
