@@ -31,13 +31,7 @@ from .distributions import (
     sample,
     sample_grid,
 )
-from .engine import (
-    OrderedTupleSum,
-    UPrefixValues,
-    ordered_distinct_sum,
-    u_prefix_process,
-    u_statistic,
-)
+from .engine import UPrefixValues, u_prefix_process, u_statistic
 from .errors import (
     ConfigError,
     DegenerateNormalizerError,
@@ -60,7 +54,6 @@ from .experiments import (
 )
 from .jackknife import (
     JackknifeSummary,
-    arvesen_estimator,
     jackknife_closed_form,
     leave_one_out,
 )

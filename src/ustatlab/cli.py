@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -26,7 +25,8 @@ from .errors import (
 )
 from .experiments import ExperimentConfig, report_to_json, run_experiment
 from .jackknife import jackknife_closed_form, leave_one_out
-from .kernels import kernel_from_name, theta_under, KERNEL_REGISTRY_HELP
+from .kernels import (KERNEL_REGISTRY_HELP, _projection_values, kernel_from_name,
+                      theta_under)
 from .processes import (
     StepProcess,
     path_to_csv,
@@ -46,12 +46,6 @@ def _resolve_pair(kernel_name: str, dist_name: str):
     return kernel, dist
 
 
-def _projections(kernel, dist, data):
-    from .experiments import _projection_values
-
-    return _projection_values(kernel, dist, data)
-
-
 def cmd_path(args) -> int:
     kernel, dist = _resolve_pair(args.kernel, args.dist)
     if args.n < kernel.order:
@@ -64,7 +58,7 @@ def cmd_path(args) -> int:
         )
     data = sample(dist, args.n, args.seed)
     if args.process == "pseudo":
-        proj = _projections(kernel, dist, data)
+        proj = _projection_values(kernel, dist, data)
         path = pseudo_selfnormalized_path(kernel, data, theta, proj)
     else:
         path = studentized_path(kernel, data, theta)

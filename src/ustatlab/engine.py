@@ -10,10 +10,10 @@ as closed form for an untruncated kernel and as sort for a truncated
 one.  Every other kernel takes one enumeration of every m-combination
 (:func:`_combination_blocks`), which sums, prefix sums and the jackknife
 reduce in their own way.  Enumeration is capped wherever it runs
-(combination count <= 1e8, ordered-tuple arity <= 6), and the order-3
-sort route, which holds every pair, at C(n, 2) <= 2e6 where it runs
-(``_accel.MAX_SORT_PAIRS``): past a cap the engine refuses with
-:class:`ResourceLimitError` rather than silently subsampling.
+(combination count <= 1e8), and the order-3 sort route, which holds
+every pair, at C(n, 2) <= 2e6 where it runs (``_accel.MAX_SORT_PAIRS``):
+past a cap the engine refuses with :class:`ResourceLimitError` rather
+than silently subsampling.
 
 The public functions check their data (``_as_sample``: float64, finite).
 ``_prefix_values`` is ``u_prefix_process`` for a sample already checked,
@@ -22,7 +22,6 @@ for callers that check a sample once and evaluate it more than once.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,9 +33,7 @@ from .kernels import Kernel, eval_kernel_rows
 
 __all__ = [
     "MAX_ENUMERATION",
-    "MAX_ORDERED_ARITY",
     "UPrefixValues",
-    "OrderedTupleSum",
     "u_statistic",
     "u_prefix_process",
     "combination_sum",
@@ -44,11 +41,9 @@ __all__ = [
     "ROUTE_CLOSED_FORM",
     "ROUTE_SORT",
     "ROUTE_ENUMERATION",
-    "ordered_distinct_sum",
 ]
 
 MAX_ENUMERATION = 10 ** 8
-MAX_ORDERED_ARITY = 6
 _CHUNK = 1 << 16
 
 ROUTE_CLOSED_FORM = "closed-form"  # untruncated, served by _accel
@@ -73,13 +68,6 @@ class UPrefixValues:
         if not (self.m <= k <= self.n):
             raise InsufficientDataError(f"U_k defined for {self.m} <= k <= {self.n}")
         return float(self.values[k])
-
-
-@dataclass(frozen=True)
-class OrderedTupleSum:
-    arity: int
-    total: float
-    count: int
 
 
 def _as_sample(data) -> np.ndarray:
@@ -219,29 +207,3 @@ def _prefix_values(kernel: Kernel, x: np.ndarray) -> UPrefixValues:
     values[:m] = np.nan
     np.divide(values[m:], _accel._comb_column(n, m), out=values[m:])
     return UPrefixValues(n=n, m=m, values=values)
-
-
-def ordered_distinct_sum(f, data, r: int) -> OrderedTupleSum:
-    """Sum f over all ordered tuples of distinct indices (arity r <= 6)."""
-    x = _as_sample(data)
-    n = x.shape[0]
-    if r > n:
-        raise InsufficientDataError(f"need n >= arity, got n={n}, arity={r}")
-    if r > MAX_ORDERED_ARITY:
-        raise ResourceLimitError(f"ordered enumeration capped at arity {MAX_ORDERED_ARITY}")
-    count = math.perm(n, r)
-    if count > MAX_ENUMERATION:
-        raise ResourceLimitError(
-            f"{count} ordered tuples exceed the {MAX_ENUMERATION} evaluation cap"
-        )
-    parts = []
-    block = []
-    for tup in itertools.permutations(range(n), r):
-        block.append(f(*(x[list(tup)])))
-        if len(block) == _CHUNK:
-            parts.append(float(np.sum(block)))
-            block = []
-    if block:
-        parts.append(float(np.sum(block)))
-    return OrderedTupleSum(arity=r, total=float(np.sum(parts)) if parts else 0.0,
-                           count=count)

@@ -24,6 +24,10 @@ NEGLIGIBILITY  mean of |statistic| per n (decomposition.negligibility_value);
 
 Replications whose normalizer degenerates are dropped and counted; a
 drop rate above 1% fails the report.
+
+Each experiment is one record of the ``_EXPERIMENTS`` table, which the
+config check, the replications and the summary read: a new experiment
+is one new record.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, asdict, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,13 +47,7 @@ from .decomposition import (
     negligibility_value,
     trend_decreasing,
 )
-from .distributions import (
-    Distribution,
-    _GridSampler,
-    derive_seed,
-    dist_from_name,
-    estimate_ell,
-)
+from .distributions import _GridSampler, derive_seed, dist_from_name, estimate_ell
 from .engine import _as_sample
 from .errors import (
     ConfigError,
@@ -58,7 +56,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .jackknife import _jackknife
-from .kernels import Kernel, kernel_from_name, theta_under
+from .kernels import _projection_values, kernel_from_name, theta_under
 from .processes import _check_theta, _studentized, _studentized_value, sup_functional
 
 __all__ = [
@@ -74,9 +72,6 @@ __all__ = [
     "report_to_json",
     "report_from_json",
 ]
-
-EXPERIMENTS = ("CLT_T0", "FCLT_SUP", "RAIKOV", "JACK_RAIKOV", "ARVESEN",
-               "NEGLIGIBILITY")
 
 MAX_DROP_RATE = 0.01
 
@@ -115,13 +110,6 @@ def ks_distance(samples, cdf) -> float:
 # configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "version", "experiment", "kernel", "dist", "theta", "t0", "n_grid",
-    "replications", "base_seed", "ks_threshold", "rel_mean_threshold",
-    "ell_method", "statistic",
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -154,23 +142,21 @@ class ExperimentConfig:
         if self.ell_method not in (None, "analytic-finite-var",
                                    "example-asymptotic", "truncated-fixed-point"):
             raise ConfigError(f"unknown ell_method {self.ell_method!r}")
-        if self.experiment == "NEGLIGIBILITY":
+        rule = _EXPERIMENTS[self.experiment].rule
+        if rule == "statistic":
             if self.statistic not in TREND_STATISTICS:
                 raise ConfigError(
-                    f"NEGLIGIBILITY needs statistic from {TREND_STATISTICS}"
+                    f"{self.experiment} needs statistic from {TREND_STATISTICS}"
                 )
         elif self.statistic is not None:
             raise ConfigError("statistic only applies to NEGLIGIBILITY")
-        if self.experiment in ("CLT_T0", "FCLT_SUP") and self.ks_threshold is None:
-            raise ConfigError(f"{self.experiment} needs ks_threshold")
-        if self.experiment in ("RAIKOV", "JACK_RAIKOV", "ARVESEN") \
-                and self.rel_mean_threshold is None:
-            raise ConfigError(f"{self.experiment} needs rel_mean_threshold")
+        elif getattr(self, rule) is None:
+            raise ConfigError(f"{self.experiment} needs {rule}")
         return self
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)} (fail-closed)")
         missing = {"version", "experiment", "kernel", "dist", "n_grid",
@@ -242,7 +228,121 @@ def report_from_json(text: str) -> ConvergenceReport:
 
 
 # ---------------------------------------------------------------------------
-# per-replication statistics
+# the experiments, one record each
+# ---------------------------------------------------------------------------
+
+class _Experiment(NamedTuple):
+    """``statistic`` names the values (None: the config's ``statistic``);
+    ``rule`` is the config key of the pass rule: KS distance to the CDF
+    ``reference(config, ell_sq)``, relative gap of the mean to that
+    target, or a falling trend; ``preflight(config, kernel, dist, theta)``
+    runs before any replication and returns ell^2(n) per n, or None for a
+    degenerate configuration; ``value(config, kernel, dist, theta,
+    ell_sq, x)`` is the value on one checked sample."""
+
+    statistic: Optional[str]
+    rule: str
+    preflight: Callable
+    value: Callable
+    reference: Optional[Callable] = None
+
+
+def _theta_ready(config, kernel, dist, theta) -> list:
+    """The Studentized replications take theta unchecked: it must be
+    resolved and finite."""
+    if theta is None:
+        raise ConfigError(
+            f"theta unresolved for kernel '{config.kernel}' under "
+            f"'{config.dist}'; pass it explicitly"
+        )
+    _check_theta(theta)
+    return [None] * len(config.n_grid)
+
+
+def _t0_ready(config, kernel, dist, theta) -> list:
+    """CLT_T0 also takes k = [n t0] unchecked: k >= m at every n."""
+    ells = _theta_ready(config, kernel, dist, theta)
+    for n in config.n_grid:
+        k = int(n * config.t0)
+        if k < max(kernel.order, 1):
+            raise ConfigError(f"t0={config.t0} gives k={k} < m at n={n}")
+    return ells
+
+
+def _trend_ready(config, kernel, dist, theta) -> list:
+    check_trend(config.statistic, kernel, dist, config.n_grid, theta)
+    return [None] * len(config.n_grid)
+
+
+def _ells(config, kernel, dist, theta, analytic: bool = False) -> Optional[list]:
+    """ell^2(n) per n, once per study: the normalizer of the Raikov ratios
+    and, with ``analytic``, the target E h1^2 of ARVESEN.  None where the
+    projection variance vanishes: every replication would be a drop, which
+    the report records rather than hides."""
+    try:
+        probe = estimate_ell(dist, kernel, max(config.n_grid), method=config.ell_method)
+    except UnsupportedOperationError as exc:
+        raise ConfigError(str(exc)) from exc
+    except InvalidArgumentError:
+        return None
+    if analytic and probe.method != "analytic-finite-var":
+        raise ConfigError(
+            f"{config.experiment} needs an analytic finite-variance projection "
+            f"(got ell method {probe.method!r})"
+        )
+    return [estimate_ell(dist, kernel, n, method=config.ell_method).ell_sq
+            for n in config.n_grid]
+
+
+def _raikov_value(config, kernel, dist, theta, ell_sq, x) -> float:
+    proj = _projection_values(kernel, dist, x)
+    v_sq = float(np.einsum("i,i->", proj, proj))
+    if not v_sq > 0:
+        raise DegenerateNormalizerError("V_n = 0")
+    return v_sq / (len(x) * ell_sq)
+
+
+def _t0_cdf(config, ell_sq):
+    root = math.sqrt(config.t0)
+    return lambda x: normal_cdf(x / root)
+
+
+_EXPERIMENTS = {
+    "CLT_T0": _Experiment(
+        "studentized-at-t0", "ks_threshold", _t0_ready,
+        lambda config, kernel, dist, theta, ell_sq, x:
+            _studentized_value(kernel, x, theta, int(len(x) * config.t0)),
+        _t0_cdf),
+    "FCLT_SUP": _Experiment(
+        "studentized-signed-sup", "ks_threshold", _theta_ready,
+        lambda config, kernel, dist, theta, ell_sq, x:
+            sup_functional(_studentized(kernel, x, theta)),
+        lambda config, ell_sq: wiener_sup_cdf),
+    "RAIKOV": _Experiment(
+        "selfnorm-ratio", "rel_mean_threshold", _ells, _raikov_value,
+        lambda config, ell_sq: 1.0),
+    "JACK_RAIKOV": _Experiment(
+        "jackknife-ratio", "rel_mean_threshold", _ells,
+        lambda config, kernel, dist, theta, ell_sq, x:
+            _jackknife(kernel, x, keep_q=False)[2] / (kernel.order ** 2 * ell_sq),
+        lambda config, ell_sq: 1.0),
+    "ARVESEN": _Experiment(
+        "jackknife-variance", "rel_mean_threshold",
+        lambda *args: _ells(*args, analytic=True),
+        lambda config, kernel, dist, theta, ell_sq, x:
+            _jackknife(kernel, x, keep_q=False)[2] / kernel.order ** 2,
+        lambda config, ell_sq: ell_sq),
+    "NEGLIGIBILITY": _Experiment(
+        None, "statistic", _trend_ready,
+        lambda config, kernel, dist, theta, ell_sq, x:
+            negligibility_value(config.statistic, kernel, theta, x)),
+}
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+# ---------------------------------------------------------------------------
+# replications
 # ---------------------------------------------------------------------------
 
 def _resolve(config: ExperimentConfig):
@@ -251,24 +351,8 @@ def _resolve(config: ExperimentConfig):
         dist = dist_from_name(config.dist)
     except InvalidArgumentError as exc:
         raise ConfigError(str(exc)) from exc
-    theta = config.theta
-    if theta is None:
-        theta = theta_under(kernel, dist)
-    if theta is None and config.experiment in ("CLT_T0", "FCLT_SUP"):
-        raise ConfigError(
-            f"theta unresolved for kernel '{config.kernel}' under "
-            f"'{config.dist}'; pass it explicitly"
-        )
+    theta = config.theta if config.theta is not None else theta_under(kernel, dist)
     return kernel, dist, theta
-
-
-def _projection_values(kernel: Kernel, dist: Distribution, x: np.ndarray) -> np.ndarray:
-    if kernel.affine_projection is not None:
-        slope, icpt = kernel.affine_projection(dist)
-        return slope * x + icpt
-    from .kernels import project_h1
-
-    return np.array([project_h1(kernel, float(v), dist) for v in x])
 
 
 def _rep_value(config: ExperimentConfig, kernel, dist, theta, ells,
@@ -281,33 +365,14 @@ def _rep_value(config: ExperimentConfig, kernel, dist, theta, ells,
     # one or, for the example law, has its magnitudes |x - a| with other
     # signs: checking the last one checks them all
     _as_sample(samples[-1])
-    return [_value(config, kernel, dist, theta, ell_sq, data)
-            for ell_sq, data in zip(ells, samples)]
-
-
-def _value(config: ExperimentConfig, kernel, dist, theta, ell_sq,
-           data: np.ndarray) -> Optional[float]:
-    n = len(data)
-    try:
-        if config.experiment == "CLT_T0":
-            return _studentized_value(kernel, data, theta, int(n * config.t0))
-        if config.experiment == "FCLT_SUP":
-            return sup_functional(_studentized(kernel, data, theta))
-        if config.experiment == "RAIKOV":
-            proj = _projection_values(kernel, dist, data)
-            v_sq = float(np.einsum("i,i->", proj, proj))
-            if not v_sq > 0:
-                raise DegenerateNormalizerError("V_n = 0")
-            return v_sq / (n * ell_sq)
-        if config.experiment == "JACK_RAIKOV":
-            return _jackknife(kernel, data, keep_q=False)[2] / (kernel.order ** 2 * ell_sq)
-        if config.experiment == "ARVESEN":
-            return _jackknife(kernel, data, keep_q=False)[2] / kernel.order ** 2
-        if config.experiment == "NEGLIGIBILITY":
-            return negligibility_value(config.statistic, kernel, theta, data)
-    except DegenerateNormalizerError:
-        return None
-    raise ConfigError(f"unhandled experiment {config.experiment}")
+    value = _EXPERIMENTS[config.experiment].value
+    values = []
+    for ell_sq, x in zip(ells, samples):
+        try:
+            values.append(value(config, kernel, dist, theta, ell_sq, x))
+        except DegenerateNormalizerError:
+            values.append(None)
+    return values
 
 
 def _run_chunk(payload) -> list:
@@ -330,71 +395,47 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     config.validate()
     started = time.monotonic()
     kernel, dist, theta = _resolve(config)
-    notes: list = []
-    if config.experiment == "NEGLIGIBILITY":
-        check_trend(config.statistic, kernel, dist, config.n_grid, theta)
-    if config.experiment in ("CLT_T0", "FCLT_SUP"):
-        # the replications take theta and k unchecked
-        _check_theta(theta)
-    if config.experiment == "CLT_T0":
-        for n in config.n_grid:
-            k = int(n * config.t0)
-            if k < max(kernel.order, 1):
-                raise ConfigError(f"t0={config.t0} gives k={k} < m at n={n}")
-    ells = [None] * len(config.n_grid)
-    # degenerate configuration guard: a zero normalizing variance makes
-    # every replication a drop, which the report records rather than hides
-    if config.experiment in ("RAIKOV", "JACK_RAIKOV", "ARVESEN"):
-        try:
-            probe = estimate_ell(dist, kernel, max(config.n_grid),
-                                 method=config.ell_method)
-            if config.experiment == "ARVESEN" and probe.method != \
-                    "analytic-finite-var":
-                raise ConfigError(
-                    "ARVESEN needs an analytic finite-variance projection "
-                    f"(got ell method {probe.method!r})"
-                )
-        except UnsupportedOperationError as exc:
-            raise ConfigError(str(exc)) from exc
-        except InvalidArgumentError:
-            per_n = [PerNRecord(n=n, statistic=_statistic_name(config), mean=None,
-                                se=None, ks=None, dropped=config.replications,
-                                passed=False)
-                     for n in config.n_grid]
-            notes.append(
-                "degenerate configuration: the projection variance vanishes, "
-                "every replication dropped"
-            )
-            return ConvergenceReport(
-                config=config.to_dict(), per_n=per_n, overall_pass=False,
-                dropped_total=config.replications * len(config.n_grid),
-                notes=notes, runtime_seconds=time.monotonic() - started,
-                values={n: [None] * config.replications for n in config.n_grid},
-            )
-        # ell^2(n) per n, once per study: the normalizer of RAIKOV and
-        # JACK_RAIKOV, and ARVESEN's target E h1^2
-        ells = [estimate_ell(dist, kernel, n, method=config.ell_method).ell_sq
-                for n in config.n_grid]
+    experiment = _EXPERIMENTS[config.experiment]
+    ells = experiment.preflight(config, kernel, dist, theta)
+    R = config.replications
+    rows = ([[None] * len(config.n_grid)] * R if ells is None
+            else _collect(config, ells, workers))
+    drop_cap = MAX_DROP_RATE * R
     per_n = []
     values_by_n = {}
     dropped_total = 0
-    rows = _collect(config, ells, workers)
     for j, n in enumerate(config.n_grid):
         values = values_by_n[n] = [row[j] for row in rows]
-        kept = [v for v in values if v is not None]
-        dropped = len(values) - len(kept)
+        kept = np.asarray([v for v in values if v is not None], dtype=np.float64)
+        dropped = R - kept.size
         dropped_total += dropped
-        per_n.append(_summarize(config, n, ells[j], kept, dropped))
-    if config.experiment == "NEGLIGIBILITY":
+        mean = se = ks = None
+        passed = False
+        if kept.size:
+            mean, se = float(kept.mean()), _se(kept)
+            if experiment.rule == "ks_threshold":
+                ks = ks_distance(kept, experiment.reference(config, ells[j]))
+                passed = ks <= config.ks_threshold
+            elif experiment.rule == "rel_mean_threshold":
+                target = experiment.reference(config, ells[j])
+                passed = abs(mean - target) / abs(target) <= config.rel_mean_threshold
+        per_n.append(PerNRecord(
+            n=n, statistic=experiment.statistic or config.statistic, mean=mean,
+            se=se, ks=ks, dropped=dropped, passed=bool(dropped <= drop_cap and passed)))
+    notes = []
+    if experiment.rule == "statistic":
+        # passed is settled over the whole grid once the last n is in
         decreasing = trend_decreasing([r.mean for r in per_n])
         per_n = [replace(r, passed=decreasing) for r in per_n]
         if not decreasing:
             notes.append("trend flag: last mean not below half the first mean")
-    overall = bool(per_n and per_n[-1].passed
-                   and all(r.dropped <= MAX_DROP_RATE * config.replications
-                           for r in per_n))
-    if any(r.dropped > 0 for r in per_n):
+    if ells is None:
+        notes.append("degenerate configuration: the projection variance vanishes, "
+                     "every replication dropped")
+    elif dropped_total:
         notes.append(f"dropped {dropped_total} degenerate replications")
+    overall = bool(per_n and per_n[-1].passed
+                   and all(r.dropped <= drop_cap for r in per_n))
     return ConvergenceReport(
         config=config.to_dict(), per_n=per_n, overall_pass=overall,
         dropped_total=dropped_total, notes=notes,
@@ -421,51 +462,7 @@ def _collect(config: ExperimentConfig, ells: list, workers: int) -> list:
     return rows
 
 
-def _statistic_name(config: ExperimentConfig) -> str:
-    return {
-        "CLT_T0": "studentized-at-t0",
-        "FCLT_SUP": "studentized-signed-sup",
-        "RAIKOV": "selfnorm-ratio",
-        "JACK_RAIKOV": "jackknife-ratio",
-        "ARVESEN": "jackknife-variance",
-        "NEGLIGIBILITY": config.statistic or "trend",
-    }[config.experiment]
-
-
-def _summarize(config: ExperimentConfig, n: int, ell_sq: Optional[float],
-               kept: list, dropped: int) -> PerNRecord:
-    name = _statistic_name(config)
-    drop_ok = dropped <= MAX_DROP_RATE * config.replications
-    if not kept:
-        return PerNRecord(n=n, statistic=name, mean=None, se=None, ks=None,
-                          dropped=dropped, passed=False)
-    arr = np.asarray(kept, dtype=np.float64)
-    if config.experiment == "NEGLIGIBILITY":
-        # passed is settled over the whole grid once the last n is in
-        return PerNRecord(n=n, statistic=name, mean=float(arr.mean()),
-                          se=_se(arr), ks=None, dropped=dropped, passed=False)
-    if config.experiment == "CLT_T0":
-        root = math.sqrt(config.t0)
-        ks = ks_distance(arr, lambda x: normal_cdf(x / root))
-        return PerNRecord(n=n, statistic=name, mean=float(arr.mean()),
-                          se=_se(arr), ks=ks, dropped=dropped,
-                          passed=bool(drop_ok and ks <= config.ks_threshold))
-    if config.experiment == "FCLT_SUP":
-        ks = ks_distance(arr, wiener_sup_cdf)
-        return PerNRecord(n=n, statistic=name, mean=float(arr.mean()),
-                          se=_se(arr), ks=ks, dropped=dropped,
-                          passed=bool(drop_ok and ks <= config.ks_threshold))
-    # mean-based experiments
-    target = ell_sq if config.experiment == "ARVESEN" else 1.0
-    mean = float(arr.mean())
-    rel_gap = abs(mean - target) / abs(target)
-    return PerNRecord(n=n, statistic=name, mean=mean, se=_se(arr), ks=None,
-                      dropped=dropped,
-                      passed=bool(drop_ok and rel_gap <= config.rel_mean_threshold))
-
-
 def _se(arr: np.ndarray) -> float:
     if arr.size < 2:
         return 0.0
     return float(arr.std(ddof=1) / math.sqrt(arr.size))
-

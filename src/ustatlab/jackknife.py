@@ -50,8 +50,7 @@ from .engine import (
 from .errors import InsufficientDataError
 from .kernels import Kernel
 
-__all__ = ["JackknifeSummary", "leave_one_out", "jackknife_closed_form",
-           "arvesen_estimator"]
+__all__ = ["JackknifeSummary", "leave_one_out", "jackknife_closed_form"]
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class JackknifeSummary:
     u_n: float
     q: np.ndarray
     sum_sq: float               # (n-1) * sum_i (U^i - U_n)^2
-    variance_estimator: float   # sum_sq / m^2
+    variance_estimator: float   # sum_sq / m^2, Arvesen's estimator of E h1^2
 
     @property
     def leave_one_out(self) -> np.ndarray:
@@ -137,9 +136,3 @@ def jackknife_closed_form(kernel: Kernel, data) -> JackknifeSummary:
     m = kernel.order
     return JackknifeSummary(n=x.shape[0], m=m, u_n=u_n, q=q, sum_sq=sum_sq,
                             variance_estimator=sum_sq / m ** 2)
-
-
-def arvesen_estimator(summary: JackknifeSummary) -> float:
-    """(n-1)/m^2 * sum_i (U^i - U_n)^2; converges in probability to
-    E h1^2 whenever E h^2 is finite."""
-    return summary.sum_sq / summary.m ** 2

@@ -234,6 +234,15 @@ def project_h1(kernel: Kernel, x: float, dist, mc_budget: Optional[int] = None,
     return (est, se) if with_se else est
 
 
+def _projection_values(kernel: Kernel, dist, x: np.ndarray) -> np.ndarray:
+    """h1 at every point of x: vectorized for an affine projection, else
+    :func:`project_h1` point by point."""
+    if kernel.affine_projection is not None:
+        slope, icpt = kernel.affine_projection(dist)
+        return slope * x + icpt
+    return np.array([project_h1(kernel, float(v), dist) for v in x])
+
+
 def truncate_kernel(kernel: Kernel, rule: TruncationRule,
                     h1m: Optional[Callable[[float], float]] = None) -> Kernel:
     """Return the kernel h * 1(|h| <= c) for the rule's threshold c.

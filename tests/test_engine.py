@@ -17,7 +17,6 @@ from ustatlab import (
     jackknife_closed_form,
     leave_one_out,
     make_kernel,
-    ordered_distinct_sum,
     product_kernel,
     studentized_path,
     studentized_value,
@@ -40,7 +39,6 @@ from ustatlab.engine import (
 
 from _oracles import (
     brute_combination_sum,
-    brute_ordered_sum,
     brute_prefix,
     brute_q,
     brute_u_stat,
@@ -117,36 +115,6 @@ def test_generic_kernel_path_matches_oracle():
         brute_u_stat(lambda x, y: (x + y) ** 3, list(data), 2), rel=1e-10)
     pre = u_prefix_process(cube, data)
     assert pre.final == pytest.approx(u_statistic(cube, data), rel=1e-10)
-
-
-def test_ordered_distinct_sum_examples():
-    o = ordered_distinct_sum(lambda x, y: x * y, [1.0, 2.0], 2)
-    assert (o.total, o.count) == (4.0, 2)
-    o = ordered_distinct_sum(lambda x, y, z: 1.0, [0.0] * 4, 3)
-    assert (o.total, o.count) == (24.0, 24)
-    o = ordered_distinct_sum(lambda x, y: x, [1.0, 2.0, 3.0], 2)
-    assert o.total == pytest.approx(12.0)
-    assert o.count == 6
-
-
-def test_ordered_sum_symmetric_equals_factorial_times_unordered():
-    rng = np.random.default_rng(3)
-    data = list(rng.normal(0, 1, 9))
-    for r, fn in ((2, lambda x, y: x * y + 1), (3, lambda x, y, z: x + y + z)):
-        ordered = ordered_distinct_sum(fn, data, r)
-        unordered = sum(fn(*(data[i] for i in c)) for c in
-                        __import__("itertools").combinations(range(len(data)), r))
-        assert ordered.total == pytest.approx(
-            math.factorial(r) * unordered, rel=1e-10, abs=1e-12)
-        assert ordered.total == pytest.approx(
-            brute_ordered_sum(fn, data, r), rel=1e-12, abs=1e-12)
-
-
-def test_ordered_sum_guards():
-    with pytest.raises(InsufficientDataError):
-        ordered_distinct_sum(lambda *a: 1.0, [1.0, 2.0], 3)
-    with pytest.raises(ResourceLimitError):
-        ordered_distinct_sum(lambda *a: 1.0, [1.0] * 10, 7)
 
 
 def test_kernel_route():
@@ -482,9 +450,3 @@ def test_non_finite_data_raises_domain_error(bad, entry, name):
     x = [0.5, -1.0, bad, 2.0, 1.5]
     with pytest.raises(DomainError):
         ENTRY_POINTS[entry](NON_FINITE_KERNELS[name], x)
-
-
-def test_ordered_distinct_sum_rejects_non_finite_data():
-    with pytest.raises(DomainError):
-        ordered_distinct_sum(lambda x, y: x * y, [1.0, math.nan, 2.0], 2)
-

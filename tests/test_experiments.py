@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import statistics
@@ -119,15 +120,116 @@ def test_config_validation():
         ExperimentConfig.from_dict(raw)
 
 
+_NEEDS_STATISTIC = ("NEGLIGIBILITY needs statistic from "
+                    "('centered-usq', 'diagonal-square', 'shared-pair')")
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(experiment="CLT_T0", rel_mean_threshold=None), "CLT_T0 needs ks_threshold"),
+    (dict(experiment="FCLT_SUP", rel_mean_threshold=None), "FCLT_SUP needs ks_threshold"),
+    (dict(experiment="RAIKOV", rel_mean_threshold=None), "RAIKOV needs rel_mean_threshold"),
+    (dict(experiment="JACK_RAIKOV", rel_mean_threshold=None),
+     "JACK_RAIKOV needs rel_mean_threshold"),
+    (dict(experiment="ARVESEN", rel_mean_threshold=None),
+     "ARVESEN needs rel_mean_threshold"),
+    (dict(experiment="NEGLIGIBILITY"), _NEEDS_STATISTIC),
+    (dict(experiment="NEGLIGIBILITY", statistic="nope"), _NEEDS_STATISTIC),
+    (dict(statistic="centered-usq"), "statistic only applies to NEGLIGIBILITY"),
+    # the statistic check comes before the missing threshold
+    (dict(experiment="CLT_T0", rel_mean_threshold=None, statistic="shared-pair"),
+     "statistic only applies to NEGLIGIBILITY"),
+    (dict(experiment="CLT_T0", kernel="variance", dist="example:a=2", ks_threshold=0.1),
+     "theta unresolved for kernel 'variance' under 'example:a=2'; pass it explicitly"),
+    (dict(experiment="FCLT_SUP", kernel="variance", dist="example:a=2",
+          ks_threshold=0.1),
+     "theta unresolved for kernel 'variance' under 'example:a=2'; pass it explicitly"),
+    (dict(kernel="product:m=2,a=2", dist="example:a=2", ell_method="example-asymptotic"),
+     "ARVESEN needs an analytic finite-variance projection "
+     "(got ell method 'example-asymptotic')"),
+    (dict(experiment="CLT_T0", ks_threshold=0.1, n_grid=[50, 1000], t0=0.03),
+     "t0=0.03 gives k=1 < m at n=50"),
+])
+def test_driver_config_errors(monkeypatch, overrides, message):
+    # each experiment's checks raise their full message before any replication
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(experiments, "_collect", no_replications)
+    raw = {k: v for k, v in _base_config(**overrides).items() if v is not None}
+    with pytest.raises(ConfigError) as info:
+        run_experiment(ExperimentConfig.from_dict(raw))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("experiment,statistic", [
+    ("RAIKOV", "selfnorm-ratio"),
+    ("JACK_RAIKOV", "jackknife-ratio"),
+    ("ARVESEN", "jackknife-variance"),
+])
+def test_degenerate_configuration_report(monkeypatch, experiment, statistic):
+    # a vanishing projection variance drops every replication without
+    # running one, and the report says so
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(experiments, "_collect", no_replications)
+    report = run_experiment(ExperimentConfig.from_dict(_base_config(
+        experiment=experiment, kernel="constant:c=2,m=2", n_grid=[50, 60])))
+    assert report.notes == ["degenerate configuration: the projection variance "
+                            "vanishes, every replication dropped"]
+    assert report.per_n == [
+        experiments.PerNRecord(n=n, statistic=statistic, mean=None, se=None, ks=None,
+                               dropped=50, passed=False)
+        for n in (50, 60)]
+    assert not report.overall_pass
+    assert report.dropped_total == 100
+    assert report.values == {50: [None] * 50, 60: [None] * 50}
+
+
+def _experiment_names_compared(tree) -> list:
+    """Line numbers where code compares an ``experiment`` attribute with a
+    string literal or a tuple of them, outside the ``_EXPERIMENTS`` table."""
+    def literal(node):
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, str)
+        return isinstance(node, (ast.Tuple, ast.List, ast.Set)) \
+            and all(literal(e) for e in node.elts)
+
+    table = set()
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        if any(isinstance(t, ast.Name) and t.id == "_EXPERIMENTS" for t in targets):
+            table.update(id(n) for n in ast.walk(node))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and id(node) not in table
+            and any(isinstance(e, ast.Attribute) and e.attr == "experiment"
+                    for e in [node.left, *node.comparators])
+            and any(literal(e) for e in [node.left, *node.comparators])]
+
+
+def test_only_the_table_tells_the_experiments_apart():
+    # every experiment is one record of experiments._EXPERIMENTS: no other
+    # code in the driver branches on an experiment's name
+    src = Path(experiments.__file__).read_text()
+    assert _experiment_names_compared(ast.parse(src)) == []
+    assert _experiment_names_compared(ast.parse(
+        "if c.experiment == 'A': pass\n"
+        "x = c.experiment in ('A', 'B')\n"
+        "y = c.experiment in EXPERIMENTS\n"
+        "_EXPERIMENTS = {'A': c.experiment == 'A'}\n")) == [1, 2]
+
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.rglob("*.json")),
                          ids=lambda p: str(p.relative_to(CONFIGS)))
 def test_shipped_configs_resolve(path):
-    # validates and resolves kernel, law and theta; runs no replication
+    # validates, resolves kernel, law and theta, and passes the experiment's
+    # preflight; runs no replication
     cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
-    _resolve(cfg)
+    assert experiments._EXPERIMENTS[cfg.experiment].preflight(cfg, *_resolve(cfg))
 
 
 def test_scaled_configs_shipped():

@@ -6,7 +6,6 @@ import pytest
 from ustatlab import (
     DegenerateNormalizerError,
     InsufficientDataError,
-    arvesen_estimator,
     constant_kernel,
     example_density,
     identity_kernel,
@@ -55,13 +54,13 @@ def test_worked_example_exact():
     assert s.leave_one_out == pytest.approx([6, 3, 2], abs=1e-12)
     naive = brute_jackknife_sum_sq(lambda x, y: x * y, [1.0, 2.0, 3.0], 2)
     assert naive == pytest.approx(52 / 3, abs=1e-12)
-    assert arvesen_estimator(s) == pytest.approx(52 / 12, abs=1e-12)
+    assert s.variance_estimator == pytest.approx(52 / 12, abs=1e-12)
 
 
 def test_constant_kernel_sum_sq_zero():
     s = jackknife_closed_form(constant_kernel(3.0, m=2), [1.0, 5.0, 9.0, 2.0])
     assert s.sum_sq == pytest.approx(0.0, abs=1e-12)
-    assert arvesen_estimator(s) == pytest.approx(0.0, abs=1e-12)
+    assert s.variance_estimator == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("c", [0.1, 1 / 3, -0.7])
@@ -90,7 +89,7 @@ def test_identity_m1_example():
     rng = np.random.default_rng(11)
     x = rng.normal(3, 2, 25)
     s = jackknife_closed_form(identity_kernel(), x)
-    assert arvesen_estimator(s) == pytest.approx(np.var(x, ddof=1), rel=1e-12)
+    assert s.variance_estimator == pytest.approx(np.var(x, ddof=1), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(FNS))
@@ -180,4 +179,4 @@ def test_heavy_tail_fast_path_consistency():
 def test_normal_large_n_smoke():
     data = sample(normal(1, 1), 500, 3)
     s = jackknife_closed_form(product_kernel(2), data)
-    assert arvesen_estimator(s) == pytest.approx(1.0, abs=0.5)
+    assert s.variance_estimator == pytest.approx(1.0, abs=0.5)
