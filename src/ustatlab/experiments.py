@@ -27,7 +27,9 @@ drop rate above 1% fails the report.
 
 Each experiment is one record of the ``_EXPERIMENTS`` table, which the
 config check, the replications and the summary read: a new experiment
-is one new record.
+is one new record.  ``decomposition`` is imported only on NEGLIGIBILITY's
+paths and the process pool only for ``workers > 1``, so a library caller
+of ``ks_distance`` or a serial study of another experiment loads neither.
 """
 
 from __future__ import annotations
@@ -35,18 +37,11 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .decomposition import (
-    TREND_STATISTICS,
-    check_trend,
-    negligibility_value,
-    trend_decreasing,
-)
 from .distributions import _GridSampler, derive_seed, dist_from_name, estimate_ell
 from .engine import _as_sample
 from .errors import (
@@ -110,6 +105,17 @@ def ks_distance(samples, cdf) -> float:
 # configuration
 # ---------------------------------------------------------------------------
 
+_NUMBER = (int, float)
+_TYPE_NAMES = {str: "a string", int: "an integer", _NUMBER: "a number",
+               (list, tuple): "a list"}
+_KEY_TYPES = {
+    "experiment": str, "kernel": str, "dist": str, "n_grid": (list, tuple),
+    "replications": int, "base_seed": int, "theta": _NUMBER, "t0": _NUMBER,
+    "ks_threshold": _NUMBER, "rel_mean_threshold": _NUMBER, "ell_method": str,
+    "statistic": str, "version": int,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -127,6 +133,7 @@ class ExperimentConfig:
     version: int = 1
 
     def validate(self) -> "ExperimentConfig":
+        self._check_types()
         if self.version != 1:
             raise ConfigError(f"unsupported config version {self.version}")
         if self.experiment not in EXPERIMENTS:
@@ -144,6 +151,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown ell_method {self.ell_method!r}")
         rule = _EXPERIMENTS[self.experiment].rule
         if rule == "statistic":
+            from .decomposition import TREND_STATISTICS
+
             if self.statistic not in TREND_STATISTICS:
                 raise ConfigError(
                     f"{self.experiment} needs statistic from {TREND_STATISTICS}"
@@ -153,6 +162,19 @@ class ExperimentConfig:
         elif getattr(self, rule) is None:
             raise ConfigError(f"{self.experiment} needs {rule}")
         return self
+
+    def _check_types(self) -> None:
+        """Each key holds a value of its type (None only where that is the
+        default), so no later check or replication meets a wrong one."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            kind = _KEY_TYPES[f.name]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in self.n_grid):
+            raise ConfigError(f"n_grid must hold integers, got {list(self.n_grid)!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -164,12 +186,9 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"missing config keys {sorted(missing)}")
         raw = dict(raw)
-        raw["n_grid"] = tuple(int(n) for n in raw["n_grid"])
-        try:
-            cfg = cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
-        return cfg.validate()
+        if isinstance(raw["n_grid"], list):
+            raw["n_grid"] = tuple(raw["n_grid"])
+        return cls(**raw).validate()
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -270,8 +289,16 @@ def _t0_ready(config, kernel, dist, theta) -> list:
 
 
 def _trend_ready(config, kernel, dist, theta) -> list:
+    from .decomposition import check_trend
+
     check_trend(config.statistic, kernel, dist, config.n_grid, theta)
     return [None] * len(config.n_grid)
+
+
+def _negligibility_value(config, kernel, dist, theta, ell_sq, x) -> float:
+    from .decomposition import negligibility_value
+
+    return negligibility_value(config.statistic, kernel, theta, x)
 
 
 def _ells(config, kernel, dist, theta, analytic: bool = False) -> Optional[list]:
@@ -332,10 +359,7 @@ _EXPERIMENTS = {
         lambda config, kernel, dist, theta, ell_sq, x:
             _jackknife(kernel, x, keep_q=False)[2] / kernel.order ** 2,
         lambda config, ell_sq: ell_sq),
-    "NEGLIGIBILITY": _Experiment(
-        None, "statistic", _trend_ready,
-        lambda config, kernel, dist, theta, ell_sq, x:
-            negligibility_value(config.statistic, kernel, theta, x)),
+    "NEGLIGIBILITY": _Experiment(None, "statistic", _trend_ready, _negligibility_value),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
@@ -424,6 +448,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
             se=se, ks=ks, dropped=dropped, passed=bool(dropped <= drop_cap and passed)))
     notes = []
     if experiment.rule == "statistic":
+        from .decomposition import trend_decreasing
+
         # passed is settled over the whole grid once the last n is in
         decreasing = trend_decreasing([r.mean for r in per_n])
         per_n = [replace(r, passed=decreasing) for r in per_n]
@@ -452,6 +478,8 @@ def _collect(config: ExperimentConfig, ells: list, workers: int) -> list:
     bounds = np.linspace(0, R, workers * 4 + 1).astype(int)
     payloads = [(config.to_dict(), ells, int(a), int(b))
                 for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    from concurrent.futures import ProcessPoolExecutor
+
     rows: list = []
     pool = ProcessPoolExecutor(max_workers=workers)
     try:

@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +200,68 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 5
+
+
+def _module_run(*argv):
+    """``python -m ustatlab ARGV`` on this checkout's src/, stdout piped
+    and block-buffered (PYTHONUNBUFFERED removed)."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "ustatlab", *map(str, argv)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=300)
+
+
+def _output_bytes(out) -> dict:
+    """Every output file's bytes, report.json without its runtime line."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        data = path.read_bytes()
+        if path.name == "report.json":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if b'"runtime_seconds"' not in line)
+        files[path.name] = data
+    return files
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("threshold,code,status", [(0.1, 0, "PASS"), (0.0001, 1, "FAIL")])
+def test_module_study_matches_main(tmp_path, workers, threshold, code, status):
+    # the process exits with main()'s code once its outputs are written,
+    # and its stdout line and files are those of an in-process main()
+    cfg = _study_config(tmp_path, rel_mean_threshold=threshold)
+    out = tmp_path / "module"
+    proc = _module_run("study", "--config", cfg, "--out", out, "--workers", workers)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == f"ARVESEN: {status} (report: {out / 'report.json'})\n"
+    assert proc.stderr == ""
+    assert run_cli("study", "--config", str(cfg), "--out", str(tmp_path / "main"),
+                   "--workers", str(workers)) == code
+    files = _output_bytes(out)
+    assert sorted(files) == ["report.json", "summary.csv", "values_n100.csv",
+                             "values_n200.csv"]
+    assert files == _output_bytes(tmp_path / "main")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_module_study_config_error_exits_2(tmp_path, workers):
+    cfg = _study_config(tmp_path, replications="50")
+    out = tmp_path / "module"
+    proc = _module_run("study", "--config", cfg, "--out", out, "--workers", workers)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: replications must be an integer, got '50'\n"
+    assert not out.exists()
+
+
+def test_module_degenerate_normalizer_exits_3(tmp_path):
+    proc = _module_run("path", "--kernel", "constant:c=1,m=2", "--dist", "normal:0,1",
+                       "--n", 20, "--theta", 1.0, "--out", tmp_path / "x.csv")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("degenerate normalizer: ")
 
 
 def test_workers_env_fallback(tmp_path, monkeypatch):

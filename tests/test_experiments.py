@@ -120,6 +120,33 @@ def test_config_validation():
         ExperimentConfig.from_dict(raw)
 
 
+@pytest.mark.parametrize("overrides,message", [
+    (dict(n_grid=5), "n_grid must be a list, got 5"),
+    (dict(n_grid=["a"]), "n_grid must hold integers, got ['a']"),
+    (dict(n_grid=[100, 200.0]), "n_grid must hold integers, got [100, 200.0]"),
+    (dict(replications="50"), "replications must be an integer, got '50'"),
+    (dict(replications=True), "replications must be an integer, got True"),
+    (dict(replications=50.0), "replications must be an integer, got 50.0"),
+    (dict(base_seed="7"), "base_seed must be an integer, got '7'"),
+    (dict(experiment="CLT_T0", rel_mean_threshold=None, ks_threshold="0.5"),
+     "ks_threshold must be a number, got '0.5'"),
+    (dict(rel_mean_threshold=False), "rel_mean_threshold must be a number, got False"),
+    (dict(t0="1"), "t0 must be a number, got '1'"),
+    (dict(theta=[1.0]), "theta must be a number, got [1.0]"),
+    (dict(kernel=2), "kernel must be a string, got 2"),
+    (dict(version="1"), "version must be an integer, got '1'"),
+])
+def test_config_value_types(monkeypatch, overrides, message):
+    # a value of the wrong type is a ConfigError, raised before any replication
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(experiments, "_collect", no_replications)
+    with pytest.raises(ConfigError) as info:
+        run_experiment(ExperimentConfig.from_dict(_base_config(**overrides)))
+    assert str(info.value) == message
+
+
 _NEEDS_STATISTIC = ("NEGLIGIBILITY needs statistic from "
                     "('centered-usq', 'diagonal-square', 'shared-pair')")
 
@@ -413,7 +440,7 @@ def test_negligibility_checks_run_before_the_pool(monkeypatch, overrides, error,
     def no_pool(*args, **kwargs):
         raise AssertionError("pool started")
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     with pytest.raises(error, match=message):
         run_experiment(_negligibility_config("shared-pair", **overrides), workers=2)
 
