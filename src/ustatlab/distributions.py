@@ -22,7 +22,7 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedOperationError,
 )
-from .kernels import Kernel, eval_kernel_rows, project_h1
+from .kernels import Kernel, _projection_values, _projection_variance, eval_kernel_rows
 
 __all__ = [
     "Distribution",
@@ -51,6 +51,7 @@ _SEED_MULT = 0x9E3779B97F4A7C15
 ANALYTIC_FINITE_VAR = "analytic-finite-var"
 EXAMPLE_ASYMPTOTIC = "example-asymptotic"
 TRUNCATED_FIXED_POINT = "truncated-fixed-point"
+_ELL_METHODS = (ANALYTIC_FINITE_VAR, EXAMPLE_ASYMPTOTIC, TRUNCATED_FIXED_POINT)
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -244,29 +245,10 @@ class EllEstimate:
     method: str
 
 
-def _projection_variance(dist: Distribution, kernel: Kernel) -> Optional[float]:
-    """Exact Var h1(X) when available analytically, else None."""
-    if dist.kind == "finite":
-        vals = np.array([project_h1(kernel, float(x), dist) for x in dist.points])
-        mu = float(np.dot(vals, dist.probs))
-        return float(np.dot((vals - mu) ** 2, dist.probs))
-    if kernel.affine_projection is not None and dist.variance is not None:
-        try:
-            slope, _ = kernel.affine_projection(dist)
-        except UnsupportedOperationError:
-            return None
-        return slope ** 2 * dist.variance
-    base = kernel.name.split(":", 1)[0]
-    if base == "variance" and dist.kind == "normal":
-        sigma = dist.params[1]
-        return sigma ** 4 / 2.0  # Var((X-mu)^2 - sigma^2)/4 under a normal
-    return None
-
-
 def _truncated_second_moment(dist, kernel, bound: float) -> float:
     """E[h1^2 1(|h1| <= bound)] for affine projections h1 = slope*x + icpt."""
     if dist.kind == "finite":
-        vals = np.array([project_h1(kernel, float(x), dist) for x in dist.points])
+        vals = _projection_values(kernel, dist, dist.points)
         keep = np.abs(vals) <= bound
         return float(np.dot(np.where(keep, vals ** 2, 0.0), dist.probs))
     if kernel.affine_projection is None:
@@ -297,11 +279,10 @@ def estimate_ell(dist: Distribution, kernel: Kernel, n, method: Optional[str] = 
     """ell^2(n) via, in order: analytic Var h1 when finite; the example
     family's leading asymptotic a^(2(m-1)) * ln n; a truncated-moment
     fixed point B^2 <- n * E[h1^2 1(|h1| <= B)] iterated to 1e-6 relative."""
-    if method not in (None, ANALYTIC_FINITE_VAR, EXAMPLE_ASYMPTOTIC,
-                      TRUNCATED_FIXED_POINT):
+    if method is not None and method not in _ELL_METHODS:
         raise InvalidArgumentError(f"unknown ell method {method!r}")
     if method in (None, ANALYTIC_FINITE_VAR):
-        var = _projection_variance(dist, kernel)
+        var = _projection_variance(kernel, dist)
         if var is not None:
             if var <= 0:
                 raise InvalidArgumentError(

@@ -42,7 +42,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .distributions import _GridSampler, derive_seed, dist_from_name, estimate_ell
+from .distributions import (ANALYTIC_FINITE_VAR, _ELL_METHODS, _GridSampler, derive_seed,
+                            dist_from_name, estimate_ell)
 from .engine import _as_sample
 from .errors import (
     ConfigError,
@@ -146,8 +147,7 @@ class ExperimentConfig:
             raise ConfigError("replications must be >= 50")
         if not (0.0 < self.t0 <= 1.0):
             raise ConfigError(f"t0 must lie in (0, 1], got {self.t0}")
-        if self.ell_method not in (None, "analytic-finite-var",
-                                   "example-asymptotic", "truncated-fixed-point"):
+        if self.ell_method is not None and self.ell_method not in _ELL_METHODS:
             raise ConfigError(f"unknown ell_method {self.ell_method!r}")
         rule = _EXPERIMENTS[self.experiment].rule
         if rule == "statistic":
@@ -312,7 +312,7 @@ def _ells(config, kernel, dist, theta, analytic: bool = False) -> Optional[list]
         raise ConfigError(str(exc)) from exc
     except InvalidArgumentError:
         return None
-    if analytic and probe.method != "analytic-finite-var":
+    if analytic and probe.method != ANALYTIC_FINITE_VAR:
         raise ConfigError(
             f"{config.experiment} needs an analytic finite-variance projection "
             f"(got ell method {probe.method!r})"

@@ -51,9 +51,10 @@ class Kernel:
     ``eval_fn`` takes ``order`` floats and returns a float.  ``theta`` is
     the analytic mean when the kernel was registered against a specific
     target distribution (e.g. ``product:m=2,a=2``).  ``projection`` maps
-    ``(x, dist)`` to the analytic ``h1(x)`` when one exists.
-    ``affine_projection`` maps a distribution to ``(slope, intercept)``
-    when ``h1`` is affine in ``x``, which unlocks vectorized paths.
+    ``(x, dist)``, for an array ``x`` of points, to the array of analytic
+    ``h1`` values when one exists.  ``affine_projection`` maps a
+    distribution to ``(slope, intercept)`` when ``h1`` is affine in ``x``;
+    the built-ins that have one derive ``projection`` from it.
     ``accel_code`` sends a built-in kernel to :mod:`ustatlab._accel`: an
     integer code, or ``(KERNEL_CONSTANT, c)`` for the constant kernel,
     whose code carries its value; ``accel_thr`` is its truncation
@@ -144,36 +145,44 @@ def eval_kernel_rows(kernel: Kernel, rows: np.ndarray) -> np.ndarray:
 def theta_under(kernel: Kernel, dist) -> Optional[float]:
     """Analytic theta = E h under ``dist``, or None if unavailable.
 
-    Falls back to exact enumeration on finite-support distributions.
+    An untruncated built-in takes its closed form from its ``_accel``
+    code; other kernels fall back to exact enumeration on finite-support
+    distributions.
     """
     if kernel.theta is not None:
         return kernel.theta
-    if "|" not in kernel.name:  # truncation invalidates the closed forms
-        base = kernel.name.split(":", 1)[0]
-        if base == "identity":
-            return dist.mean
-        if base == "product":
+    if kernel.accel_thr == math.inf:  # truncation invalidates the closed forms
+        if kernel.accel_code == _accel.KERNEL_PRODUCT:
             return None if dist.mean is None else dist.mean ** kernel.order
-        if base == "variance":
+        if kernel.accel_code == _accel.KERNEL_VARIANCE:
             return dist.variance
     if dist.kind == "finite":
-        return _finite_theta(kernel, dist)
+        return _finite_mean(kernel, dist)
     return None
 
 
-def _finite_theta(kernel: Kernel, dist) -> float:
-    m = kernel.order
+def _finite_mean(kernel: Kernel, dist, fixed: tuple = ()) -> float:
+    """E h(fixed, X_1..X_k), k = m - len(fixed), by exact enumeration of a
+    finite law: theta for ``fixed = ()``, theta + h1(x) for ``(x,)``."""
+    k = kernel.order - len(fixed)
     s = len(dist.points)
-    if s ** m > _MAX_FINITE_ENUM:
-        raise UnsupportedOperationError(
-            f"finite enumeration of theta needs {s}^{m} evaluations"
-        )
-    grids = np.meshgrid(*([dist.points] * m), indexing="ij")
-    rows = np.stack([g.ravel() for g in grids], axis=1)
-    vals = eval_kernel_rows(kernel, rows)
-    wgrids = np.meshgrid(*([dist.probs] * m), indexing="ij")
-    w = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    return float(np.dot(vals, w))
+    if s ** k > _MAX_FINITE_ENUM:
+        raise UnsupportedOperationError(f"finite enumeration needs {s}^{k} evaluations")
+    grids = np.meshgrid(*([dist.points] * k), indexing="ij")
+    rows = np.column_stack([np.full(s ** k, v) for v in fixed] + [g.ravel() for g in grids])
+    w = np.ravel(math.prod(np.meshgrid(*([dist.probs] * k), indexing="ij")))
+    return float(np.dot(eval_kernel_rows(kernel, rows), w))
+
+
+def _analytic_h1(kernel: Kernel, dist, x: np.ndarray) -> Optional[np.ndarray]:
+    """The kernel's analytic h1 at every point of x, or None where it has
+    none under ``dist``."""
+    if kernel.projection is None:
+        return None
+    try:
+        return np.asarray(kernel.projection(x, dist), dtype=np.float64)
+    except UnsupportedOperationError:
+        return None
 
 
 def project_h1(kernel: Kernel, x: float, dist, mc_budget: Optional[int] = None,
@@ -186,25 +195,15 @@ def project_h1(kernel: Kernel, x: float, dist, mc_budget: Optional[int] = None,
     ``se`` is 0 for the exact routes.
     """
     x = float(x)
-    if kernel.projection is not None:
-        try:
-            v = float(kernel.projection(x, dist))
-            return (v, 0.0) if with_se else v
-        except UnsupportedOperationError:
-            pass
-    m = kernel.order
-    if dist.kind == "finite":
-        theta = _finite_theta(kernel, dist)
-        if m == 1:
-            v = kernel.eval_fn(x) - theta
-            return (v, 0.0) if with_se else v
-        grids = np.meshgrid(*([dist.points] * (m - 1)), indexing="ij")
-        rows = np.stack([np.full(grids[0].size, x)] + [g.ravel() for g in grids], axis=1)
-        vals = eval_kernel_rows(kernel, rows)
-        wgrids = np.meshgrid(*([dist.probs] * (m - 1)), indexing="ij")
-        w = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-        v = float(np.dot(vals, w)) - theta
+    h1 = _analytic_h1(kernel, dist, np.array([x]))
+    if h1 is not None:
+        v = float(h1[0])
         return (v, 0.0) if with_se else v
+    if dist.kind == "finite":
+        theta = _finite_mean(kernel, dist)
+        v = _finite_mean(kernel, dist, (x,)) - theta
+        return (v, 0.0) if with_se else v
+    m = kernel.order
     if mc_budget is None:
         raise UnsupportedOperationError(
             f"no analytic projection for kernel '{kernel.name}' under "
@@ -235,12 +234,31 @@ def project_h1(kernel: Kernel, x: float, dist, mc_budget: Optional[int] = None,
 
 
 def _projection_values(kernel: Kernel, dist, x: np.ndarray) -> np.ndarray:
-    """h1 at every point of x: vectorized for an affine projection, else
+    """h1 at every point of x: one call of the analytic projection, else
     :func:`project_h1` point by point."""
-    if kernel.affine_projection is not None:
-        slope, icpt = kernel.affine_projection(dist)
-        return slope * x + icpt
+    h1 = _analytic_h1(kernel, dist, x)
+    if h1 is not None:
+        return h1
     return np.array([project_h1(kernel, float(v), dist) for v in x])
+
+
+def _projection_variance(kernel: Kernel, dist) -> Optional[float]:
+    """Exact Var h1(X) when available analytically, else None."""
+    if dist.kind == "finite":
+        vals = _projection_values(kernel, dist, dist.points)
+        mu = float(np.dot(vals, dist.probs))
+        return float(np.dot((vals - mu) ** 2, dist.probs))
+    if kernel.affine_projection is not None and dist.variance is not None:
+        try:
+            slope, _ = kernel.affine_projection(dist)
+        except UnsupportedOperationError:
+            return None
+        return slope ** 2 * dist.variance
+    if kernel.accel_code == _accel.KERNEL_VARIANCE and kernel.accel_thr == math.inf \
+            and dist.kind == "normal":
+        sigma = dist.params[1]
+        return sigma ** 4 / 2.0  # Var((X-mu)^2 - sigma^2)/4 under a normal
+    return None
 
 
 def truncate_kernel(kernel: Kernel, rule: TruncationRule,
@@ -251,12 +269,12 @@ def truncate_kernel(kernel: Kernel, rule: TruncationRule,
     requires an ``h1m`` evaluator for the (already truncated) kernel.
     """
     c = rule.threshold(kernel.order)
+    inner = kernel.eval_fn
     if rule.mode is TruncationMode.PROJECTION_ELL:
         if h1m is None:
             raise UnsupportedOperationError(
                 "PROJECTION_ELL truncation needs an h1m evaluator"
             )
-        inner = kernel.eval_fn
 
         def eval_fn(*xs):
             return inner(*xs) if abs(h1m(xs[0])) <= c else 0.0
@@ -266,38 +284,21 @@ def truncate_kernel(kernel: Kernel, rule: TruncationRule,
             gate = np.array([abs(h1m(v)) <= c for v in rows[:, 0]])
             return np.where(gate, vals, 0.0)
 
-        return replace(
-            kernel,
-            name=f"{kernel.name}|proj-ell@{c:.6g}",
-            eval_fn=eval_fn,
-            batch_fn=batch_fn,
-            accel_code=None,
-            accel_thr=math.inf,
-            theta=None,
-            projection=None,
-            affine_projection=None,
-        )
+        name, code, thr = f"{kernel.name}|proj-ell@{c:.6g}", None, math.inf
+    else:
+        def eval_fn(*xs):
+            v = inner(*xs)
+            return v if abs(v) <= c else 0.0
 
-    inner = kernel.eval_fn
+        def batch_fn(rows):
+            v = eval_kernel_rows(kernel, rows)
+            return np.where(np.abs(v) <= c, v, 0.0)
 
-    def eval_fn(*xs):
-        v = inner(*xs)
-        return v if abs(v) <= c else 0.0
-
-    def batch_fn(rows):
-        v = eval_kernel_rows(kernel, rows)
-        return np.where(np.abs(v) <= c, v, 0.0)
-
-    return replace(
-        kernel,
-        name=f"{kernel.name}|{rule.mode.value}@{c:.6g}",
-        eval_fn=eval_fn,
-        batch_fn=batch_fn,
-        accel_thr=min(kernel.accel_thr, c),
-        theta=None,
-        projection=None,
-        affine_projection=None,
-    )
+        name = f"{kernel.name}|{rule.mode.value}@{c:.6g}"
+        code, thr = kernel.accel_code, min(kernel.accel_thr, c)
+    return replace(kernel, name=name, eval_fn=eval_fn, batch_fn=batch_fn,
+                   accel_code=code, accel_thr=thr, theta=None, projection=None,
+                   affine_projection=None)
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +311,14 @@ def _require_mean(dist):
     return dist.mean
 
 
-def identity_kernel() -> Kernel:
-    return Kernel(
-        name="identity",
-        order=1,
-        eval_fn=lambda x: x,
-        projection=lambda x, d: x - _require_mean(d),
-        batch_fn=lambda rows: rows[:, 0],
-        affine_projection=lambda d: (1.0, -_require_mean(d)),
-        accel_code=_accel.KERNEL_PRODUCT,  # the order-1 product kernel
-    )
+def _affine_h1(affine: Callable) -> Callable:
+    """The projection h1(x) = slope * x + intercept of an affine map
+    ``dist -> (slope, intercept)``, at an array of points."""
+    def projection(x, dist):
+        slope, icpt = affine(dist)
+        return slope * x + icpt
+
+    return projection
 
 
 def _running_product(rows: np.ndarray) -> np.ndarray:
@@ -338,10 +337,6 @@ def product_kernel(m: int, a: Optional[float] = None) -> Kernel:
     if m < 1:
         raise InvalidArgumentError(f"product kernel needs m >= 1, got {m}")
 
-    def projection(x, d):
-        mu = _require_mean(d)
-        return x * mu ** (m - 1) - mu ** m
-
     def affine(d):
         mu = _require_mean(d)
         return (mu ** (m - 1), -(mu ** m))
@@ -354,11 +349,16 @@ def product_kernel(m: int, a: Optional[float] = None) -> Kernel:
         # argument permutation
         eval_fn=lambda *xs: math.prod(sorted(xs)),
         theta=None if a is None else float(a) ** m,
-        projection=projection,
+        projection=_affine_h1(affine),
         batch_fn=_running_product,
         affine_projection=affine,
         accel_code=_accel.KERNEL_PRODUCT,
     )
+
+
+def identity_kernel() -> Kernel:
+    """h(x) = x: the order-1 product kernel."""
+    return replace(product_kernel(1), name="identity")
 
 
 def variance_kernel() -> Kernel:
@@ -393,21 +393,30 @@ def variance_kernel() -> Kernel:
 
 def constant_kernel(c: float, m: int = 1) -> Kernel:
     c = float(c)
+
+    def affine(d):
+        return (0.0, 0.0)
+
     return Kernel(
         name=f"constant:c={c:g}" + (f",m={m}" if m != 1 else ""),
         order=m,
         eval_fn=lambda *xs: c,
         theta=c,
-        projection=lambda x, d: 0.0,
+        projection=_affine_h1(affine),
         batch_fn=lambda rows: np.full(rows.shape[0], c),
-        affine_projection=lambda d: (0.0, 0.0),
+        affine_projection=affine,
         accel_code=(_accel.KERNEL_CONSTANT, c),
     )
 
 
 def make_kernel(name: str, order: int, eval_fn, theta=None, projection=None,
                 batch_fn=None) -> Kernel:
-    """Wrap a user-supplied symmetric function as a Kernel (generic path)."""
+    """Wrap a user-supplied symmetric function as a Kernel (generic path).
+
+    ``projection``, when given, maps ``(x, dist)`` for an array ``x`` of
+    points to the array of analytic h1 values.  Without ``theta``, theta
+    and Var h1 come only from exact enumeration on a finite law, never
+    from the kernel's name."""
     return Kernel(name=name, order=order, eval_fn=eval_fn, theta=theta,
                   projection=projection, batch_fn=batch_fn)
 

@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,20 +15,26 @@ from ustatlab import (
     TruncationRule,
     UnsupportedOperationError,
     constant_kernel,
+    estimate_ell,
     eval_kernel,
     example_density,
     finite,
     identity_kernel,
     kernel_from_name,
+    make_kernel,
     normal,
+    pareto,
     product_kernel,
     project_h1,
+    sample,
     theta_under,
     truncate_kernel,
     variance_kernel,
 )
 from ustatlab import _accel
-from ustatlab.kernels import eval_kernel_rows
+from ustatlab.engine import ROUTE_CLOSED_FORM, kernel_route
+from ustatlab.kernels import (_finite_mean, _projection_values, _projection_variance,
+                              eval_kernel_rows)
 
 from _oracles import finite_expectation
 
@@ -222,3 +230,170 @@ def test_variance_kernel_rounds_alike_on_every_path():
     assert scalar == batch
     assert max(scalar) == _accel.max_abs_kernel(_accel.KERNEL_VARIANCE, np.array(x), 2)
     assert max(scalar) == 1.1265005e20
+
+
+# ---------------------------------------------------------------------------
+# one theta, one h1, one finite-law expectation
+# ---------------------------------------------------------------------------
+
+LAWS = [normal(1.5, 2.0), example_density(2.0), pareto(3.0),
+        finite([-1.0, 0.0, 2.0], [0.2, 0.3, 0.5])]
+
+
+def _product_h1(m):
+    return lambda x, d: x * d.mean ** (m - 1) - d.mean ** m
+
+
+# each built-in's h1 as the scalar formula it had before its projection took
+# arrays: the vectorized projection must round exactly as these do
+SCALAR_H1 = {
+    "identity": lambda x, d: x - d.mean,
+    "product:m=1": _product_h1(1),
+    "product:m=2": _product_h1(2),
+    "product:m=3": _product_h1(3),
+    "product:m=1,a=2": _product_h1(1),
+    "product:m=2,a=2": _product_h1(2),
+    "product:m=3,a=2": _product_h1(3),
+    "constant:c=2.5": lambda x, d: 0.0,
+    "constant:c=-1,m=2": lambda x, d: 0.0,
+    "variance": lambda x, d: 0.5 * ((x - d.mean) * (x - d.mean) - d.variance),
+}
+
+
+def _counting(kernel):
+    calls = []
+
+    def projection(x, dist):
+        calls.append(len(x))
+        return kernel.projection(x, dist)
+
+    return replace(kernel, projection=projection), calls
+
+
+@pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("name", SCALAR_H1)
+def test_projection_values_match_project_h1_bit_for_bit(name, dist):
+    kernel = kernel_from_name(name)
+    x = np.concatenate([sample(dist, 200, 5), [0.0, -0.0, dist.mean]])
+    counted, calls = _counting(kernel)
+    if name == "variance" and dist.variance is None:
+        with pytest.raises(UnsupportedOperationError):
+            project_h1(kernel, 1.0, dist)
+        with pytest.raises(UnsupportedOperationError):
+            _projection_values(counted, dist, x)
+        return
+    got = _projection_values(counted, dist, x)
+    assert calls == [len(x)]
+    per_point = np.array([project_h1(kernel, v, dist) for v in x])
+    scalar = np.array([SCALAR_H1[name](float(v), dist) for v in x])
+    assert got.tobytes() == per_point.tobytes() == scalar.tobytes()
+
+
+def test_identity_is_the_order_one_product():
+    ident, prod = identity_kernel(), product_kernel(1)
+    assert ident.name == "identity"
+    rows = np.array([[-0.0], [0.0], [1.5], [-3.25], [1e300]])
+    for (v,) in rows:
+        assert math.copysign(1, ident.eval_fn(v)) == math.copysign(1, prod.eval_fn(v))
+        assert eval_kernel(ident, [v]) == eval_kernel(prod, [v]) == v
+    assert eval_kernel_rows(ident, rows).tobytes() == eval_kernel_rows(prod, rows).tobytes()
+    for d in LAWS:
+        assert theta_under(ident, d) == theta_under(prod, d) == d.mean
+        assert ident.affine_projection(d) == prod.affine_projection(d)
+        assert ident.projection(rows[:, 0], d).tobytes() \
+            == prod.projection(rows[:, 0], d).tobytes()
+        for n in (10, 1000):
+            assert estimate_ell(d, ident, n) == estimate_ell(d, prod, n)
+    assert (ident.accel_code, ident.accel_thr) == (prod.accel_code, prod.accel_thr)
+    assert kernel_route(ident) == kernel_route(prod) == ROUTE_CLOSED_FORM
+
+
+def _max_plus_prod(*xs):
+    return max(xs) + math.prod(xs)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_finite_mean_matches_enumeration_oracle(m):
+    d = finite([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5])
+    fn = _max_plus_prod
+    kernel = make_kernel("max+prod", m, fn)
+    theta = finite_expectation(fn, d.points, d.probs, m)
+    assert _finite_mean(kernel, d) == pytest.approx(theta, abs=1e-12)
+    assert theta_under(kernel, d) == _finite_mean(kernel, d)
+    for x in (-1.0, 0.5, 2.0, 7.0):
+        given_x = finite_expectation(lambda *ys: fn(x, *ys), d.points, d.probs, m - 1)
+        assert _finite_mean(kernel, d, (x,)) == pytest.approx(given_x, abs=1e-12)
+        assert project_h1(kernel, x, d) == pytest.approx(given_x - theta, abs=1e-12)
+
+
+def test_theta_and_projection_variance_ignore_the_name():
+    d = normal(1.0, 2.0)
+    # user kernels named like the built-ins get no closed form
+    impostors = [make_kernel("variance", 2, lambda x, y: x + y),
+                 make_kernel("identity", 1, lambda x: 2.0 * x),
+                 make_kernel("product:m=2", 2, lambda x, y: x + y)]
+    for kernel in impostors:
+        assert theta_under(kernel, d) is None
+        assert _projection_variance(kernel, d) is None
+    with pytest.raises(UnsupportedOperationError):
+        estimate_ell(d, impostors[0], 10)
+    # and a built-in under another name keeps them
+    spread = replace(variance_kernel(), name="spread")
+    assert theta_under(spread, d) == 4.0
+    assert _projection_variance(spread, d) == 8.0
+    assert estimate_ell(d, spread, 10).ell_sq == 8.0
+    assert theta_under(replace(product_kernel(2), name="p2"), d) == 1.0
+
+
+def test_truncated_kernels_keep_their_theta_routes():
+    d, law = normal(0.0, 1.0), finite([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5])
+    c = math.log(4)  # keeps 0.5 (x - y)^2 = 1.125, drops 4.5
+    cut = truncate_kernel(variance_kernel(), TruncationRule(TruncationMode.LOG, n=4))
+    gated = truncate_kernel(product_kernel(2), TruncationRule(
+        TruncationMode.PROJECTION_ELL, n=1, ell_of_n=1.0), h1m=lambda x: x)
+    for kernel in (cut, gated):
+        assert theta_under(kernel, d) is None
+        assert _projection_variance(kernel, d) is None
+    cases = ((cut, lambda a, b: v if abs(v := 0.5 * (a - b) ** 2) <= c else 0.0),
+             (gated, lambda a, b: a * b if abs(a) <= 1.0 else 0.0))
+    for kernel, fn in cases:
+        oracle = finite_expectation(fn, law.points, law.probs, 2)
+        assert theta_under(kernel, law) == pytest.approx(oracle, abs=1e-12)
+
+
+_NAME_PARSES = {"split", "rsplit", "partition", "rpartition", "startswith", "endswith"}
+
+
+def _names_parsed(tree) -> list:
+    """Line numbers where code splits, partitions or prefix-tests a ``.name``
+    attribute, or tests membership in one or of one: the ways to read what
+    a kernel is off its name."""
+    def is_name(node):
+        return isinstance(node, ast.Attribute) and node.attr == "name"
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _NAME_PARSES and is_name(node.func.value):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Compare) \
+                and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops) \
+                and any(is_name(e) for e in [node.left, *node.comparators]):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_reads_a_kernel_off_its_name():
+    # theta, h1 and Var h1 follow a kernel's fields and _accel code; its
+    # name is only a label for reports and messages
+    src = Path(__file__).resolve().parents[1] / "src" / "ustatlab"
+    modules = sorted(src.glob("*.py"))
+    assert {"kernels.py", "distributions.py"} <= {p.name for p in modules}
+    parsed = {p.stem: _names_parsed(ast.parse(p.read_text())) for p in modules}
+    assert {stem: lines for stem, lines in parsed.items() if lines} == {}
+    assert _names_parsed(ast.parse(
+        "base = kernel.name.split(':', 1)[0]\n"
+        "if '|' not in kernel.name: pass\n"
+        "head, _, rest = d.name.partition(':')\n"
+        "spec.split(':'), name.partition(':'), k.order in (1, 2)\n"
+        "x = k.name in NAMES\n")) == [1, 2, 3, 5]
