@@ -27,6 +27,11 @@ the ratio equals r! for permutation-symmetric L (each unordered index
 set is counted r! times, and distinct sets are uncorrelated), and
 r! is the sharp constant in general.  Reports therefore carry both the
 unit reference constant and the measured ratio.
+
+The module keeps only its own statistics: support grids come from
+``kernels._support_rows``, the generic shared-pair statistic reduces the
+engine's block enumeration, and :func:`negligibility_trend` is the study
+driver's NEGLIGIBILITY run on the kernel and law it is given.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .engine import (
     ROUTE_CLOSED_FORM,
     ROUTE_ENUMERATION,
     _as_sample,
-    _check_enumeration,
     _combination_blocks,
     _routed,
     u_statistic,
@@ -54,7 +58,8 @@ from .errors import (
     PreconditionViolationError,
     ResourceLimitError,
 )
-from .kernels import Kernel, eval_kernel_rows, theta_under
+from .experiments import ExperimentConfig, _run
+from .kernels import Kernel, TruncationMode, TruncationRule, _support_rows, theta_under
 
 __all__ = [
     "ProductStatistic",
@@ -156,24 +161,13 @@ class VExpansion:
     weights: np.ndarray      # outcome probabilities, same shape as grid
 
 
-def _full_grid(ps: ProductStatistic, dist: Distribution):
-    r = ps.arity
-    pts = dist.points
-    s = len(pts)
-    if s > _MAX_SUPPORT:
-        raise ResourceLimitError(f"support size {s} exceeds {_MAX_SUPPORT}")
-    if ps.base.order > 3:
-        raise ResourceLimitError("product statistics supported up to order 3")
-    grid = np.empty((s,) * r)
-    for idx in itertools.product(range(s), repeat=r):
-        grid[idx] = eval_product_statistic(ps, [pts[i] for i in idx])
-    w = dist.probs
-    weights = np.ones((s,) * r)
-    for ax in range(r):
-        shape = [1] * r
-        shape[ax] = s
-        weights = weights * w.reshape(shape)
-    return grid, weights
+def _tabulate(f: Callable, dist: Distribution, r: int):
+    """f over support^r as an (s,)*r table, each cell a scalar call, and
+    the outcome probabilities in the same shape."""
+    rows, weights = _support_rows(dist, r)
+    shape = (len(dist.points),) * r
+    table = np.fromiter((f(*row) for row in rows), np.float64, len(rows))
+    return table.reshape(shape), weights.reshape(shape)
 
 
 def _contract(tensor: np.ndarray, probs: np.ndarray, axes) -> np.ndarray:
@@ -187,7 +181,11 @@ def build_v_expansion(ps: ProductStatistic, dist: Distribution) -> VExpansion:
     """All degenerate components V_A plus the constant E h*, exactly."""
     if dist.kind != "finite":
         raise InvalidArgumentError("v-expansion needs a finite-support distribution")
-    grid, weights = _full_grid(ps, dist)
+    if len(dist.points) > _MAX_SUPPORT:
+        raise ResourceLimitError(f"support size {len(dist.points)} exceeds {_MAX_SUPPORT}")
+    if ps.base.order > 3:
+        raise ResourceLimitError("product statistics supported up to order 3")
+    grid, weights = _tabulate(lambda *pts: eval_product_statistic(ps, pts), dist, ps.arity)
     r = ps.arity
     probs = dist.probs
     mu = float(np.sum(grid * weights))
@@ -205,12 +203,8 @@ def build_v_expansion(ps: ProductStatistic, dist: Distribution) -> VExpansion:
             table = np.zeros((len(dist.points),) * size)
             for bsize in range(0, size + 1):
                 for b in itertools.combinations(a, bsize):
-                    gb = g[b] if bsize else mu
-                    slot = [slice(None) if ax in b else None for ax in a]
-                    table = table + (-1.0) ** (size - bsize) * (
-                        np.asarray(gb)[tuple(slot)] if bsize else
-                        gb * np.ones((1,) * size)
-                    )
+                    slot = tuple(slice(None) if ax in b else None for ax in a)
+                    table = table + (-1.0) ** (size - bsize) * np.asarray(g[b])[slot]
             positions = tuple(ax + 1 for ax in a)
             terms.append(VTerm(
                 positions=positions,
@@ -269,14 +263,6 @@ class MomentBoundResult:
     permutation_constant: float = 1.0
 
 
-def _table_from_callable(L: Callable, arity: int, pts: np.ndarray) -> np.ndarray:
-    s = len(pts)
-    table = np.empty((s,) * arity)
-    for idx in itertools.product(range(s), repeat=arity):
-        table[idx] = L(*(pts[i] for i in idx))
-    return table
-
-
 def degenerate_moment_bound(L: Callable, arity: int, mu: float, dist: Distribution,
                  n: int) -> MomentBoundResult:
     """Exact enumeration of both sides over all support^n outcomes.
@@ -295,7 +281,8 @@ def degenerate_moment_bound(L: Callable, arity: int, mu: float, dist: Distributi
         )
     if n < arity:
         raise InvalidArgumentError(f"need n >= arity, got n={n}, arity={arity}")
-    table = _table_from_callable(L, arity, pts) - mu
+    table, wgrid = _tabulate(L, dist, arity)
+    table = table - mu
     probe = VTerm(positions=tuple(range(1, arity + 1)), table=table, support=pts,
                   s=arity, t=0, _index={})
     if not check_degeneracy(probe, dist, tol=1e-9):
@@ -303,15 +290,10 @@ def degenerate_moment_bound(L: Callable, arity: int, mu: float, dist: Distributi
             "L is not degenerate under this distribution"
         )
     # rhs = [n]^-arity * E (L - mu)^2
-    wgrid = np.ones((s,) * arity)
-    for ax in range(arity):
-        shape = [1] * arity
-        shape[ax] = s
-        wgrid = wgrid * probs.reshape(shape)
     count = math.perm(n, int(arity))
     rhs = float(np.sum(table ** 2 * wgrid)) / count
     # lhs: enumerate outcome sequences
-    outcomes = np.array(list(itertools.product(range(s), repeat=n)), dtype=np.intp)
+    outcomes = np.ascontiguousarray(np.indices((s,) * n, dtype=np.intp).reshape(n, -1).T)
     w = probs[outcomes].prod(axis=1)
     t_sum = np.zeros(outcomes.shape[0])
     for tup in itertools.permutations(range(n), int(arity)):
@@ -345,18 +327,6 @@ class TrendTable:
         return [r.mean_abs for r in self.rows]
 
 
-def _falling(n: int, r: int) -> float:
-    return float(math.perm(n, r))
-
-
-def _guard_trend_size(m: int, n: int) -> None:
-    if m > 3:
-        raise ResourceLimitError("trend statistics capped at kernel order 3")
-    cap = 400 if m <= 2 else 60
-    if n > cap:
-        raise ResourceLimitError(f"trend sample size capped at {cap} for m={m}")
-
-
 def check_trend(statistic_id: str, kernel: Kernel, dist: Distribution, n_grid,
                 theta: Optional[float]) -> None:
     """The checks a trend run passes before it draws a sample: a known
@@ -370,8 +340,11 @@ def check_trend(statistic_id: str, kernel: Kernel, dist: Distribution, n_grid,
     n_grid = list(n_grid)
     if not n_grid or sorted(n_grid) != n_grid:
         raise InvalidArgumentError("n_grid must be nonempty ascending")
-    for n in n_grid:
-        _guard_trend_size(m, n)
+    if m > 3:
+        raise ResourceLimitError("trend statistics capped at kernel order 3")
+    cap = 400 if m <= 2 else 60
+    if n_grid[-1] > cap:
+        raise ResourceLimitError(f"trend sample size capped at {cap} for m={m}")
     if statistic_id == "shared-pair" and m != 3:
         raise InvalidArgumentError("shared-pair statistic needs an order-3 kernel")
     if statistic_id == "centered-usq" and theta is None:
@@ -407,14 +380,13 @@ def negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float
         if squares is None:
             squares = float(np.sum([(vals * vals).sum()
                                     for _, _, vals in _combination_blocks(kernel, x)]))
-        v = math.factorial(m) * squares / _falling(n, 2 * m - 1)
+        total = math.factorial(m) * squares
     else:
         # m == 3 here
-        tot = _accel.shared_pair_total(code, thr, x) if served else None
-        if tot is None:
-            tot = _shared_pair_generic(kernel, x)
-        v = tot / _falling(n, 2 * m - 1)
-    return float(abs(v))
+        total = _accel.shared_pair_total(code, thr, x) if served else None
+        if total is None:
+            total = _shared_pair_generic(kernel, x)
+    return float(abs(total / float(math.perm(n, 2 * m - 1))))
 
 
 def trend_decreasing(means) -> bool:
@@ -425,42 +397,37 @@ def trend_decreasing(means) -> bool:
 def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
                         n_grid, R: int, seed: int) -> TrendTable:
     """Monte Carlo mean of |statistic| (see :func:`negligibility_value`)
-    along ``n_grid``; replication r draws one stream with
-    ``derive_seed(seed, r)`` and cuts its sample at each n from it."""
-    n_grid = list(n_grid)
-    theta = theta_under(kernel, dist)
-    check_trend(statistic_id, kernel, dist, n_grid, theta)
-    vals = np.empty((len(n_grid), R))
-    for rep in range(R):
-        for j, x in enumerate(sample_grid(dist, n_grid, derive_seed(seed, rep))):
-            vals[j, rep] = negligibility_value(statistic_id, kernel, theta, x)
-    rows = [TrendRow(n=n, mean_abs=float(v.mean()),
-                     se=float(v.std(ddof=1) / math.sqrt(R)))
-            for n, v in zip(n_grid, vals)]
+    along ``n_grid``: the study driver's NEGLIGIBILITY run on this kernel
+    and law, replication r seeded by ``derive_seed(seed, r)``."""
+    if R < 1:
+        raise InvalidArgumentError(f"R must be >= 1, got {R}")
+    config = ExperimentConfig(
+        experiment="NEGLIGIBILITY", kernel=kernel.name, dist=dist.name,
+        n_grid=tuple(n_grid), replications=R, base_seed=seed, statistic=statistic_id)
+    report = _run(config, kernel, dist, theta_under(kernel, dist))
+    rows = [TrendRow(n=r.n, mean_abs=r.mean, se=r.se) for r in report.per_n]
     return TrendTable(statistic=statistic_id, rows=rows,
                       decreasing=trend_decreasing([r.mean_abs for r in rows]))
 
 
 def _shared_pair_generic(kernel: Kernel, x: np.ndarray) -> float:
     """sum over distinct ordered (i, j, k, l) of h(x_i, x_j, x_k) *
-    h(x_i, x_j, x_l) for any order-3 kernel: per i, one block of the rows
-    (x_i, x_j, x_k) over j != i and k not in {i, j}, whose row sums s_j
-    give sum over j of s_j^2 - (sum over k of h^2)."""
+    h(x_i, x_j, x_l) for any order-3 kernel, from one enumeration of the
+    triples: with P_ab the sum of h over the triples holding the pair
+    {a, b}, it is 2 sum over a < b of P_ab^2 - 6 sum of h^2."""
     n = len(x)
-    _check_enumeration(n, kernel.order)
-    b = np.arange(n - 2)
-    skip = b + (b >= np.arange(n - 1)[:, None])  # column b of row a skips a
-    total = 0.0
-    for i in range(n):
-        others = np.delete(x, i)
-        rows = np.empty((n - 1, n - 2, 3))
-        rows[:, :, 0] = x[i]
-        rows[:, :, 1] = others[:, None]
-        rows[:, :, 2] = others[skip]
-        v = eval_kernel_rows(kernel, rows.reshape(-1, 3)).reshape(n - 1, n - 2)
-        s = v.sum(axis=1)
-        total += float((s * s).sum() - (v * v).sum())
-    return total
+    pairs = np.zeros(n * n)
+    squares = 0.0
+    for heads, lo, vals in _combination_blocks(kernel, x):
+        # the triple in vals[r, c] is (i, j, k) = (*heads[r], lo + c); each
+        # of its pairs {i, j}, {i, k}, {j, k} gets h at index a * n + b
+        i, j, k = heads[:, :1], heads[:, 1:], np.arange(lo, n)
+        index = np.concatenate([(i * n + j).ravel(), (i * n + k).ravel(),
+                                (j * n + k).ravel()])
+        pairs += np.bincount(index, np.concatenate([vals.sum(axis=1), vals.ravel(),
+                                                    vals.ravel()]), minlength=n * n)
+        squares += float((vals * vals).sum())
+    return 2.0 * float((pairs * pairs).sum()) - 6.0 * squares
 
 
 def truncation_coupling_rate(kernel: Kernel, dist: Distribution, n_grid,
@@ -479,7 +446,7 @@ def truncation_coupling_rate(kernel: Kernel, dist: Distribution, n_grid,
             else:
                 peak = max(float(np.abs(vals).max())
                            for _, _, vals in _combination_blocks(kernel, x))
-            hits[j] += peak > float(n) ** (0.6 * m)
+            hits[j] += peak > TruncationRule(TruncationMode.FULL_M, n).threshold(m)
     return [(n, h / R) for n, h in zip(n_grid, hits)]
 
 

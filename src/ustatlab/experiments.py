@@ -115,6 +115,7 @@ _KEY_TYPES = {
     "ks_threshold": _NUMBER, "rel_mean_threshold": _NUMBER, "ell_method": str,
     "statistic": str, "version": int,
 }
+_OPTIONAL_KEYS = ("theta", "t0", "ell_method", "statistic")  # see _Experiment.reads
 
 
 @dataclass(frozen=True)
@@ -145,22 +146,25 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be nonempty and ascending")
         if self.replications < 50:
             raise ConfigError("replications must be >= 50")
+        experiment = _EXPERIMENTS[self.experiment]
+        defaults = {f.name: f.default for f in fields(self)}
+        for key in _OPTIONAL_KEYS:
+            if key not in experiment.reads and getattr(self, key) != defaults[key]:
+                readers = ", ".join(n for n, e in _EXPERIMENTS.items() if key in e.reads)
+                raise ConfigError(f"{key} only applies to {readers}")
         if not (0.0 < self.t0 <= 1.0):
             raise ConfigError(f"t0 must lie in (0, 1], got {self.t0}")
         if self.ell_method is not None and self.ell_method not in _ELL_METHODS:
             raise ConfigError(f"unknown ell_method {self.ell_method!r}")
-        rule = _EXPERIMENTS[self.experiment].rule
-        if rule == "statistic":
+        if experiment.rule == "statistic":
             from .decomposition import TREND_STATISTICS
 
             if self.statistic not in TREND_STATISTICS:
                 raise ConfigError(
                     f"{self.experiment} needs statistic from {TREND_STATISTICS}"
                 )
-        elif self.statistic is not None:
-            raise ConfigError("statistic only applies to NEGLIGIBILITY")
-        elif getattr(self, rule) is None:
-            raise ConfigError(f"{self.experiment} needs {rule}")
+        elif getattr(self, experiment.rule) is None:
+            raise ConfigError(f"{self.experiment} needs {experiment.rule}")
         return self
 
     def _check_types(self) -> None:
@@ -257,13 +261,15 @@ class _Experiment(NamedTuple):
     target, or a falling trend; ``preflight(config, kernel, dist, theta)``
     runs before any replication and returns ell^2(n) per n, or None for a
     degenerate configuration; ``value(config, kernel, dist, theta,
-    ell_sq, x)`` is the value on one checked sample."""
+    ell_sq, x)`` is the value on one checked sample; ``reads`` names the
+    optional config keys the experiment reads."""
 
     statistic: Optional[str]
     rule: str
     preflight: Callable
     value: Callable
     reference: Optional[Callable] = None
+    reads: tuple = ()
 
 
 def _theta_ready(config, kernel, dist, theta) -> list:
@@ -339,27 +345,28 @@ _EXPERIMENTS = {
         "studentized-at-t0", "ks_threshold", _t0_ready,
         lambda config, kernel, dist, theta, ell_sq, x:
             _studentized_value(kernel, x, theta, int(len(x) * config.t0)),
-        _t0_cdf),
+        _t0_cdf, ("theta", "t0")),
     "FCLT_SUP": _Experiment(
         "studentized-signed-sup", "ks_threshold", _theta_ready,
         lambda config, kernel, dist, theta, ell_sq, x:
             sup_functional(_studentized(kernel, x, theta)),
-        lambda config, ell_sq: wiener_sup_cdf),
+        lambda config, ell_sq: wiener_sup_cdf, ("theta",)),
     "RAIKOV": _Experiment(
         "selfnorm-ratio", "rel_mean_threshold", _ells, _raikov_value,
-        lambda config, ell_sq: 1.0),
+        lambda config, ell_sq: 1.0, ("ell_method",)),
     "JACK_RAIKOV": _Experiment(
         "jackknife-ratio", "rel_mean_threshold", _ells,
         lambda config, kernel, dist, theta, ell_sq, x:
             _jackknife(kernel, x, keep_q=False)[2] / (kernel.order ** 2 * ell_sq),
-        lambda config, ell_sq: 1.0),
+        lambda config, ell_sq: 1.0, ("ell_method",)),
     "ARVESEN": _Experiment(
         "jackknife-variance", "rel_mean_threshold",
         lambda *args: _ells(*args, analytic=True),
         lambda config, kernel, dist, theta, ell_sq, x:
             _jackknife(kernel, x, keep_q=False)[2] / kernel.order ** 2,
-        lambda config, ell_sq: ell_sq),
-    "NEGLIGIBILITY": _Experiment(None, "statistic", _trend_ready, _negligibility_value),
+        lambda config, ell_sq: ell_sq, ("ell_method",)),
+    "NEGLIGIBILITY": _Experiment(None, "statistic", _trend_ready, _negligibility_value,
+                                 reads=("theta", "statistic")),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
@@ -399,16 +406,20 @@ def _rep_value(config: ExperimentConfig, kernel, dist, theta, ells,
     return values
 
 
-def _run_chunk(payload) -> list:
-    """Replications start..stop-1, each as its list of values per n;
-    ``ells`` holds the study's ell^2(n) per n.  The chunk draws every
-    replication's stream into one sample buffer."""
-    config_dict, ells, start, stop = payload
-    config = ExperimentConfig.from_dict(config_dict)
-    kernel, dist, theta = _resolve(config)
+def _replicate(config: ExperimentConfig, kernel, dist, theta, ells,
+               start: int, stop: int) -> list:
+    """Replications start..stop-1, each as its list of values per n; the
+    chunk draws every replication's stream into one sample buffer."""
     sampler = _GridSampler(dist, config.n_grid)
     return [_rep_value(config, kernel, dist, theta, ells, rep, sampler)
             for rep in range(start, stop)]
+
+
+def _run_chunk(payload) -> list:
+    """:func:`_replicate` in a pool worker, on the config's dict."""
+    config_dict, ells, start, stop = payload
+    config = ExperimentConfig.from_dict(config_dict)
+    return _replicate(config, *_resolve(config), ells, start, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +428,19 @@ def _run_chunk(payload) -> list:
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceReport:
     config.validate()
+    return _run(config, *_resolve(config), workers=workers)
+
+
+def _run(config: ExperimentConfig, kernel, dist, theta,
+         workers: int = 1) -> ConvergenceReport:
+    """The study of ``config`` on resolved objects, which a serial run
+    uses as given: a kernel the registry cannot name runs too."""
     started = time.monotonic()
-    kernel, dist, theta = _resolve(config)
     experiment = _EXPERIMENTS[config.experiment]
     ells = experiment.preflight(config, kernel, dist, theta)
     R = config.replications
     rows = ([[None] * len(config.n_grid)] * R if ells is None
-            else _collect(config, ells, workers))
+            else _collect(config, (kernel, dist, theta), ells, workers))
     drop_cap = MAX_DROP_RATE * R
     per_n = []
     values_by_n = {}
@@ -469,12 +486,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     )
 
 
-def _collect(config: ExperimentConfig, ells: list, workers: int) -> list:
-    """Every replication's values per n, in replication order: serially
-    for one worker, else in workers * 4 chunks on one process pool."""
+def _collect(config: ExperimentConfig, resolved: tuple, ells: list,
+             workers: int) -> list:
+    """Every replication's values per n, in replication order: serially on
+    ``resolved`` = (kernel, dist, theta), else in workers * 4 pool chunks."""
     R = config.replications
     if workers <= 1:
-        return _run_chunk((config.to_dict(), ells, 0, R))
+        return _replicate(config, *resolved, ells, 0, R)
     bounds = np.linspace(0, R, workers * 4 + 1).astype(int)
     payloads = [(config.to_dict(), ells, int(a), int(b))
                 for a, b in zip(bounds[:-1], bounds[1:]) if b > a]

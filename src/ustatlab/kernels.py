@@ -161,6 +161,14 @@ def theta_under(kernel: Kernel, dist) -> Optional[float]:
     return None
 
 
+def _support_rows(dist, k: int):
+    """The points of support^k as rows in C order (the last coordinate
+    fastest) and each row's probability."""
+    grids = np.meshgrid(*([dist.points] * k), indexing="ij")
+    rows = np.reshape(grids, (k, len(dist.points) ** k)).T
+    return rows, np.ravel(math.prod(np.meshgrid(*([dist.probs] * k), indexing="ij")))
+
+
 def _finite_mean(kernel: Kernel, dist, fixed: tuple = ()) -> float:
     """E h(fixed, X_1..X_k), k = m - len(fixed), by exact enumeration of a
     finite law: theta for ``fixed = ()``, theta + h1(x) for ``(x,)``."""
@@ -168,21 +176,28 @@ def _finite_mean(kernel: Kernel, dist, fixed: tuple = ()) -> float:
     s = len(dist.points)
     if s ** k > _MAX_FINITE_ENUM:
         raise UnsupportedOperationError(f"finite enumeration needs {s}^{k} evaluations")
-    grids = np.meshgrid(*([dist.points] * k), indexing="ij")
-    rows = np.column_stack([np.full(s ** k, v) for v in fixed] + [g.ravel() for g in grids])
-    w = np.ravel(math.prod(np.meshgrid(*([dist.probs] * k), indexing="ij")))
+    rows, w = _support_rows(dist, k)
+    rows = np.column_stack([np.full(s ** k, v) for v in fixed] + [rows])
     return float(np.dot(eval_kernel_rows(kernel, rows), w))
 
 
-def _analytic_h1(kernel: Kernel, dist, x: np.ndarray) -> Optional[np.ndarray]:
-    """The kernel's analytic h1 at every point of x, or None where it has
-    none under ``dist``."""
-    if kernel.projection is None:
+def _exact_h1(kernel: Kernel, dist, x: np.ndarray) -> Optional[np.ndarray]:
+    """h1 at every point of x from the kernel's analytic projection, else
+    by exact enumeration of a finite law: theta once, then E h(v, X_2..X_m)
+    once per distinct value v of x; None where neither route applies."""
+    if kernel.projection is not None:
+        try:
+            return np.asarray(kernel.projection(x, dist), dtype=np.float64)
+        except UnsupportedOperationError:
+            pass
+    if dist.kind != "finite":
         return None
-    try:
-        return np.asarray(kernel.projection(x, dist), dtype=np.float64)
-    except UnsupportedOperationError:
-        return None
+    theta = _finite_mean(kernel, dist)
+    # distinct by bit pattern, so -0.0 and 0.0 are evaluated apart
+    bits, inverse = np.unique(np.asarray(x, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    return np.array([_finite_mean(kernel, dist, (v,)) - theta
+                     for v in bits.view(np.float64).tolist()])[inverse]
 
 
 def project_h1(kernel: Kernel, x: float, dist, mc_budget: Optional[int] = None,
@@ -195,13 +210,9 @@ def project_h1(kernel: Kernel, x: float, dist, mc_budget: Optional[int] = None,
     ``se`` is 0 for the exact routes.
     """
     x = float(x)
-    h1 = _analytic_h1(kernel, dist, np.array([x]))
+    h1 = _exact_h1(kernel, dist, np.array([x]))
     if h1 is not None:
         v = float(h1[0])
-        return (v, 0.0) if with_se else v
-    if dist.kind == "finite":
-        theta = _finite_mean(kernel, dist)
-        v = _finite_mean(kernel, dist, (x,)) - theta
         return (v, 0.0) if with_se else v
     m = kernel.order
     if mc_budget is None:
@@ -234,9 +245,9 @@ def project_h1(kernel: Kernel, x: float, dist, mc_budget: Optional[int] = None,
 
 
 def _projection_values(kernel: Kernel, dist, x: np.ndarray) -> np.ndarray:
-    """h1 at every point of x: one call of the analytic projection, else
-    :func:`project_h1` point by point."""
-    h1 = _analytic_h1(kernel, dist, x)
+    """h1 at every point of x: the exact routes on the whole of x at once,
+    else :func:`project_h1` point by point."""
+    h1 = _exact_h1(kernel, dist, x)
     if h1 is not None:
         return h1
     return np.array([project_h1(kernel, float(v), dist) for v in x])

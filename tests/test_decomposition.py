@@ -29,7 +29,7 @@ from ustatlab import (
     truncate_kernel,
     variance_kernel,
 )
-from ustatlab import _accel, decomposition, engine
+from ustatlab import _accel, decomposition, engine, kernel_from_name
 from ustatlab.decomposition import (
     TREND_STATISTICS,
     expansion_report,
@@ -37,7 +37,7 @@ from ustatlab.decomposition import (
     truncation_coupling_rate,
 )
 from ustatlab.engine import ROUTE_CLOSED_FORM, ROUTE_SORT, kernel_route
-from ustatlab import example_density
+from ustatlab import derive_seed, example_density, sample_grid, theta_under
 
 from _oracles import brute_combination_sum, brute_ordered_sum, finite_expectation
 
@@ -393,6 +393,50 @@ def test_shared_pair_generic_path_truncated_kernel():
         lambda a, b, c, e: (a * b * c) * (a * b * e), list(x), 4)
     assert want != pytest.approx(untruncated, rel=1e-6)
     assert _shared_pair_generic(kernel, x) == pytest.approx(want, rel=1e-10)
+
+
+def _symmetric3(a, b, c):
+    return a * b * c + math.sin(a + b + c) + (a * b + b * c + a * c) ** 2
+
+
+@pytest.mark.parametrize("n", [4, 5, 9])
+def test_shared_pair_generic_user_kernel(n):
+    # a user kernel with no _accel code: the pair sums of one enumeration
+    # of the triples give the direct 4-index ordered sum
+    kernel = make_kernel("sym3", 3, _symmetric3)
+    x = np.random.default_rng(61).normal(0.5, 1.5, n)
+    want = brute_ordered_sum(
+        lambda a, b, c, e: _symmetric3(a, b, c) * _symmetric3(a, b, e), list(x), 4)
+    assert decomposition._shared_pair_generic(kernel, x) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("statistic,dist", [
+    ("diagonal-square", normal(0, 1)),
+    ("shared-pair", normal(0, 1)),
+    ("centered-usq", finite([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5])),
+])
+def test_trend_of_a_user_kernel_the_registry_cannot_name(statistic, dist):
+    # the trend runs on the kernel object it is given, and equals a loop
+    # of negligibility_value over the replications' grid samples
+    kernel = make_kernel("sym3", 3, _symmetric3)
+    with pytest.raises(InvalidArgumentError):
+        kernel_from_name(kernel.name)
+    n_grid, R, seed = [6, 9, 12], 20, 41
+    table = negligibility_trend(statistic, kernel, dist, n_grid, R, seed)
+    theta = theta_under(kernel, dist)
+    vals = np.array([[negligibility_value(statistic, kernel, theta, x)
+                      for x in sample_grid(dist, n_grid, derive_seed(seed, rep))]
+                     for rep in range(R)]).T.copy()
+    assert [(r.n, r.mean_abs, r.se) for r in table.rows] == [
+        (n, float(v.mean()), float(v.std(ddof=1) / math.sqrt(R)))
+        for n, v in zip(n_grid, vals)]
+    assert table.decreasing == (vals[-1].mean() < 0.5 * vals[0].mean())
+
+
+@pytest.mark.parametrize("R", [0, -1])
+def test_trend_needs_a_replication(R):
+    with pytest.raises(InvalidArgumentError, match="R must be >= 1"):
+        negligibility_trend("diagonal-square", product_kernel(2), normal(0, 1), [10], R, 1)
 
 
 def test_trend_guards():

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import math
 import statistics
@@ -186,6 +187,70 @@ def test_driver_config_errors(monkeypatch, overrides, message):
     with pytest.raises(ConfigError) as info:
         run_experiment(ExperimentConfig.from_dict(raw))
     assert str(info.value) == message
+
+
+_THETA_READERS = "theta only applies to CLT_T0, FCLT_SUP, NEGLIGIBILITY"
+_ELL_READERS = "ell_method only applies to RAIKOV, JACK_RAIKOV, ARVESEN"
+
+
+@pytest.mark.parametrize("raw,message", [
+    # a key the experiment does not read, set off its default
+    (dict(experiment="RAIKOV", theta=1.0), _THETA_READERS),
+    (dict(theta=0.0), _THETA_READERS),
+    (dict(experiment="JACK_RAIKOV", t0=0.5), "t0 only applies to CLT_T0"),
+    (dict(experiment="FCLT_SUP", rel_mean_threshold=None, ks_threshold=0.5, t0=0.5),
+     "t0 only applies to CLT_T0"),
+    (dict(experiment="FCLT_SUP", rel_mean_threshold=None, ks_threshold=0.5,
+          ell_method="analytic-finite-var"), _ELL_READERS),
+    (dict(experiment="NEGLIGIBILITY", rel_mean_threshold=None, statistic="shared-pair",
+          kernel="product:m=3", n_grid=[8, 16], ell_method="analytic-finite-var"),
+     _ELL_READERS),
+    # the unread key comes before the t0 range and the missing threshold
+    (dict(experiment="FCLT_SUP", rel_mean_threshold=None, t0=2.0),
+     "t0 only applies to CLT_T0"),
+    # checks that an experiment reading the key still reaches
+    (dict(experiment="CLT_T0", rel_mean_threshold=None, ks_threshold=0.5, t0=0.0),
+     "t0 must lie in (0, 1], got 0.0"),
+    (dict(experiment="CLT_T0", rel_mean_threshold=None, ks_threshold=0.5, t0=1.5),
+     "t0 must lie in (0, 1], got 1.5"),
+    (dict(experiment="RAIKOV", ell_method="nope"), "unknown ell_method 'nope'"),
+    (dict(ell_method="nope"), "unknown ell_method 'nope'"),
+])
+def test_config_rejects_keys_the_experiment_does_not_read(raw, message):
+    raw = {k: v for k, v in _base_config(**raw).items() if v is not None}
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(raw)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("raw", [
+    dict(t0=1.0), dict(experiment="RAIKOV", theta=None, ell_method=None),
+    dict(experiment="CLT_T0", rel_mean_threshold=None, ks_threshold=0.5, t0=0.5,
+         theta=1.0),
+    dict(experiment="FCLT_SUP", rel_mean_threshold=None, ks_threshold=0.5, theta=1.0),
+    dict(experiment="NEGLIGIBILITY", rel_mean_threshold=None, statistic="centered-usq",
+         kernel="variance", n_grid=[20, 40], theta=1.0),
+    dict(experiment="JACK_RAIKOV", ell_method="analytic-finite-var"),
+])
+def test_config_accepts_keys_the_experiment_reads_or_left_at_default(raw):
+    ExperimentConfig.from_dict({k: v for k, v in _base_config(**raw).items()
+                                if v is not None or k in raw})
+
+
+def test_benchmark_study_configs_validate():
+    # every `ustatlab study` config the benchmark builds passes the
+    # config check, at both sizes
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    checked = 0
+    for workload in workloads.STUDY_WORKLOADS:
+        for size in workloads.SIZES:
+            for raw in workloads.study_configs(workload, 0, size).values():
+                ExperimentConfig.from_dict(raw)
+                checked += 1
+    assert checked == 2 * (1 + 1 + 3)
 
 
 @pytest.mark.parametrize("experiment,statistic", [

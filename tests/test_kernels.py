@@ -397,3 +397,28 @@ def test_no_module_reads_a_kernel_off_its_name():
         "head, _, rest = d.name.partition(':')\n"
         "spec.split(':'), name.partition(':'), k.order in (1, 2)\n"
         "x = k.name in NAMES\n")) == [1, 2, 3, 5]
+
+
+def test_projection_values_on_a_finite_law_enumerate_once_per_support_point(monkeypatch):
+    # a LOG-truncated product has no analytic h1: on a 4-point law theta is
+    # enumerated once and h1 once per distinct point, and the values equal
+    # project_h1 point by point, byte for byte
+    from ustatlab import kernels
+
+    law = finite([-1.0, 0.5, 2.0, 3.0], [0.1, 0.2, 0.3, 0.4])
+    kernel = truncate_kernel(product_kernel(3), TruncationRule(TruncationMode.LOG, 20))
+    assert kernel.projection is None
+    x = sample(law, 2000, 3)
+    calls = []
+    finite_mean = kernels._finite_mean
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:])
+        return finite_mean(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_finite_mean", counted)
+    got = _projection_values(kernel, law, x)
+    assert len(calls) <= len(law.points) + 1
+    monkeypatch.undo()
+    per_point = np.array([project_h1(kernel, v, law) for v in x])
+    assert got.tobytes() == per_point.tobytes()

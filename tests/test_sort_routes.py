@@ -1,12 +1,12 @@
-"""The sort routes of the truncated built-in kernels against brute-force
-oracles and against the enumeration route.
+"""The sort routes of the truncated built-in kernels against exact oracles
+and against the enumeration route.
 
 Covered: the product kernel of order 1, 2 and 3 and the variance kernel;
 LOG, LEVEL_J and FULL_M thresholds and thresholds that keep none, some or
 all evaluations, the peak |h| itself among them; data with ties, zeros,
 sign changes and scales from 1e-100 to 1e100; values placed next to the
 threshold, where a cut found by ``searchsorted`` on thr / |x| alone is
-off by one.  Each check runs as the library runs, where a threshold that
+off by one; sums that round past the float range.  Each check runs as the library runs, where a threshold that
 keeps every evaluation takes the closed form, and again with that
 shortcut off, so the sort route runs on every case.
 """
@@ -14,6 +14,7 @@ shortcut off, so the sort route runs on every case.
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from ustatlab import (
 from ustatlab import _accel
 from ustatlab.engine import ROUTE_ENUMERATION, ROUTE_SORT, combination_sum, kernel_route
 
-from _oracles import brute_combination_sum, brute_q
 
 # the oracles multiply in index order, (x_i x_j) x_k, as the enumeration does
 KERNELS = {
@@ -44,28 +44,37 @@ KERNELS = {
 }
 
 
-def _truncated(fn, thr):
-    def wrapped(*xs):
-        v = fn(*xs)
-        return v if abs(v) <= thr else 0.0
+def _kept(fn, x, m, thr):
+    """Each m-combination of x's indices with its kept value h as an exact
+    Fraction, 0 where the truncation drops it."""
+    return [(c, Fraction(v) if abs(v := fn(*(x[i] for i in c))) <= thr else Fraction(0))
+            for c in itertools.combinations(range(len(x)), m)]
 
-    return wrapped
 
-
-def _tolerance(name, fn, x, thr):
-    """Absolute error allowed: 1e-12 of the kept |h| summed (product), or of
-    n times the squared spread of the data (variance, whose sums of powers
-    of x cancel down to the kept differences)."""
-    m = KERNELS[name][0].order
+def _tolerance(name, kept, x):
+    """Absolute error allowed, exact: 1e-12 of the kept |h| summed (product),
+    or of n times the squared spread of the data (variance, whose sums of
+    powers of x cancel down to the kept differences)."""
     if name == "variance":
-        return 1e-12 * len(x) * (max(x) - min(x)) ** 2 + 1e-300
-    kept = [abs(v) for c in itertools.combinations(x, m) if abs(v := fn(*c)) <= thr]
-    return 1e-12 * math.fsum(kept) + 1e-300
+        return Fraction(1e-12 * len(x) * (max(x) - min(x)) ** 2 + 1e-300)
+    return Fraction(1e-12) * sum(abs(v) for _, v in kept) + Fraction(1e-300)
+
+
+def _agrees(got, scale, exact, tol):
+    """got * scale is within tol of the exact sum, compared exactly; where
+    that sum rounds past the float range, got is the infinity of its sign."""
+    if math.isfinite(got):
+        return abs(Fraction(got) * scale - exact) <= tol
+    try:
+        float(exact)
+    except OverflowError:
+        return got == (math.inf if exact > 0 else -math.inf)
+    return False
 
 
 def check_against_oracle(name, kernel, x):
     """combination_sum, u_prefix_process at every k and the jackknife q of
-    ``kernel`` against brute force over ``x``, with and without the
+    ``kernel`` against exact sums over ``x``, with and without the
     closed-form shortcut."""
     _check_against_oracle(name, kernel, x)
     with pytest.MonkeyPatch.context() as mp:
@@ -76,19 +85,23 @@ def check_against_oracle(name, kernel, x):
 
 def _check_against_oracle(name, kernel, x):
     base, fn = KERNELS[name]
-    m, n, thr = kernel.order, len(x), kernel.accel_thr
-    fx = _truncated(fn, thr)
-    tol = _tolerance(name, fn, x, thr)
-    assert abs(combination_sum(kernel, x) - brute_combination_sum(fx, x, m)) <= tol
+    m, n = kernel.order, len(x)
+    kept = _kept(fn, x, m, kernel.accel_thr)
+    tol = _tolerance(name, kept, x)
+    by_last = [Fraction(0)] * n
+    q = [Fraction(0)] * n
+    for c, v in kept:
+        by_last[c[-1]] += v
+        for i in c:
+            q[i] += v
+    assert _agrees(combination_sum(kernel, x), 1, sum(by_last), tol)
     sums = u_prefix_process(kernel, x).values
     for k in range(m, n + 1):
-        want = brute_combination_sum(fx, x[:k], m)
-        assert abs(sums[k] * math.comb(k, m) - want) <= tol, k
+        assert _agrees(sums[k], math.comb(k, m), sum(by_last[:k]), tol), k
     if n > m:
+        got = jackknife_closed_form(kernel, x).q
         scale = math.comb(n - 1, m - 1)
-        got = jackknife_closed_form(kernel, x).q * scale
-        want = np.array(brute_q(fx, x, m)) * scale
-        assert np.all(np.abs(got - want) <= tol)
+        assert all(_agrees(g, scale, want, tol) for g, want in zip(got, q))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +161,19 @@ def test_sort_route_against_oracle(name, data):
     kernel, x = data.draw(cases(name))
     assert kernel_route(kernel) == ROUTE_SORT
     check_against_oracle(name, kernel, x)
+
+
+def test_sum_past_the_float_range_is_infinite():
+    # every triple is kept, and their products sum to about -1.8175e308,
+    # which rounds to -inf; the prefix sums and q stay finite
+    x = [-1e102, -3e102, -7.250000000000001e102, -5e102]
+    kernel = truncate_kernel(product_kernel(3), TruncationRule(TruncationMode.LOG, 2))
+    kernel = dataclasses.replace(
+        kernel, accel_thr=_accel.max_abs_kernel(kernel.accel_code, x, 3))
+    assert kernel.accel_thr == 1.0875e308
+    with np.errstate(over="ignore"):
+        assert combination_sum(kernel, x) == -math.inf
+        check_against_oracle("product3", kernel, x)
 
 
 # a threshold of exactly 1.0 (FULL_M at n = 1)
