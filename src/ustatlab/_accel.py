@@ -2,8 +2,8 @@
 
 This is the one module that tells the built-in kernels apart and picks
 between their closed forms and their sort routes; :mod:`ustatlab.engine`,
-:mod:`ustatlab.jackknife` and :mod:`ustatlab.decomposition` ask it only
-whether it serves a kernel (:func:`serves`) and otherwise enumerate.
+the one module that calls its reductions, asks it only whether it serves
+a kernel (:func:`serves`) and otherwise enumerates.
 
 Three reductions serve every built-in kernel: ``ustat_sum`` (the sum of h
 over all m-combinations), ``prefix_sums`` (that sum over each prefix of
@@ -19,7 +19,7 @@ it, so the shortcut keeps exactly the enumeration's kept set; an
 overflowed bound is infinite and takes the sort route.  Two more
 reductions serve the statistics of :mod:`ustatlab.decomposition` by the
 same decision, and return None where the truncation bites, for the
-caller to enumerate: ``square_sum(code, thr, data, m)``, the sum of h^2
+engine to enumerate: ``square_sum(code, thr, data, m)``, the sum of h^2
 over the m-combinations (diagonal-square), and ``shared_pair_total(code,
 thr, data)``, the order-3 shared-pair total.
 

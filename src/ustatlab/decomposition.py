@@ -29,9 +29,10 @@ r! is the sharp constant in general.  Reports therefore carry both the
 unit reference constant and the measured ratio.
 
 The module keeps only its own statistics: support grids come from
-``kernels._support_rows``, the generic shared-pair statistic reduces the
-engine's block enumeration, and :func:`negligibility_trend` is the study
-driver's NEGLIGIBILITY run on the kernel and law it is given.
+``kernels._support_rows``, the sums of the negligibility statistics and
+the peak |h| of the truncation coupling are the engine's reductions, and
+:func:`negligibility_trend` is the study driver's NEGLIGIBILITY run on
+the kernel and law it is given.
 """
 
 from __future__ import annotations
@@ -43,16 +44,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import _accel
 from .distributions import Distribution, derive_seed, sample_grid
-from .engine import (
-    ROUTE_CLOSED_FORM,
-    ROUTE_ENUMERATION,
-    _as_sample,
-    _combination_blocks,
-    _routed,
-    u_statistic,
-)
+from .engine import _as_sample, _max_abs, _shared_pair_total, _square_sum, _total
 from .errors import (
     InvalidArgumentError,
     PreconditionViolationError,
@@ -338,7 +331,7 @@ def check_trend(statistic_id: str, kernel: Kernel, dist: Distribution, n_grid,
         )
     m = kernel.order
     n_grid = list(n_grid)
-    if not n_grid or sorted(n_grid) != n_grid:
+    if not n_grid or sorted(set(n_grid)) != n_grid:
         raise InvalidArgumentError("n_grid must be nonempty ascending")
     if m > 3:
         raise ResourceLimitError("trend statistics capped at kernel order 3")
@@ -364,28 +357,20 @@ def negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float
     [n]^-(2m-1); ``shared-pair`` = the order-3 statistic pairing two
     kernel evaluations that share their first two arguments, same scale.
     The sample is checked first: a non-finite value raises DomainError.
-    Diagonal-square and shared-pair take ``_accel.square_sum`` and
-    ``_accel.shared_pair_total`` for a kernel that ``_accel`` serves, and
-    enumerate where it has no kernel code or where the truncation bites
-    on x (those return None).
     """
-    x = _as_sample(x)
+    return _negligibility_value(statistic_id, kernel, theta, _as_sample(x))
+
+
+def _negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float],
+                         x: np.ndarray) -> float:
+    """:func:`negligibility_value` of a checked sample."""
     n, m = x.shape[0], kernel.order
     if statistic_id == "centered-usq":
-        return float(abs((u_statistic(kernel, x) - theta) ** 2))
-    served = _routed(kernel, n) != ROUTE_ENUMERATION  # raises for n < m
-    code, thr = kernel.accel_code, kernel.accel_thr
+        return float(abs((_total(kernel, x) / math.comb(n, m) - theta) ** 2))
     if statistic_id == "diagonal-square":
-        squares = _accel.square_sum(code, thr, x, m) if served else None
-        if squares is None:
-            squares = float(np.sum([(vals * vals).sum()
-                                    for _, _, vals in _combination_blocks(kernel, x)]))
-        total = math.factorial(m) * squares
+        total = math.factorial(m) * _square_sum(kernel, x)
     else:
-        # m == 3 here
-        total = _accel.shared_pair_total(code, thr, x) if served else None
-        if total is None:
-            total = _shared_pair_generic(kernel, x)
+        total = _shared_pair_total(kernel, x)  # m == 3 here
     return float(abs(total / float(math.perm(n, 2 * m - 1))))
 
 
@@ -410,26 +395,6 @@ def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
                       decreasing=trend_decreasing([r.mean_abs for r in rows]))
 
 
-def _shared_pair_generic(kernel: Kernel, x: np.ndarray) -> float:
-    """sum over distinct ordered (i, j, k, l) of h(x_i, x_j, x_k) *
-    h(x_i, x_j, x_l) for any order-3 kernel, from one enumeration of the
-    triples: with P_ab the sum of h over the triples holding the pair
-    {a, b}, it is 2 sum over a < b of P_ab^2 - 6 sum of h^2."""
-    n = len(x)
-    pairs = np.zeros(n * n)
-    squares = 0.0
-    for heads, lo, vals in _combination_blocks(kernel, x):
-        # the triple in vals[r, c] is (i, j, k) = (*heads[r], lo + c); each
-        # of its pairs {i, j}, {i, k}, {j, k} gets h at index a * n + b
-        i, j, k = heads[:, :1], heads[:, 1:], np.arange(lo, n)
-        index = np.concatenate([(i * n + j).ravel(), (i * n + k).ravel(),
-                                (j * n + k).ravel()])
-        pairs += np.bincount(index, np.concatenate([vals.sum(axis=1), vals.ravel(),
-                                                    vals.ravel()]), minlength=n * n)
-        squares += float((vals * vals).sum())
-    return 2.0 * float((pairs * pairs).sum()) - 6.0 * squares
-
-
 def truncation_coupling_rate(kernel: Kernel, dist: Distribution, n_grid,
                              R: int, seed: int):
     """Fraction of samples where some evaluated tuple escapes the
@@ -440,13 +405,8 @@ def truncation_coupling_rate(kernel: Kernel, dist: Distribution, n_grid,
     hits = [0] * len(n_grid)
     for rep in range(R):
         for j, x in enumerate(sample_grid(dist, n_grid, derive_seed(seed, rep))):
-            n = len(x)
-            if _routed(kernel, n) == ROUTE_CLOSED_FORM:
-                peak = _accel.max_abs_kernel(kernel.accel_code, x, m)
-            else:
-                peak = max(float(np.abs(vals).max())
-                           for _, _, vals in _combination_blocks(kernel, x))
-            hits[j] += peak > TruncationRule(TruncationMode.FULL_M, n).threshold(m)
+            threshold = TruncationRule(TruncationMode.FULL_M, len(x)).threshold(m)
+            hits[j] += _max_abs(kernel, x) > threshold
     return [(n, h / R) for n, h in zip(n_grid, hits)]
 
 

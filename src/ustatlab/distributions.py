@@ -80,23 +80,25 @@ def example_density(a: float) -> Distribution:
     """Density |x - a|^-3 on |x - a| >= 1: symmetric about a with exact
     tail P(|X - a| > u) = u^-2 for u >= 1; mean a, infinite variance."""
     a = float(a)
-    if a == 0:
-        raise InvalidArgumentError("example density requires a != 0")
+    if a == 0 or not math.isfinite(a):
+        raise InvalidArgumentError(f"example density requires a finite a != 0, got {a}")
     return Distribution(name=f"example:a={a:g}", kind="example", params=(a,),
                         mean=a, variance=None)
 
 
 def normal(mu: float, sigma: float) -> Distribution:
-    if not sigma > 0:
-        raise InvalidArgumentError(f"normal needs sigma > 0, got {sigma}")
+    if not (math.isfinite(mu) and 0 < sigma < math.inf):
+        raise InvalidArgumentError(
+            f"normal needs a finite mu and a finite sigma > 0, got {mu}, {sigma}")
     return Distribution(name=f"normal:{mu:g},{sigma:g}", kind="normal",
                         params=(float(mu), float(sigma)),
                         mean=float(mu), variance=float(sigma) ** 2)
 
 
 def pareto(alpha: float, xm: float = 1.0) -> Distribution:
-    if not alpha > 0 or not xm > 0:
-        raise InvalidArgumentError(f"pareto needs alpha > 0 and xm > 0, got {alpha}, {xm}")
+    if not (0 < alpha < math.inf and 0 < xm < math.inf):
+        raise InvalidArgumentError(
+            f"pareto needs finite alpha > 0 and xm > 0, got {alpha}, {xm}")
     mean = alpha * xm / (alpha - 1.0) if alpha > 1 else None
     var = (xm ** 2 * alpha / ((alpha - 1.0) ** 2 * (alpha - 2.0))) if alpha > 2 else None
     return Distribution(name=f"pareto:{alpha:g},{xm:g}", kind="pareto",
@@ -108,6 +110,8 @@ def finite(points, probs) -> Distribution:
     pr = np.asarray(probs, dtype=np.float64)
     if pts.ndim != 1 or pts.shape != pr.shape or pts.size == 0:
         raise InvalidArgumentError("finite distribution needs matching 1-d points/probs")
+    if not (np.isfinite(pts).all() and np.isfinite(pr).all()):
+        raise InvalidArgumentError("finite distribution needs finite points and probs")
     if np.any(pr < 0):
         raise InvalidArgumentError("finite probabilities must be nonnegative")
     if abs(pr.sum() - 1.0) > 1e-12:

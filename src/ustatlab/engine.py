@@ -3,21 +3,22 @@
 Everything here is deterministic; Monte Carlo belongs to
 :mod:`ustatlab.experiments`.  :func:`kernel_route` asks one question of
 each kernel: does :mod:`ustatlab._accel` serve it (``_accel.serves``)?
-If so, its reductions ``ustat_sum``, ``prefix_sums`` and ``q_raw``
-evaluate it, and only they tell the built-in kernels apart and pick
-between their closed forms and their sort routes; the route is reported
-as closed form for an untruncated kernel and as sort for a truncated
-one.  Every other kernel takes one enumeration of every m-combination
-(:func:`_combination_blocks`), which sums, prefix sums and the jackknife
-reduce in their own way.  Enumeration is capped wherever it runs
-(combination count <= 1e8), and the order-3 sort route, which holds
-every pair, at C(n, 2) <= 2e6 where it runs (``_accel.MAX_SORT_PAIRS``):
-past a cap the engine refuses with :class:`ResourceLimitError` rather
-than silently subsampling.
+If so, ``_accel``'s reductions evaluate it, and only they tell the
+built-in kernels apart and pick between their closed forms and their
+sort routes; the route is reported as closed form for an untruncated
+kernel and as sort for a truncated one.  Every other kernel takes one
+enumeration of every m-combination (:func:`_combination_blocks`).
+Enumeration is capped wherever it runs (combination count <= 1e8), and
+the order-3 sort route, which holds every pair, at C(n, 2) <= 2e6 where
+it runs (``_accel.MAX_SORT_PAIRS``): past a cap the engine refuses with
+:class:`ResourceLimitError` rather than silently subsampling.
 
 The public functions check their data (``_as_sample``: float64, finite).
-``_prefix_values`` is ``u_prefix_process`` for a sample already checked,
-for callers that check a sample once and evaluate it more than once.
+Each reduction of a kernel over a checked sample is one private function,
+the only code that routes it: ``_total``, ``_prefix_values``, ``_q_raw``,
+``_square_sum``, ``_shared_pair_total`` and ``_max_abs`` take ``_accel``'s
+result where it serves the kernel (untruncated, for the peak) and gives
+one, and enumerate elsewhere.  Callers that check once call them directly.
 """
 
 from __future__ import annotations
@@ -170,11 +171,7 @@ def _combination_blocks(kernel: Kernel, x: np.ndarray):
 
 def combination_sum(kernel: Kernel, data) -> float:
     """Sum of h over all C(n, m) combinations."""
-    x = _as_sample(data)
-    n, m = x.shape[0], kernel.order
-    if _routed(kernel, n) != ROUTE_ENUMERATION:
-        return _accel.ustat_sum(kernel.accel_code, kernel.accel_thr, x, m)
-    return float(np.sum([vals.sum() for _, _, vals in _combination_blocks(kernel, x)]))
+    return _total(kernel, _as_sample(data))
 
 
 def u_statistic(kernel: Kernel, data) -> float:
@@ -193,7 +190,7 @@ def u_prefix_process(kernel: Kernel, data) -> UPrefixValues:
 
 
 def _prefix_values(kernel: Kernel, x: np.ndarray) -> UPrefixValues:
-    """:func:`u_prefix_process` of a sample already through ``_as_sample``."""
+    """:func:`u_prefix_process` of a checked sample."""
     n, m = x.shape[0], kernel.order
     if _routed(kernel, n) != ROUTE_ENUMERATION:
         sums = _accel.prefix_sums(kernel.accel_code, kernel.accel_thr, x, m)
@@ -207,3 +204,70 @@ def _prefix_values(kernel: Kernel, x: np.ndarray) -> UPrefixValues:
     values[:m] = np.nan
     np.divide(values[m:], _accel._comb_column(n, m), out=values[m:])
     return UPrefixValues(n=n, m=m, values=values)
+
+
+def _total(kernel: Kernel, x: np.ndarray) -> float:
+    """Sum of h over the m-combinations of a checked sample."""
+    if _routed(kernel, x.shape[0]) != ROUTE_ENUMERATION:
+        return _accel.ustat_sum(kernel.accel_code, kernel.accel_thr, x, kernel.order)
+    return float(np.sum([vals.sum() for _, _, vals in _combination_blocks(kernel, x)]))
+
+
+def _q_raw(kernel: Kernel, x: np.ndarray) -> np.ndarray:
+    """q_raw[i] = un-normalized sum of h over m-subsets containing i, in a
+    fresh array: on the enumeration route, the column sums credit each
+    combination's last index and the row sums each of its head indices."""
+    n, m = x.shape[0], kernel.order
+    if _routed(kernel, n) != ROUTE_ENUMERATION:
+        return _accel.q_raw(kernel.accel_code, kernel.accel_thr, x, m)
+    q = np.zeros(n)
+    for heads, lo, vals in _combination_blocks(kernel, x):
+        q[lo:] += vals.sum(axis=0)
+        row = vals.sum(axis=1)
+        for col in heads.T:
+            q += np.bincount(col, weights=row, minlength=n)
+    return q
+
+
+def _square_sum(kernel: Kernel, x: np.ndarray) -> float:
+    """Sum of h^2 over the m-combinations of a checked sample."""
+    if _routed(kernel, x.shape[0]) != ROUTE_ENUMERATION:
+        squares = _accel.square_sum(kernel.accel_code, kernel.accel_thr, x, kernel.order)
+        if squares is not None:
+            return squares
+    return float(np.sum([(v * v).sum() for _, _, v in _combination_blocks(kernel, x)]))
+
+
+def _shared_pair_total(kernel: Kernel, x: np.ndarray) -> float:
+    """sum over distinct ordered (i, j, k, l) of h(x_i, x_j, x_k) *
+    h(x_i, x_j, x_l) for an order-3 kernel, on a checked sample."""
+    if _routed(kernel, x.shape[0]) != ROUTE_ENUMERATION:
+        total = _accel.shared_pair_total(kernel.accel_code, kernel.accel_thr, x)
+        if total is not None:
+            return total
+    return _shared_pair_generic(kernel, x)
+
+
+def _shared_pair_generic(kernel: Kernel, x: np.ndarray) -> float:
+    """:func:`_shared_pair_total` by one enumeration: 2 sum over a < b of
+    P_ab^2 - 6 sum of h^2, P_ab the sum of h over the triples holding a, b."""
+    n = len(x)
+    pairs = np.zeros(n * n)
+    squares = 0.0
+    for heads, lo, vals in _combination_blocks(kernel, x):
+        # the triple in vals[r, c] is (i, j, k) = (*heads[r], lo + c); each
+        # of its pairs {i, j}, {i, k}, {j, k} gets h at index a * n + b
+        i, j, k = heads[:, :1], heads[:, 1:], np.arange(lo, n)
+        index = np.concatenate([(i * n + j).ravel(), (i * n + k).ravel(),
+                                (j * n + k).ravel()])
+        pairs += np.bincount(index, np.concatenate([vals.sum(axis=1), vals.ravel(),
+                                                    vals.ravel()]), minlength=n * n)
+        squares += float((vals * vals).sum())
+    return 2.0 * float((pairs * pairs).sum()) - 6.0 * squares
+
+
+def _max_abs(kernel: Kernel, x: np.ndarray) -> float:
+    """The largest |h| over the m-combinations, or ``_accel``'s O(n) bound."""
+    if _routed(kernel, x.shape[0]) == ROUTE_CLOSED_FORM:
+        return _accel.max_abs_kernel(kernel.accel_code, x, kernel.order)
+    return max(float(np.abs(vals).max()) for _, _, vals in _combination_blocks(kernel, x))

@@ -115,7 +115,8 @@ _KEY_TYPES = {
     "ks_threshold": _NUMBER, "rel_mean_threshold": _NUMBER, "ell_method": str,
     "statistic": str, "version": int,
 }
-_OPTIONAL_KEYS = ("theta", "t0", "ell_method", "statistic")  # see _Experiment.reads
+_OPTIONAL_KEYS = ("theta", "t0", "ell_method", "statistic", "ks_threshold",
+                  "rel_mean_threshold")  # see _Experiment.reads_key
 
 
 @dataclass(frozen=True)
@@ -142,15 +143,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; one of {EXPERIMENTS}"
             )
-        if not self.n_grid or list(self.n_grid) != sorted(self.n_grid):
+        if not self.n_grid or list(self.n_grid) != sorted(set(self.n_grid)):
             raise ConfigError("n_grid must be nonempty and ascending")
         if self.replications < 50:
             raise ConfigError("replications must be >= 50")
         experiment = _EXPERIMENTS[self.experiment]
         defaults = {f.name: f.default for f in fields(self)}
         for key in _OPTIONAL_KEYS:
-            if key not in experiment.reads and getattr(self, key) != defaults[key]:
-                readers = ", ".join(n for n, e in _EXPERIMENTS.items() if key in e.reads)
+            if not experiment.reads_key(key) and getattr(self, key) != defaults[key]:
+                readers = ", ".join(n for n, e in _EXPERIMENTS.items() if e.reads_key(key))
                 raise ConfigError(f"{key} only applies to {readers}")
         if not (0.0 < self.t0 <= 1.0):
             raise ConfigError(f"t0 must lie in (0, 1], got {self.t0}")
@@ -262,7 +263,7 @@ class _Experiment(NamedTuple):
     runs before any replication and returns ell^2(n) per n, or None for a
     degenerate configuration; ``value(config, kernel, dist, theta,
     ell_sq, x)`` is the value on one checked sample; ``reads`` names the
-    optional config keys the experiment reads."""
+    optional config keys the experiment reads besides its rule's."""
 
     statistic: Optional[str]
     rule: str
@@ -270,6 +271,10 @@ class _Experiment(NamedTuple):
     value: Callable
     reference: Optional[Callable] = None
     reads: tuple = ()
+
+    def reads_key(self, key: str) -> bool:
+        """Whether the experiment reads the optional config key ``key``."""
+        return key in self.reads or key == self.rule
 
 
 def _theta_ready(config, kernel, dist, theta) -> list:
@@ -301,10 +306,10 @@ def _trend_ready(config, kernel, dist, theta) -> list:
     return [None] * len(config.n_grid)
 
 
-def _negligibility_value(config, kernel, dist, theta, ell_sq, x) -> float:
-    from .decomposition import negligibility_value
+def _trend_value(config, kernel, dist, theta, ell_sq, x) -> float:
+    from .decomposition import _negligibility_value
 
-    return negligibility_value(config.statistic, kernel, theta, x)
+    return _negligibility_value(config.statistic, kernel, theta, x)
 
 
 def _ells(config, kernel, dist, theta, analytic: bool = False) -> Optional[list]:
@@ -365,8 +370,8 @@ _EXPERIMENTS = {
         lambda config, kernel, dist, theta, ell_sq, x:
             _jackknife(kernel, x, keep_q=False)[2] / kernel.order ** 2,
         lambda config, ell_sq: ell_sq, ("ell_method",)),
-    "NEGLIGIBILITY": _Experiment(None, "statistic", _trend_ready, _negligibility_value,
-                                 reads=("theta", "statistic")),
+    "NEGLIGIBILITY": _Experiment(None, "statistic", _trend_ready, _trend_value,
+                                 reads=("theta",)),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)

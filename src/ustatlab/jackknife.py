@@ -22,14 +22,13 @@ processes.  The naive per-``i``
 re-enumeration (:func:`leave_one_out`) is retained as the independent
 oracle.
 
-The per-observation sums come from :func:`ustatlab._accel.q_raw` for
-every kernel that ``_accel`` serves, and from the engine's block
-enumeration otherwise; either returns a fresh array, which the closed
-form normalizes in place.  :func:`jackknife_closed_form` returns the
-normalized q, so it squares q - U_n in a second vector.  The Studentized
-scale and the study's jackknife statistics need only U_n and the sum of
-squares: they call ``_jackknife`` on a checked sample without keeping q,
-which is then centered in place, so the jackknife holds one n-vector.
+The per-observation sums come from the engine's ``_q_raw`` as a fresh
+array, which the closed form normalizes in place.
+:func:`jackknife_closed_form` returns the normalized q, so it squares
+q - U_n in a second vector.  The Studentized scale and the study's
+jackknife statistics need only U_n and the sum of squares: they call
+``_jackknife`` on a checked sample without keeping q, which is then
+centered in place, so the jackknife holds one n-vector.
 """
 
 from __future__ import annotations
@@ -39,14 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
-from .engine import (
-    ROUTE_ENUMERATION,
-    _as_sample,
-    _combination_blocks,
-    _routed,
-    combination_sum,
-)
+from .engine import _as_sample, _q_raw, combination_sum
 from .errors import InsufficientDataError
 from .kernels import Kernel
 
@@ -90,22 +82,6 @@ def leave_one_out(kernel: Kernel, data) -> np.ndarray:
     return out
 
 
-def _q_raw(kernel: Kernel, x: np.ndarray, route: str) -> np.ndarray:
-    """q_raw[i] = un-normalized sum of h over m-subsets containing i: on the
-    enumeration route, the column sums credit each combination's last
-    index and the row sums each of its head indices."""
-    n, m = x.shape[0], kernel.order
-    if route != ROUTE_ENUMERATION:
-        return _accel.q_raw(kernel.accel_code, kernel.accel_thr, x, m)
-    q = np.zeros(n)
-    for heads, lo, vals in _combination_blocks(kernel, x):
-        q[lo:] += vals.sum(axis=0)
-        row = vals.sum(axis=1)
-        for col in heads.T:
-            q += np.bincount(col, weights=row, minlength=n)
-    return q
-
-
 def _jackknife(kernel: Kernel, x: np.ndarray, keep_q: bool = True) -> tuple:
     """(q, U_n, sum_sq) for a sample already through ``_as_sample``: one
     q-accumulation pass, then the two-pass sum of squares
@@ -114,7 +90,7 @@ def _jackknife(kernel: Kernel, x: np.ndarray, keep_q: bool = True) -> tuple:
     n-vector, and q comes back as None."""
     n, m = x.shape[0], kernel.order
     _check_loo_size(n, m)
-    q = _q_raw(kernel, x, _routed(kernel, n))
+    q = _q_raw(kernel, x)
     u_n = float(q.sum()) / (m * math.comb(n, m))
     if m > 1:
         q /= math.comb(n - 1, m - 1)  # q_raw is fresh on every route

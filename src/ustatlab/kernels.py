@@ -347,6 +347,8 @@ def product_kernel(m: int, a: Optional[float] = None) -> Kernel:
     the paired distribution's mean mu: h1(x) = x mu^(m-1) - mu^m."""
     if m < 1:
         raise InvalidArgumentError(f"product kernel needs m >= 1, got {m}")
+    if a is not None and not math.isfinite(a):
+        raise InvalidArgumentError(f"product kernel needs a finite a, got {a}")
 
     def affine(d):
         mu = _require_mean(d)
@@ -404,6 +406,8 @@ def variance_kernel() -> Kernel:
 
 def constant_kernel(c: float, m: int = 1) -> Kernel:
     c = float(c)
+    if not math.isfinite(c):
+        raise InvalidArgumentError(f"constant kernel needs a finite c, got {c}")
 
     def affine(d):
         return (0.0, 0.0)

@@ -24,9 +24,11 @@ jackknife scale first, from a jackknife that centers its one
 per-observation vector in place and releases it, before the prefix pass.
 
 The public functions check the data once and hand the checked sample
-to helpers that do not check it again.  A Monte Carlo replication checks
-its stream itself and calls the helpers directly: ``_studentized_value``
-for CLT_T0, and ``_studentized`` for FCLT_SUP.
+to helpers that do not check it again, down to the engine's reductions:
+``_prefix_values`` for the path, and ``_total`` for U_k at one k < n.
+A Monte Carlo replication checks its stream itself and calls the
+helpers directly: ``_studentized_value`` for CLT_T0, and
+``_studentized`` for FCLT_SUP.
 """
 
 from __future__ import annotations
@@ -38,13 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import _comb_column
-from .engine import (
-    UPrefixValues,
-    _as_sample,
-    _prefix_values,
-    u_prefix_process,
-    u_statistic,
-)
+from .engine import UPrefixValues, _as_sample, _prefix_values, _total, u_prefix_process
 from .errors import (
     DegenerateNormalizerError,
     DomainError,
@@ -72,10 +68,6 @@ class StepProcess:
     n: int
     m: int
     values: np.ndarray
-
-    @property
-    def t(self) -> np.ndarray:
-        return np.arange(self.n + 1) / self.n
 
     def __post_init__(self):
         if len(self.values) != self.n + 1:
@@ -165,7 +157,7 @@ def _studentized_value(kernel: Kernel, x: np.ndarray, theta: float,
     n = x.shape[0]
     _, u_n, sum_sq = _jackknife(kernel, x, keep_q=False)
     scale = _jackknife_scale(n, sum_sq)
-    u_k = u_n if k == n else u_statistic(kernel, x[:k])
+    u_k = u_n if k == n else _total(kernel, x[:k]) / math.comb(k, kernel.order)
     return k * (u_k - theta) / scale
 
 

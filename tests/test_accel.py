@@ -164,42 +164,81 @@ def test_constant_square_sum_is_exact():
 _KERNEL_DECISIONS = {"MAX_SORT_ORDER", "_keeps_all", "_constant"}
 
 
-def _kernel_decisions_read(tree):
-    """Names of ``_accel`` that pick between the built-in kernels or their
-    routes, as a module reads them: ``_accel.NAME`` through any name bound
-    to the module, or ``from ._accel import NAME``."""
+def _names_read(tree, module):
+    """Names of ``ustatlab.<module>`` that a module reads: ``<module>.NAME``
+    through any name bound to the module, or ``from .<module> import NAME``."""
     bound = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if alias.name == "_accel":  # from . import _accel
+                if alias.name == module:  # from . import <module>
                     bound.add(alias.asname or alias.name)
         elif isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name == "ustatlab._accel" and alias.asname:
+                if alias.name == f"ustatlab.{module}" and alias.asname:
                     bound.add(alias.asname)
     read = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_accel"):
+        if isinstance(node, ast.ImportFrom) \
+                and (node.module or "").rpartition(".")[2] == module:
             read.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and node.value.id in bound:
             read.add(node.attr)
-    return {name for name in read
+    return read
+
+
+def _kernel_decisions_read(tree):
+    """Names of ``_accel`` that pick between the built-in kernels or their
+    routes, as a module reads them."""
+    return {name for name in _names_read(tree, "_accel")
             if name.startswith("KERNEL_") or name in _KERNEL_DECISIONS}
+
+
+def _library_modules():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "ustatlab"
+    modules = sorted(src.glob("*.py"))
+    assert {"_accel.py", "engine.py", "jackknife.py", "decomposition.py"} \
+        <= {p.name for p in modules}
+    return {p.stem: ast.parse(p.read_text()) for p in modules}
 
 
 def test_only_accel_tells_the_builtin_kernels_apart():
     # outside _accel, and kernels, which assigns the codes, no module reads
     # a kernel code or a route decision of _accel: they ask only whether
     # _accel serves a kernel
-    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "ustatlab"
-    modules = sorted(src.glob("*.py"))
-    assert {"_accel.py", "engine.py", "decomposition.py"} <= {p.name for p in modules}
-    readers = {p.stem: _kernel_decisions_read(ast.parse(p.read_text()))
-               for p in modules if p.stem not in ("_accel", "kernels")}
+    readers = {name: _kernel_decisions_read(tree) for name, tree in _library_modules().items()
+               if name not in ("_accel", "kernels")}
     assert {name: read for name, read in readers.items() if read} == {}
     assert _kernel_decisions_read(ast.parse(
         "from . import _accel as a\nfrom ._accel import _keeps_all\n"
         "a.KERNEL_PRODUCT, a.MAX_SORT_ORDER, a.serves")) \
         == {"KERNEL_PRODUCT", "MAX_SORT_ORDER", "_keeps_all"}
+
+
+_ROUTING = {
+    "_accel": {"serves", "ustat_sum", "prefix_sums", "q_raw", "square_sum",
+               "shared_pair_total", "max_abs_kernel"},
+    "engine": {"_routed", "_combination_blocks", "kernel_route"},
+}
+
+
+def _routing_read(tree):
+    """The names a module reads that choose between _accel and the
+    enumeration, or run either: the reductions of _accel, and the routes,
+    the route check and the enumeration of the engine."""
+    return {f"{module}.{name}" for module, names in _ROUTING.items()
+            for name in _names_read(tree, module)
+            if name in names or (module == "engine" and name.startswith("ROUTE_"))}
+
+
+def test_only_engine_chooses_the_route():
+    # every reduction of a kernel over a sample is an engine function: no
+    # other module asks _accel for a reduction or enumerates itself
+    readers = {name: _routing_read(tree) for name, tree in _library_modules().items()
+               if name not in ("_accel", "engine")}
+    assert {name: read for name, read in readers.items() if read} == {}
+    assert _routing_read(ast.parse(
+        "from .engine import ROUTE_SORT, _as_sample\nfrom . import engine as e, _accel\n"
+        "e._routed, _accel.q_raw, _accel._comb_column, e._total")) \
+        == {"engine.ROUTE_SORT", "engine._routed", "_accel.q_raw"}

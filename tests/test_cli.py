@@ -46,6 +46,16 @@ def test_path_bad_kernel_exits_2(tmp_path, capsys):
     assert "registry" in capsys.readouterr().err
 
 
+def test_path_non_finite_law_exits_2(tmp_path, capsys):
+    # NaN probabilities are refused where the law is built, as a usage
+    # error, not by the sampler with a traceback
+    code = run_cli("path", "--kernel", "identity", "--dist", "finite:[0,1];[nan,nan]",
+                   "--n", "10", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_path_degenerate_exits_3(tmp_path):
     code = run_cli("path", "--kernel", "constant:c=1,m=2", "--dist",
                    "normal:0,1", "--n", "20", "--theta", "1.0",

@@ -29,7 +29,7 @@ from ustatlab import (
     truncate_kernel,
     variance_kernel,
 )
-from ustatlab import _accel, decomposition, engine, kernel_from_name
+from ustatlab import _accel, engine, kernel_from_name
 from ustatlab.decomposition import (
     TREND_STATISTICS,
     expansion_report,
@@ -267,7 +267,6 @@ def test_diagonal_square_closed_forms_never_enumerate(monkeypatch):
         raise EnumerationRan
 
     monkeypatch.setattr(engine, "_combination_blocks", enumerate_)
-    monkeypatch.setattr(decomposition, "_combination_blocks", enumerate_)
     rng = np.random.default_rng(23)
     for kernel in (identity_kernel(), product_kernel(2), product_kernel(3),
                    variance_kernel(), constant_kernel(1.0, 2), constant_kernel(-3.0, 3)):
@@ -301,9 +300,9 @@ def test_shared_pair_constant_kernel(monkeypatch):
     x = np.random.default_rng(5).normal(0, 1, 12)
     kernel = constant_kernel(2.0, 3)
     assert kernel_route(kernel) == ROUTE_CLOSED_FORM
-    want = decomposition._shared_pair_generic(kernel, x) / math.perm(12, 5)
+    want = engine._shared_pair_generic(kernel, x) / math.perm(12, 5)
     assert want == pytest.approx(0.5, rel=1e-12)
-    monkeypatch.setattr(decomposition, "_shared_pair_generic", generic)
+    monkeypatch.setattr(engine, "_shared_pair_generic", generic)
     assert negligibility_value("shared-pair", kernel, None, x) == 0.5
     keeps = truncate_kernel(kernel, TruncationRule(TruncationMode.FULL_M, 12))
     drops = truncate_kernel(kernel, TruncationRule(TruncationMode.FULL_M, 1))
@@ -321,8 +320,7 @@ def test_negligibility_shortcuts_where_the_bound_clears(monkeypatch):
     def enumerate_(*args, **kwargs):
         raise EnumerationRan
 
-    monkeypatch.setattr(decomposition, "_shared_pair_generic", enumerate_)
-    monkeypatch.setattr(decomposition, "_combination_blocks", enumerate_)
+    monkeypatch.setattr(engine, "_shared_pair_generic", enumerate_)
     monkeypatch.setattr(engine, "_combination_blocks", enumerate_)
     rng = np.random.default_rng(31)
     for statistic, base, n in (("shared-pair", product_kernel(3), 60),
@@ -377,7 +375,7 @@ def test_trend_shared_pair_matches_ordered_enumeration():
 def test_shared_pair_generic_path_truncated_kernel():
     # a truncated kernel has no closed form: the generic pair contraction
     # must equal the direct 4-index ordered sum of the truncated products
-    from ustatlab.decomposition import _shared_pair_generic
+    from ustatlab.engine import _shared_pair_generic
 
     rng = np.random.default_rng(59)
     x = rng.normal(0, 1, 9)
@@ -407,7 +405,7 @@ def test_shared_pair_generic_user_kernel(n):
     x = np.random.default_rng(61).normal(0.5, 1.5, n)
     want = brute_ordered_sum(
         lambda a, b, c, e: _symmetric3(a, b, c) * _symmetric3(a, b, e), list(x), 4)
-    assert decomposition._shared_pair_generic(kernel, x) == pytest.approx(want, rel=1e-12)
+    assert engine._shared_pair_generic(kernel, x) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("statistic,dist", [
@@ -451,6 +449,9 @@ def test_trend_guards():
     with pytest.raises(InvalidArgumentError):
         negligibility_trend("shared-pair", product_kernel(2), normal(0, 1),
                             [20], 50, 1)
+    with pytest.raises(InvalidArgumentError, match="n_grid must be nonempty ascending"):
+        negligibility_trend("diagonal-square", product_kernel(2), normal(0, 1),
+                            [10, 10], 50, 1)
 
 
 def test_truncation_coupling_rate_decreases():

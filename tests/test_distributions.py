@@ -296,7 +296,10 @@ def test_registry():
     assert dist_from_name("pareto:2.5,1").params == (2.5, 1.0)
     d = dist_from_name("finite:[-1,1];[0.5,0.5]")
     assert list(d.points) == [-1.0, 1.0]
-    for bad in ("nope:1", "normal:1", "finite:[1];[0.9]", "example:b=2"):
+    for bad in ("nope:1", "normal:1", "finite:[1];[0.9]", "example:b=2",
+                # non-finite parameters
+                "finite:[0,1];[nan,nan]", "finite:[0,inf];[0.5,0.5]", "normal:0,inf",
+                "normal:nan,1", "example:a=inf", "pareto:2,inf", "pareto:inf"):
         with pytest.raises(InvalidArgumentError):
             dist_from_name(bad)
 

@@ -107,10 +107,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_base_config(n_grid=[200, 100]))
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(_base_config(experiment="CLT_T0"))  # no ks
+        ExperimentConfig.from_dict(_base_config(  # no ks
+            experiment="CLT_T0", rel_mean_threshold=None))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_base_config(
-            experiment="CLT_T0", ks_threshold=0.1, t0=1.5))
+            experiment="CLT_T0", rel_mean_threshold=None, ks_threshold=0.1, t0=1.5))
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_base_config(statistic="centered-usq"))
     with pytest.raises(ConfigError):
@@ -160,22 +161,28 @@ _NEEDS_STATISTIC = ("NEGLIGIBILITY needs statistic from "
      "JACK_RAIKOV needs rel_mean_threshold"),
     (dict(experiment="ARVESEN", rel_mean_threshold=None),
      "ARVESEN needs rel_mean_threshold"),
-    (dict(experiment="NEGLIGIBILITY"), _NEEDS_STATISTIC),
-    (dict(experiment="NEGLIGIBILITY", statistic="nope"), _NEEDS_STATISTIC),
+    (dict(experiment="NEGLIGIBILITY", rel_mean_threshold=None), _NEEDS_STATISTIC),
+    (dict(experiment="NEGLIGIBILITY", rel_mean_threshold=None, statistic="nope"),
+     _NEEDS_STATISTIC),
     (dict(statistic="centered-usq"), "statistic only applies to NEGLIGIBILITY"),
     # the statistic check comes before the missing threshold
     (dict(experiment="CLT_T0", rel_mean_threshold=None, statistic="shared-pair"),
      "statistic only applies to NEGLIGIBILITY"),
-    (dict(experiment="CLT_T0", kernel="variance", dist="example:a=2", ks_threshold=0.1),
+    (dict(experiment="CLT_T0", kernel="variance", dist="example:a=2", ks_threshold=0.1,
+          rel_mean_threshold=None),
      "theta unresolved for kernel 'variance' under 'example:a=2'; pass it explicitly"),
     (dict(experiment="FCLT_SUP", kernel="variance", dist="example:a=2",
-          ks_threshold=0.1),
+          ks_threshold=0.1, rel_mean_threshold=None),
      "theta unresolved for kernel 'variance' under 'example:a=2'; pass it explicitly"),
     (dict(kernel="product:m=2,a=2", dist="example:a=2", ell_method="example-asymptotic"),
      "ARVESEN needs an analytic finite-variance projection "
      "(got ell method 'example-asymptotic')"),
-    (dict(experiment="CLT_T0", ks_threshold=0.1, n_grid=[50, 1000], t0=0.03),
+    (dict(experiment="CLT_T0", ks_threshold=0.1, rel_mean_threshold=None,
+          n_grid=[50, 1000], t0=0.03),
      "t0=0.03 gives k=1 < m at n=50"),
+    # a repeated n would run the same samples twice
+    (dict(n_grid=[100, 100]), "n_grid must be nonempty and ascending"),
+    (dict(n_grid=[50, 100, 100]), "n_grid must be nonempty and ascending"),
 ])
 def test_driver_config_errors(monkeypatch, overrides, message):
     # each experiment's checks raise their full message before any replication
@@ -191,6 +198,10 @@ def test_driver_config_errors(monkeypatch, overrides, message):
 
 _THETA_READERS = "theta only applies to CLT_T0, FCLT_SUP, NEGLIGIBILITY"
 _ELL_READERS = "ell_method only applies to RAIKOV, JACK_RAIKOV, ARVESEN"
+_KS_READERS = "ks_threshold only applies to CLT_T0, FCLT_SUP"
+_REL_READERS = "rel_mean_threshold only applies to RAIKOV, JACK_RAIKOV, ARVESEN"
+_SHARED_PAIR = dict(experiment="NEGLIGIBILITY", statistic="shared-pair",
+                    kernel="product:m=3", n_grid=[8, 16])
 
 
 @pytest.mark.parametrize("raw,message", [
@@ -205,6 +216,14 @@ _ELL_READERS = "ell_method only applies to RAIKOV, JACK_RAIKOV, ARVESEN"
     (dict(experiment="NEGLIGIBILITY", rel_mean_threshold=None, statistic="shared-pair",
           kernel="product:m=3", n_grid=[8, 16], ell_method="analytic-finite-var"),
      _ELL_READERS),
+    # a pass-rule threshold the experiment's rule does not read
+    (dict(ks_threshold=0.5), _KS_READERS),
+    (dict(experiment="JACK_RAIKOV", ks_threshold=0.5), _KS_READERS),
+    (dict(_SHARED_PAIR, rel_mean_threshold=None, ks_threshold=0.5), _KS_READERS),
+    (dict(experiment="CLT_T0", ks_threshold=0.5), _REL_READERS),
+    (dict(experiment="FCLT_SUP", ks_threshold=0.5), _REL_READERS),
+    (dict(experiment="FCLT_SUP"), _REL_READERS),
+    (_SHARED_PAIR, _REL_READERS),
     # the unread key comes before the t0 range and the missing threshold
     (dict(experiment="FCLT_SUP", rel_mean_threshold=None, t0=2.0),
      "t0 only applies to CLT_T0"),
@@ -563,6 +582,41 @@ def test_fclt_sup_checks_each_stream_once(monkeypatch):
         n_grid=[100, 200, 400], replications=50, base_seed=3, ks_threshold=0.5))
     run_experiment(cfg)
     assert checked == [400] * 50
+
+
+_COUNTED = dict(kernel="product:m=2", dist="normal:1,1", n_grid=[20, 40],
+                replications=50, base_seed=5)
+
+
+@pytest.mark.parametrize("raw", [
+    dict(experiment="CLT_T0", t0=0.5, ks_threshold=0.5),
+    dict(experiment="CLT_T0", ks_threshold=0.5),
+    dict(experiment="FCLT_SUP", ks_threshold=0.5),
+    dict(experiment="RAIKOV", rel_mean_threshold=0.5),
+    dict(experiment="JACK_RAIKOV", rel_mean_threshold=0.5),
+    dict(experiment="ARVESEN", rel_mean_threshold=0.5),
+    *[dict(experiment="NEGLIGIBILITY", statistic=statistic,
+           kernel="product:m=3" if statistic == "shared-pair" else "product:m=2",
+           n_grid=[8, 12]) for statistic in TREND_STATISTICS],
+], ids=lambda raw: "-".join(str(raw.get(k)) for k in ("experiment", "statistic", "t0")))
+def test_every_replication_checks_its_stream_once(monkeypatch, raw):
+    # the replication checks its stream, and every statistic takes its
+    # samples unchecked, down to the engine's reductions
+    checks = []
+    original = engine._as_sample
+
+    def counted(data):
+        checks.append(len(data))
+        return original(data)
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("ustatlab") \
+                and getattr(module, "_as_sample", None) is original:
+            monkeypatch.setattr(module, "_as_sample", counted)
+    config = ExperimentConfig.from_dict(dict(_COUNTED, version=1, **raw))
+    run_experiment(config)
+    assert len(checks) / config.replications == 1.0
+    assert set(checks) == {config.n_grid[-1]}
 
 
 def test_fclt_sup_replication_is_the_sup_of_each_path():

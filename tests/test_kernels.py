@@ -197,7 +197,10 @@ def test_registry_names():
     assert k.order == 3 and k.theta == 8.0
     assert kernel_from_name("variance").order == 2
     assert kernel_from_name("constant:c=2,m=2").eval_fn(1, 1) == 2.0
-    for bad in ("nope", "product:m=x", "product:q=1", "variance:m=2,"):
+    for bad in ("nope", "product:m=x", "product:q=1", "variance:m=2,",
+                # non-finite parameters
+                "constant:c=nan,m=2", "constant:c=inf", "product:m=2,a=inf",
+                "product:m=2,a=nan"):
         with pytest.raises(InvalidArgumentError):
             kernel_from_name(bad)
 
