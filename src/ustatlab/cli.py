@@ -268,8 +268,8 @@ def main(argv=None) -> int:
 
 def run(argv=None):
     """main(), then end the process at once with its exit code.  By then
-    every output file is closed and the study pool has been shut down and
-    joined, so what a normal exit would still do is the interpreter's
+    every output file is closed and every forked study worker has been
+    reaped, so what a normal exit would still do is the interpreter's
     teardown: a final garbage collection over numpy's and the package's
     objects, tens of milliseconds that change nothing.  Only the stdio
     buffers are flushed first."""

@@ -5,9 +5,12 @@ seeded by ``replication_seed(base_seed, r)``.  A replication draws one
 random stream and takes its sample at each n of the grid as a prefix of
 that stream (``distributions.sample_grid``), so the grid shares its
 random numbers and trends compare like against like.  Replications run
-in chunks, each returning its values at every n; a chunk draws every
-replication's stream into one reused sample buffer, and a replication
-checks its stream once.  Results are reduced in replication order, which
+in contiguous slices, each returning its values at every n; a slice draws
+every replication's stream into one reused sample buffer, and a
+replication checks its stream once.  With ``workers > 1`` the driver forks
+(``os.fork``, so POSIX only) one child per slice, which runs it on the
+driver's own resolved kernel, law and theta and sends its rows back as
+one pickle over a pipe.  Results are reduced in replication order, which
 makes reports byte-identical (runtime aside) for any worker count.
 
 Experiments
@@ -28,16 +31,20 @@ drop rate above 1% fails the report.
 Each experiment is one record of the ``_EXPERIMENTS`` table, which the
 config check, the replications and the summary read: a new experiment
 is one new record.  ``decomposition`` is imported only on NEGLIGIBILITY's
-paths and the process pool only for ``workers > 1``, so a library caller
-of ``ks_distance`` or a serial study of another experiment loads neither.
+paths, so a library caller of ``ks_distance`` or a study of another
+experiment does not load it, and ``signal`` only where a child fails; no
+study loads ``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass, field, fields, asdict, replace
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -145,6 +152,8 @@ class ExperimentConfig:
             )
         if not self.n_grid or list(self.n_grid) != sorted(set(self.n_grid)):
             raise ConfigError("n_grid must be nonempty and ascending")
+        if self.n_grid[0] < 1:
+            raise ConfigError(f"n_grid sizes must be >= 1, got {list(self.n_grid)!r}")
         if self.replications < 50:
             raise ConfigError("replications must be >= 50")
         experiment = _EXPERIMENTS[self.experiment]
@@ -289,6 +298,18 @@ def _theta_ready(config, kernel, dist, theta) -> list:
     return [None] * len(config.n_grid)
 
 
+def _loo_ready(preflight: Callable) -> Callable:
+    """``preflight`` of an experiment whose value takes a jackknife, after
+    the leave-one-out size check: n >= m + 1 at every n."""
+    def ready(config, kernel, dist, theta):
+        n, m = config.n_grid[0], kernel.order
+        if n < m + 1:
+            raise ConfigError(f"{config.experiment} needs n >= m + 1 = {m + 1} "
+                              f"for the jackknife, got n={n}")
+        return preflight(config, kernel, dist, theta)
+    return ready
+
+
 def _t0_ready(config, kernel, dist, theta) -> list:
     """CLT_T0 also takes k = [n t0] unchecked: k >= m at every n."""
     ells = _theta_ready(config, kernel, dist, theta)
@@ -347,12 +368,12 @@ def _t0_cdf(config, ell_sq):
 
 _EXPERIMENTS = {
     "CLT_T0": _Experiment(
-        "studentized-at-t0", "ks_threshold", _t0_ready,
+        "studentized-at-t0", "ks_threshold", _loo_ready(_t0_ready),
         lambda config, kernel, dist, theta, ell_sq, x:
             _studentized_value(kernel, x, theta, int(len(x) * config.t0)),
         _t0_cdf, ("theta", "t0")),
     "FCLT_SUP": _Experiment(
-        "studentized-signed-sup", "ks_threshold", _theta_ready,
+        "studentized-signed-sup", "ks_threshold", _loo_ready(_theta_ready),
         lambda config, kernel, dist, theta, ell_sq, x:
             sup_functional(_studentized(kernel, x, theta)),
         lambda config, ell_sq: wiener_sup_cdf, ("theta",)),
@@ -360,13 +381,13 @@ _EXPERIMENTS = {
         "selfnorm-ratio", "rel_mean_threshold", _ells, _raikov_value,
         lambda config, ell_sq: 1.0, ("ell_method",)),
     "JACK_RAIKOV": _Experiment(
-        "jackknife-ratio", "rel_mean_threshold", _ells,
+        "jackknife-ratio", "rel_mean_threshold", _loo_ready(_ells),
         lambda config, kernel, dist, theta, ell_sq, x:
             _jackknife(kernel, x, keep_q=False)[2] / (kernel.order ** 2 * ell_sq),
         lambda config, ell_sq: 1.0, ("ell_method",)),
     "ARVESEN": _Experiment(
         "jackknife-variance", "rel_mean_threshold",
-        lambda *args: _ells(*args, analytic=True),
+        _loo_ready(lambda *args: _ells(*args, analytic=True)),
         lambda config, kernel, dist, theta, ell_sq, x:
             _jackknife(kernel, x, keep_q=False)[2] / kernel.order ** 2,
         lambda config, ell_sq: ell_sq, ("ell_method",)),
@@ -395,7 +416,7 @@ def _rep_value(config: ExperimentConfig, kernel, dist, theta, ells,
                rep: int, sampler: _GridSampler) -> list:
     """Replication ``rep``'s value at every n of the grid, None where it
     is dropped; ``ells`` holds ell^2(n) per n.  One stream is drawn for
-    the whole grid, by the chunk's ``sampler``."""
+    the whole grid, by the slice's ``sampler``."""
     samples = sampler(replication_seed(config.base_seed, rep))
     # the grid ascends, and each smaller n's sample is a prefix of the last
     # one or, for the example law, has its magnitudes |x - a| with other
@@ -414,17 +435,92 @@ def _rep_value(config: ExperimentConfig, kernel, dist, theta, ells,
 def _replicate(config: ExperimentConfig, kernel, dist, theta, ells,
                start: int, stop: int) -> list:
     """Replications start..stop-1, each as its list of values per n; the
-    chunk draws every replication's stream into one sample buffer."""
+    slice draws every replication's stream into one sample buffer."""
     sampler = _GridSampler(dist, config.n_grid)
     return [_rep_value(config, kernel, dist, theta, ells, rep, sampler)
             for rep in range(start, stop)]
 
 
-def _run_chunk(payload) -> list:
-    """:func:`_replicate` in a pool worker, on the config's dict."""
-    config_dict, ells, start, stop = payload
-    config = ExperimentConfig.from_dict(config_dict)
-    return _replicate(config, *_resolve(config), ells, start, stop)
+class _Child:
+    """A forked child that runs ``work()`` and sends back its result, or
+    the exception it raised, as one pickle over a pipe.  ``inherited``
+    holds the read ends of the children forked before it, which the child
+    closes."""
+
+    def __init__(self, work: Callable, inherited: list):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            _serve(work, write_fd, [read_fd, *inherited])
+        os.close(write_fd)
+        self.pid, self.fd = pid, read_fd
+
+    def result(self):
+        """What ``work()`` returned; its exception is raised again here."""
+        with open(self.fd, "rb") as pipe:
+            self.fd = None
+            message = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status or not message:
+            import signal
+
+            code = os.waitstatus_to_exitcode(status)
+            how = (f"exit code {code}" if code >= 0
+                   else f"killed by {signal.Signals(-code).name}")
+            raise RuntimeError(f"a study worker ended without a result ({how})")
+        ok, payload = pickle.loads(message)
+        if not ok:
+            raise payload
+        return payload
+
+    def stop(self) -> None:
+        """Close the pipe, kill the child if it has not been reaped and
+        reap it; an unreaped child's pid cannot name another process."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _serve(work: Callable, write_fd: int, unused: list) -> None:
+    """The child's side of :class:`_Child`.  It ends with ``os._exit``, so
+    it never flushes the parent's stdio buffers or runs its atexit
+    handlers, and it exits 0 only once the whole message is written."""
+    code = 1
+    try:
+        for fd in unused:
+            os.close(fd)
+        try:
+            message = pickle.dumps((True, work()), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            message = _pickled_error(exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(message)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    """``(False, exc)`` pickled, or a RuntimeError carrying ``repr(exc)``
+    where ``exc`` does not survive the round trip."""
+    try:
+        message = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(message)
+        return message
+    except Exception:
+        return pickle.dumps((False, RuntimeError(repr(exc))), pickle.HIGHEST_PROTOCOL)
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +534,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
 
 def _run(config: ExperimentConfig, kernel, dist, theta,
          workers: int = 1) -> ConvergenceReport:
-    """The study of ``config`` on resolved objects, which a serial run
-    uses as given: a kernel the registry cannot name runs too."""
+    """The study of ``config`` on resolved objects, which the forked
+    children share as they are: a kernel the registry cannot name runs at
+    any worker count."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ConfigError("workers > 1 needs os.fork, which this platform lacks")
     started = time.monotonic()
     experiment = _EXPERIMENTS[config.experiment]
     ells = experiment.preflight(config, kernel, dist, theta)
@@ -494,23 +595,27 @@ def _run(config: ExperimentConfig, kernel, dist, theta,
 def _collect(config: ExperimentConfig, resolved: tuple, ells: list,
              workers: int) -> list:
     """Every replication's values per n, in replication order: serially on
-    ``resolved`` = (kernel, dist, theta), else in workers * 4 pool chunks."""
+    ``resolved`` = (kernel, dist, theta), else in min(workers, R) forked
+    children, one contiguous slice each, read back in slice order.  On
+    every way out, any child still running is killed and every child is
+    reaped."""
     R = config.replications
-    if workers <= 1:
+    workers = min(workers, R)
+    if workers == 1:
         return _replicate(config, *resolved, ells, 0, R)
-    bounds = np.linspace(0, R, workers * 4 + 1).astype(int)
-    payloads = [(config.to_dict(), ells, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    from concurrent.futures import ProcessPoolExecutor
-
-    rows: list = []
-    pool = ProcessPoolExecutor(max_workers=workers)
+    bounds = [R * i // workers for i in range(workers + 1)]
+    children: list = []
     try:
-        for chunk in pool.map(_run_chunk, payloads):
-            rows.extend(chunk)  # submission order == replication order
+        for start, stop in zip(bounds, bounds[1:]):
+            children.append(_Child(partial(_replicate, config, *resolved, ells, start, stop),
+                                   [child.fd for child in children]))
+        rows: list = []
+        for child in children:
+            rows.extend(child.result())
+        return rows
     finally:
-        pool.shutdown(cancel_futures=True)
-    return rows
+        for child in children:
+            child.stop()
 
 
 def _se(arr: np.ndarray) -> float:

@@ -279,3 +279,15 @@ def test_workers_env_fallback(tmp_path, monkeypatch):
     cfg = _study_config(tmp_path)
     out = tmp_path / "study_env"
     assert run_cli("study", "--config", str(cfg), "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize("flag,env", [("0", None), ("-2", None), (None, "-1")])
+def test_study_worker_count_below_one_exits_2(tmp_path, monkeypatch, capsys, flag, env):
+    if env is not None:
+        monkeypatch.setenv("USTAT_WORKERS", env)
+    argv = ["study", "--config", str(_study_config(tmp_path)), "--out", str(tmp_path / "o")]
+    if flag is not None:
+        argv += ["--workers", flag]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"error: workers must be >= 1, got {flag or env}\n"
+    assert not (tmp_path / "o").exists()

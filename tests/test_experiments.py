@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import json
 import math
+import os
 import statistics
 import sys
 from dataclasses import replace
@@ -183,6 +184,18 @@ _NEEDS_STATISTIC = ("NEGLIGIBILITY needs statistic from "
     # a repeated n would run the same samples twice
     (dict(n_grid=[100, 100]), "n_grid must be nonempty and ascending"),
     (dict(n_grid=[50, 100, 100]), "n_grid must be nonempty and ascending"),
+    (dict(n_grid=[0, 10]), "n_grid sizes must be >= 1, got [0, 10]"),
+    (dict(n_grid=[-3, 10]), "n_grid sizes must be >= 1, got [-3, 10]"),
+    # the jackknife experiments take leave-one-out values: n >= m + 1
+    (dict(experiment="FCLT_SUP", ks_threshold=0.1, rel_mean_threshold=None,
+          n_grid=[2, 10]),
+     "FCLT_SUP needs n >= m + 1 = 3 for the jackknife, got n=2"),
+    (dict(experiment="CLT_T0", ks_threshold=0.1, rel_mean_threshold=None,
+          n_grid=[2, 10]),
+     "CLT_T0 needs n >= m + 1 = 3 for the jackknife, got n=2"),
+    (dict(experiment="JACK_RAIKOV", n_grid=[1, 10]),
+     "JACK_RAIKOV needs n >= m + 1 = 3 for the jackknife, got n=1"),
+    (dict(n_grid=[2, 10]), "ARVESEN needs n >= m + 1 = 3 for the jackknife, got n=2"),
 ])
 def test_driver_config_errors(monkeypatch, overrides, message):
     # each experiment's checks raise their full message before any replication
@@ -521,10 +534,10 @@ def test_negligibility_driver_matches_trend(statistic, n_grid):
 ])
 def test_negligibility_checks_run_before_the_pool(monkeypatch, overrides, error,
                                                   message):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("pool started")
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     with pytest.raises(error, match=message):
         run_experiment(_negligibility_config("shared-pair", **overrides), workers=2)
 

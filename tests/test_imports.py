@@ -1,6 +1,7 @@
 """What a process loads: the package exports lazily, the library paths
-leave out the decomposition lab, the study driver and the process pool,
-and ``ustatlab.cli`` loads every layer the traced benchmark wraps.
+leave out the decomposition lab and the study driver, no study loads a
+process pool module, and ``ustatlab.cli`` loads every layer the traced
+benchmark wraps.
 Each check runs in a fresh interpreter."""
 
 import ast
@@ -45,8 +46,9 @@ def fresh(code: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+POOLS = ("concurrent.futures", "multiprocessing")
 LOADED = ("json.dumps(sorted(k for k in sys.modules "
-          "if k.startswith('ustatlab.') or k == 'concurrent.futures'))")
+          f"if k.startswith('ustatlab.') or k in {POOLS!r}))")
 
 
 def test_import_loads_no_submodule():
@@ -60,7 +62,23 @@ def test_library_path_skips_decomposition_cli_and_pool():
         "ustatlab.ks_distance, ustatlab.truncate_kernel\n"
         f"print({LOADED})")
     assert "ustatlab.processes" in loaded and "ustatlab.experiments" in loaded
-    assert not {"ustatlab.decomposition", "ustatlab.cli", "concurrent.futures"} & set(loaded)
+    assert not {"ustatlab.decomposition", "ustatlab.cli", *POOLS} & set(loaded)
+
+
+def test_forked_study_loads_no_process_pool(tmp_path):
+    # the study forks its workers itself
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(dict(
+        version=1, experiment="FCLT_SUP", kernel="identity", dist="normal:0,1",
+        n_grid=[20, 40], replications=50, base_seed=3, ks_threshold=1.0)))
+    argv = ["study", "--config", str(config), "--out", str(tmp_path / "out"),
+            "--workers", "2"]
+    loaded = fresh("import json, sys\n"
+                   "from ustatlab.cli import main\n"
+                   f"assert main({argv!r}) == 0\n"
+                   f"print({LOADED})")
+    assert not set(POOLS) & set(loaded)
+    assert "ustatlab.experiments" in loaded
 
 
 def test_exports_and_version():
