@@ -15,14 +15,12 @@ _EXPORTS = {
     "decomposition": (
         "MomentBoundResult",
         "ProductStatistic",
-        "TrendTable",
         "VExpansion",
         "VTerm",
         "build_v_expansion",
         "check_degeneracy",
         "eval_product_statistic",
         "degenerate_moment_bound",
-        "negligibility_trend",
         "reconstruction_max_error",
     ),
     "distributions": (
@@ -55,7 +53,9 @@ _EXPORTS = {
     "experiments": (
         "ConvergenceReport",
         "ExperimentConfig",
+        "TrendTable",
         "ks_distance",
+        "negligibility_trend",
         "normal_cdf",
         "replication_seed",
         "run_experiment",

@@ -17,8 +17,8 @@ most ``thr``.  Any other threshold takes the sort route.  The bound is
 at least every |h| as the enumeration of :mod:`ustatlab.engine` rounds
 it, so the shortcut keeps exactly the enumeration's kept set; an
 overflowed bound is infinite and takes the sort route.  Two more
-reductions serve the statistics of :mod:`ustatlab.decomposition` by the
-same decision, and return None where the truncation bites, for the
+reductions serve the NEGLIGIBILITY statistics of :mod:`ustatlab.experiments`
+by the same decision, and return None where the truncation bites, for the
 engine to enumerate: ``square_sum(code, thr, data, m)``, the sum of h^2
 over the m-combinations (diagonal-square), and ``shared_pair_total(code,
 thr, data)``, the order-3 shared-pair total.
@@ -43,7 +43,7 @@ Closed forms:
 * Constant kernel: c C(n, m), c times the cached column of C(k, m) over
   the prefixes (:func:`_comb_column`) and c C(n - 1, m - 1) per point,
   the same float at every point; c^2 C(n, m) and c^2 [n]_4 for the two
-  decomposition sums.
+  NEGLIGIBILITY sums.
 * Sums of h^2: e_m(x^2) for the product kernel, whose square is the
   product kernel of x^2; fourth power sums of the centered data for the
   variance kernel.
@@ -483,7 +483,7 @@ def _by_last(code: int, thr: float, x: np.ndarray, m: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # the reductions: a threshold that keeps every evaluation takes the closed
-# form, any other the sort route (or None, for the decomposition sums)
+# form, any other the sort route (or None, for the NEGLIGIBILITY sums)
 # ---------------------------------------------------------------------------
 
 def serves(code, thr: float, m: int) -> bool:

@@ -7,8 +7,12 @@ finite-support distribution:
 
     h*(x_1..x_r) = E h* + sum over nonempty position sets A of V_A(x_A),
 
-    V_A = sum over subsets B of A of (-1)^(|A| - |B|) g_B,
-    g_B(x_B) = E( h* | X_j = x_j for j in B ).
+    V_A = prod over j in A of (I - E_j) g_A,
+    g_A(x_A) = E( h* | X_j = x_j for j in A ),
+
+where E_j averages out coordinate j: one contraction of the h* table
+gives g_A, and centering it along each of its axes gives V_A (the
+inclusion-exclusion sum over the subsets of A, expanded).
 
 Every V_A is degenerate: its conditional expectation given any proper
 subset of its own coordinates vanishes identically.  All conditional
@@ -28,11 +32,10 @@ set is counted r! times, and distinct sets are uncorrelated), and
 r! is the sharp constant in general.  Reports therefore carry both the
 unit reference constant and the measured ratio.
 
-The module keeps only its own statistics: support grids come from
-``kernels._support_rows``, the sums of the negligibility statistics and
-the peak |h| of the truncation coupling are the engine's reductions, and
-:func:`negligibility_trend` is the study driver's NEGLIGIBILITY run on
-the kernel and law it is given.
+The module is the exact lab only: support grids come from
+``kernels._support_rows``, and the Monte Carlo side of negligibility
+(the NEGLIGIBILITY statistics, their trend and the truncation coupling
+rate) belongs to ``ustatlab.experiments``.
 """
 
 from __future__ import annotations
@@ -44,43 +47,31 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import Distribution, derive_seed, sample_grid
-from .engine import _as_sample, _max_abs, _shared_pair_total, _square_sum, _total
+from .distributions import Distribution
 from .errors import (
     InvalidArgumentError,
     PreconditionViolationError,
     ResourceLimitError,
 )
-from .experiments import ExperimentConfig, _run
-from .kernels import Kernel, TruncationMode, TruncationRule, _support_rows, theta_under
+from .kernels import Kernel, _support_rows
 
 __all__ = [
     "ProductStatistic",
     "VTerm",
     "VExpansion",
     "MomentBoundResult",
-    "TrendRow",
-    "TrendTable",
     "eval_product_statistic",
     "build_v_expansion",
     "check_degeneracy",
     "reconstruction_max_error",
     "degenerate_moment_bound",
-    "check_trend",
-    "negligibility_value",
-    "trend_decreasing",
-    "negligibility_trend",
-    "truncation_coupling_rate",
     "expansion_report",
-    "TREND_STATISTICS",
 ]
 
 _MAX_SUPPORT = 6
 _MAX_BOUND_SUPPORT = 4
 _MAX_BOUND_N = 8
 _MAX_BOUND_ARITY = 3
-
-TREND_STATISTICS = ("centered-usq", "diagonal-square", "shared-pair")
 
 
 @dataclass(frozen=True)
@@ -182,22 +173,14 @@ def build_v_expansion(ps: ProductStatistic, dist: Distribution) -> VExpansion:
     r = ps.arity
     probs = dist.probs
     mu = float(np.sum(grid * weights))
-    # conditional-mean tables g_B, keyed by frozen position subsets (0-based)
-    g = {(): mu}
-    for size in range(1, r + 1):
-        for b in itertools.combinations(range(r), size):
-            comp = [ax for ax in range(r) if ax not in b]
-            g[b] = _contract(grid, probs, comp)
     first, second = ps.factor_positions()
     index = {float(v): i for i, v in enumerate(dist.points)}
     terms = []
     for size in range(1, r + 1):
         for a in itertools.combinations(range(r), size):
-            table = np.zeros((len(dist.points),) * size)
-            for bsize in range(0, size + 1):
-                for b in itertools.combinations(a, bsize):
-                    slot = tuple(slice(None) if ax in b else None for ax in a)
-                    table = table + (-1.0) ** (size - bsize) * np.asarray(g[b])[slot]
+            table = _contract(grid, probs, [ax for ax in range(r) if ax not in a])
+            for ax in range(size):
+                table = table - np.expand_dims(_contract(table, probs, [ax]), ax)
             positions = tuple(ax + 1 for ax in a)
             terms.append(VTerm(
                 positions=positions,
@@ -297,117 +280,6 @@ def degenerate_moment_bound(L: Callable, arity: int, mu: float, dist: Distributi
     return MomentBoundResult(lhs=lhs, rhs=rhs, ratio=ratio, arity=arity, n=n,
                         reference_constant=1.0,
                         permutation_constant=float(math.factorial(int(arity))))
-
-
-# ---------------------------------------------------------------------------
-# empirical negligibility trends
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrendRow:
-    n: int
-    mean_abs: float
-    se: float
-
-
-@dataclass(frozen=True)
-class TrendTable:
-    statistic: str
-    rows: list
-    decreasing: bool  # last mean at most half the first mean
-
-    def means(self):
-        return [r.mean_abs for r in self.rows]
-
-
-def check_trend(statistic_id: str, kernel: Kernel, dist: Distribution, n_grid,
-                theta: Optional[float]) -> None:
-    """The checks a trend run passes before it draws a sample: a known
-    statistic, an ascending grid inside the size caps, an order-3 kernel
-    for ``shared-pair`` and a resolved theta for ``centered-usq``."""
-    if statistic_id not in TREND_STATISTICS:
-        raise InvalidArgumentError(
-            f"unknown statistic {statistic_id!r}; choose from {TREND_STATISTICS}"
-        )
-    m = kernel.order
-    n_grid = list(n_grid)
-    if not n_grid or sorted(set(n_grid)) != n_grid:
-        raise InvalidArgumentError("n_grid must be nonempty ascending")
-    if m > 3:
-        raise ResourceLimitError("trend statistics capped at kernel order 3")
-    cap = 400 if m <= 2 else 60
-    if n_grid[-1] > cap:
-        raise ResourceLimitError(f"trend sample size capped at {cap} for m={m}")
-    if statistic_id == "shared-pair" and m != 3:
-        raise InvalidArgumentError("shared-pair statistic needs an order-3 kernel")
-    if statistic_id == "centered-usq" and theta is None:
-        raise InvalidArgumentError(
-            f"centered-usq needs theta for kernel '{kernel.name}' under "
-            f"'{dist.name}'"
-        )
-
-
-def negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float],
-                        x: np.ndarray) -> float:
-    """|statistic| on one sample x, for arguments that pass
-    :func:`check_trend`.
-
-    Statistics: ``centered-usq`` = (U_n - theta)^2; ``diagonal-square`` =
-    the sum of h^2 over distinct tuples scaled by the falling factorial
-    [n]^-(2m-1); ``shared-pair`` = the order-3 statistic pairing two
-    kernel evaluations that share their first two arguments, same scale.
-    The sample is checked first: a non-finite value raises DomainError.
-    """
-    return _negligibility_value(statistic_id, kernel, theta, _as_sample(x))
-
-
-def _negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float],
-                         x: np.ndarray) -> float:
-    """:func:`negligibility_value` of a checked sample."""
-    n, m = x.shape[0], kernel.order
-    if statistic_id == "centered-usq":
-        return float(abs((_total(kernel, x) / math.comb(n, m) - theta) ** 2))
-    if statistic_id == "diagonal-square":
-        total = math.factorial(m) * _square_sum(kernel, x)
-    else:
-        total = _shared_pair_total(kernel, x)  # m == 3 here
-    return float(abs(total / float(math.perm(n, 2 * m - 1))))
-
-
-def trend_decreasing(means) -> bool:
-    """The trend verdict: the last mean is below half the first."""
-    return bool(means[-1] < 0.5 * means[0])
-
-
-def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
-                        n_grid, R: int, seed: int) -> TrendTable:
-    """Monte Carlo mean of |statistic| (see :func:`negligibility_value`)
-    along ``n_grid``: the study driver's NEGLIGIBILITY run on this kernel
-    and law, replication r seeded by ``derive_seed(seed, r)``."""
-    if R < 1:
-        raise InvalidArgumentError(f"R must be >= 1, got {R}")
-    config = ExperimentConfig(
-        experiment="NEGLIGIBILITY", kernel=kernel.name, dist=dist.name,
-        n_grid=tuple(n_grid), replications=R, base_seed=seed, statistic=statistic_id)
-    report = _run(config, kernel, dist, theta_under(kernel, dist))
-    rows = [TrendRow(n=r.n, mean_abs=r.mean, se=r.se) for r in report.per_n]
-    return TrendTable(statistic=statistic_id, rows=rows,
-                      decreasing=trend_decreasing([r.mean_abs for r in rows]))
-
-
-def truncation_coupling_rate(kernel: Kernel, dist: Distribution, n_grid,
-                             R: int, seed: int):
-    """Fraction of samples where some evaluated tuple escapes the
-    order-level threshold n^(3m/5), i.e. the truncated statistic differs
-    from the raw one; decreases with n when E|h|^(5/3) is finite."""
-    m = kernel.order
-    n_grid = list(n_grid)
-    hits = [0] * len(n_grid)
-    for rep in range(R):
-        for j, x in enumerate(sample_grid(dist, n_grid, derive_seed(seed, rep))):
-            threshold = TruncationRule(TruncationMode.FULL_M, len(x)).threshold(m)
-            hits[j] += _max_abs(kernel, x) > threshold
-    return [(n, h / R) for n, h in zip(n_grid, hits)]
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def kernel_route(kernel: Kernel) -> str:
     truncated.
 
     Decided for every computation alike: sums, prefix sums, jackknife
-    q-accumulation and the decomposition statistics.  A ROUTE_SORT kernel
+    q-accumulation and the NEGLIGIBILITY statistics.  A ROUTE_SORT kernel
     may still take the closed form at run time: ``_accel`` takes it on
     data where an O(n) bound on |h| shows that the threshold keeps every
     evaluation, and a truncated constant of any order always does, with c

@@ -22,18 +22,20 @@ RAIKOV       sum h1(X_i)^2 / (n ell^2(n)) vs 1 (mean +- SE)
 JACK_RAIKOV  (n-1) sum (U^i - U_n)^2 / (m^2 ell^2(n)) vs 1
 ARVESEN      (n-1)/m^2 sum (U^i - U_n)^2 vs the analytic E h1^2
              (finite-variance configurations only)
-NEGLIGIBILITY  mean of |statistic| per n (decomposition.negligibility_value);
-             passes when the last mean is below half the first
+NEGLIGIBILITY  mean of |statistic| per n (negligibility_value); passes when
+             the last mean is below half the first
 
 Replications whose normalizer degenerates are dropped and counted; a
 drop rate above 1% fails the report.
 
 Each experiment is one record of the ``_EXPERIMENTS`` table, which the
 config check, the replications and the summary read: a new experiment
-is one new record.  ``decomposition`` is imported only on NEGLIGIBILITY's
-paths, so a library caller of ``ks_distance`` or a study of another
-experiment does not load it, and ``signal`` only where a child fails; no
-study loads ``concurrent.futures`` or ``multiprocessing``.
+is one new record.  NEGLIGIBILITY is the Monte Carlo side of the
+degenerate remainder that ``ustatlab.decomposition`` verifies exactly;
+this module owns its statistics, its checks and its library loops
+(:func:`negligibility_trend`, :func:`truncation_coupling_rate`) and never
+loads ``decomposition``.  ``signal`` is imported only where a child
+fails; no study loads ``concurrent.futures`` or ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -49,17 +51,19 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .distributions import (ANALYTIC_FINITE_VAR, _ELL_METHODS, _GridSampler, derive_seed,
-                            dist_from_name, estimate_ell)
-from .engine import _as_sample
+from .distributions import (ANALYTIC_FINITE_VAR, _ELL_METHODS, Distribution, _GridSampler,
+                            derive_seed, dist_from_name, estimate_ell, sample_grid)
+from .engine import _as_sample, _max_abs, _shared_pair_total, _square_sum, _total
 from .errors import (
     ConfigError,
     DegenerateNormalizerError,
     InvalidArgumentError,
+    ResourceLimitError,
     UnsupportedOperationError,
 )
 from .jackknife import _jackknife
-from .kernels import _projection_values, kernel_from_name, theta_under
+from .kernels import (Kernel, TruncationMode, TruncationRule, _projection_values,
+                      kernel_from_name, theta_under)
 from .processes import _check_theta, _studentized, _studentized_value, sup_functional
 
 __all__ = [
@@ -74,9 +78,16 @@ __all__ = [
     "run_experiment",
     "report_to_json",
     "report_from_json",
+    "TREND_STATISTICS",
+    "TrendRow",
+    "TrendTable",
+    "negligibility_value",
+    "negligibility_trend",
+    "truncation_coupling_rate",
 ]
 
 MAX_DROP_RATE = 0.01
+TREND_STATISTICS = ("centered-usq", "diagonal-square", "shared-pair")
 
 
 def replication_seed(base_seed: int, replication_index: int) -> int:
@@ -167,8 +178,6 @@ class ExperimentConfig:
         if self.ell_method is not None and self.ell_method not in _ELL_METHODS:
             raise ConfigError(f"unknown ell_method {self.ell_method!r}")
         if experiment.rule == "statistic":
-            from .decomposition import TREND_STATISTICS
-
             if self.statistic not in TREND_STATISTICS:
                 raise ConfigError(
                     f"{self.experiment} needs statistic from {TREND_STATISTICS}"
@@ -321,16 +330,56 @@ def _t0_ready(config, kernel, dist, theta) -> list:
 
 
 def _trend_ready(config, kernel, dist, theta) -> list:
-    from .decomposition import check_trend
-
-    check_trend(config.statistic, kernel, dist, config.n_grid, theta)
+    """NEGLIGIBILITY's checks, all of them before any replication: the
+    kernel order and the size caps, an order-3 kernel for ``shared-pair``,
+    every n at least the statistic's smallest size (m for ``centered-usq``;
+    2m - 1 for the others, whose scale [n]_(2m-1) vanishes below it) and a
+    resolved theta for ``centered-usq``.  The statistic and the grid are
+    checked by ``validate`` or :func:`negligibility_trend`."""
+    m, n = kernel.order, config.n_grid[0]
+    if m > 3:
+        raise ResourceLimitError("trend statistics capped at kernel order 3")
+    cap = 400 if m <= 2 else 60
+    if config.n_grid[-1] > cap:
+        raise ResourceLimitError(f"trend sample size capped at {cap} for m={m}")
+    if config.statistic == "shared-pair" and m != 3:
+        raise InvalidArgumentError("shared-pair statistic needs an order-3 kernel")
+    rule, least = ("m", m) if config.statistic == "centered-usq" else ("2m - 1", 2 * m - 1)
+    if n < least:
+        raise ConfigError(f"{config.experiment} needs n >= {rule} = {least}, got n={n}")
+    if config.statistic == "centered-usq" and theta is None:
+        raise InvalidArgumentError(
+            f"centered-usq needs theta for kernel '{kernel.name}' under "
+            f"'{dist.name}'"
+        )
     return [None] * len(config.n_grid)
 
 
-def _trend_value(config, kernel, dist, theta, ell_sq, x) -> float:
-    from .decomposition import _negligibility_value
+def negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float],
+                        x: np.ndarray) -> float:
+    """|statistic| on one sample x, for arguments that pass NEGLIGIBILITY's
+    checks.
 
-    return _negligibility_value(config.statistic, kernel, theta, x)
+    Statistics: ``centered-usq`` = (U_n - theta)^2; ``diagonal-square`` =
+    the sum of h^2 over distinct tuples scaled by the falling factorial
+    [n]^-(2m-1); ``shared-pair`` = the order-3 statistic pairing two
+    kernel evaluations that share their first two arguments, same scale.
+    The sample is checked first: a non-finite value raises DomainError.
+    """
+    return _negligibility_value(statistic_id, kernel, theta, _as_sample(x))
+
+
+def _negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float],
+                         x: np.ndarray) -> float:
+    """:func:`negligibility_value` of a checked sample."""
+    n, m = x.shape[0], kernel.order
+    if statistic_id == "centered-usq":
+        return float(abs((_total(kernel, x) / math.comb(n, m) - theta) ** 2))
+    if statistic_id == "diagonal-square":
+        total = math.factorial(m) * _square_sum(kernel, x)
+    else:
+        total = _shared_pair_total(kernel, x)  # m == 3 here
+    return float(abs(total / float(math.perm(n, 2 * m - 1))))
 
 
 def _ells(config, kernel, dist, theta, analytic: bool = False) -> Optional[list]:
@@ -339,18 +388,18 @@ def _ells(config, kernel, dist, theta, analytic: bool = False) -> Optional[list]
     projection variance vanishes: every replication would be a drop, which
     the report records rather than hides."""
     try:
-        probe = estimate_ell(dist, kernel, max(config.n_grid), method=config.ell_method)
+        estimates = [estimate_ell(dist, kernel, n, method=config.ell_method)
+                     for n in config.n_grid]
     except UnsupportedOperationError as exc:
         raise ConfigError(str(exc)) from exc
     except InvalidArgumentError:
         return None
-    if analytic and probe.method != ANALYTIC_FINITE_VAR:
+    if analytic and estimates[-1].method != ANALYTIC_FINITE_VAR:
         raise ConfigError(
             f"{config.experiment} needs an analytic finite-variance projection "
-            f"(got ell method {probe.method!r})"
+            f"(got ell method {estimates[-1].method!r})"
         )
-    return [estimate_ell(dist, kernel, n, method=config.ell_method).ell_sq
-            for n in config.n_grid]
+    return [estimate.ell_sq for estimate in estimates]
 
 
 def _raikov_value(config, kernel, dist, theta, ell_sq, x) -> float:
@@ -391,8 +440,11 @@ _EXPERIMENTS = {
         lambda config, kernel, dist, theta, ell_sq, x:
             _jackknife(kernel, x, keep_q=False)[2] / kernel.order ** 2,
         lambda config, ell_sq: ell_sq, ("ell_method",)),
-    "NEGLIGIBILITY": _Experiment(None, "statistic", _trend_ready, _trend_value,
-                                 reads=("theta",)),
+    "NEGLIGIBILITY": _Experiment(
+        None, "statistic", _trend_ready,
+        lambda config, kernel, dist, theta, ell_sq, x:
+            _negligibility_value(config.statistic, kernel, theta, x),
+        reads=("theta",)),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
@@ -571,10 +623,9 @@ def _run(config: ExperimentConfig, kernel, dist, theta,
             se=se, ks=ks, dropped=dropped, passed=bool(dropped <= drop_cap and passed)))
     notes = []
     if experiment.rule == "statistic":
-        from .decomposition import trend_decreasing
-
-        # passed is settled over the whole grid once the last n is in
-        decreasing = trend_decreasing([r.mean for r in per_n])
+        # passed is settled over the whole grid once the last n is in: the
+        # last mean is below half the first
+        decreasing = bool(per_n[-1].mean < 0.5 * per_n[0].mean)
         per_n = [replace(r, passed=decreasing) for r in per_n]
         if not decreasing:
             notes.append("trend flag: last mean not below half the first mean")
@@ -622,3 +673,63 @@ def _se(arr: np.ndarray) -> float:
     if arr.size < 2:
         return 0.0
     return float(arr.std(ddof=1) / math.sqrt(arr.size))
+
+
+# ---------------------------------------------------------------------------
+# NEGLIGIBILITY library loops
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TrendRow:
+    n: int
+    mean_abs: float
+    se: float
+
+
+@dataclass(frozen=True)
+class TrendTable:
+    statistic: str
+    rows: list
+    decreasing: bool  # last mean below half the first mean
+
+    def means(self):
+        return [r.mean_abs for r in self.rows]
+
+
+def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
+                        n_grid, R: int, seed: int) -> TrendTable:
+    """Monte Carlo mean of |statistic| (see :func:`negligibility_value`)
+    along ``n_grid``: the study driver's NEGLIGIBILITY run on this kernel
+    and law, replication r seeded by ``derive_seed(seed, r)``.  It skips
+    ``validate``, so it checks R, the statistic and the grid itself."""
+    if R < 1:
+        raise InvalidArgumentError(f"R must be >= 1, got {R}")
+    if statistic_id not in TREND_STATISTICS:
+        raise InvalidArgumentError(
+            f"unknown statistic {statistic_id!r}; choose from {TREND_STATISTICS}"
+        )
+    n_grid = tuple(n_grid)
+    if not n_grid or sorted(set(n_grid)) != list(n_grid):
+        raise InvalidArgumentError("n_grid must be nonempty ascending")
+    config = ExperimentConfig(
+        experiment="NEGLIGIBILITY", kernel=kernel.name, dist=dist.name, n_grid=n_grid,
+        replications=R, base_seed=seed, statistic=statistic_id)
+    report = _run(config, kernel, dist, theta_under(kernel, dist))
+    return TrendTable(statistic=statistic_id,
+                      rows=[TrendRow(n=r.n, mean_abs=r.mean, se=r.se) for r in report.per_n],
+                      decreasing=report.per_n[-1].passed)
+
+
+def truncation_coupling_rate(kernel: Kernel, dist: Distribution, n_grid,
+                             R: int, seed: int):
+    """Fraction of samples where some evaluated tuple escapes the
+    order-level threshold n^(3m/5), i.e. the truncated statistic differs
+    from the raw one; decreases with n when E|h|^(5/3) is finite."""
+    m = kernel.order
+    n_grid = list(n_grid)
+    hits = [0] * len(n_grid)
+    for rep in range(R):
+        for j, x in enumerate(sample_grid(dist, n_grid, derive_seed(seed, rep))):
+            threshold = TruncationRule(TruncationMode.FULL_M, len(x)).threshold(m)
+            hits[j] += _max_abs(kernel, x) > threshold
+    return [(n, h / R) for n, h in zip(n_grid, hits)]

@@ -200,6 +200,13 @@ def _exact_h1(kernel: Kernel, dist, x: np.ndarray) -> Optional[np.ndarray]:
                      for v in bits.view(np.float64).tolist()])[inverse]
 
 
+def _no_exact_h1(kernel: Kernel, dist) -> UnsupportedOperationError:
+    return UnsupportedOperationError(
+        f"no analytic projection for kernel '{kernel.name}' under "
+        f"'{dist.name}' and no mc_budget supplied"
+    )
+
+
 def project_h1(kernel: Kernel, x: float, dist, mc_budget: Optional[int] = None,
                seed: int = 0, with_se: bool = False):
     """Projection h1(x) = E(h(X1..Xm) - theta | X1 = x).
@@ -216,10 +223,7 @@ def project_h1(kernel: Kernel, x: float, dist, mc_budget: Optional[int] = None,
         return (v, 0.0) if with_se else v
     m = kernel.order
     if mc_budget is None:
-        raise UnsupportedOperationError(
-            f"no analytic projection for kernel '{kernel.name}' under "
-            f"'{dist.name}' and no mc_budget supplied"
-        )
+        raise _no_exact_h1(kernel, dist)
     if mc_budget < 1:
         raise InvalidArgumentError("mc_budget must be a positive integer")
     from .distributions import sample
@@ -245,12 +249,12 @@ def project_h1(kernel: Kernel, x: float, dist, mc_budget: Optional[int] = None,
 
 
 def _projection_values(kernel: Kernel, dist, x: np.ndarray) -> np.ndarray:
-    """h1 at every point of x: the exact routes on the whole of x at once,
-    else :func:`project_h1` point by point."""
+    """h1 at every point of x, by the exact routes on the whole of x at
+    once; without them, h1 needs :func:`project_h1`'s ``mc_budget``."""
     h1 = _exact_h1(kernel, dist, x)
-    if h1 is not None:
-        return h1
-    return np.array([project_h1(kernel, float(v), dist) for v in x])
+    if h1 is None:
+        raise _no_exact_h1(kernel, dist)
+    return h1
 
 
 def _projection_variance(kernel: Kernel, dist) -> Optional[float]:

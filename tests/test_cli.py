@@ -121,6 +121,7 @@ def test_study_negligibility_writes_values(tmp_path):
 @pytest.mark.parametrize("overrides,message", [
     (dict(kernel="product:m=2"), "order-3 kernel"),
     (dict(n_grid=[12, 61]), "capped at 60"),
+    (dict(n_grid=[2, 24]), "NEGLIGIBILITY needs n >= 2m - 1 = 5, got n=2"),
 ])
 def test_study_negligibility_bad_shape_exits_2(tmp_path, capsys, overrides, message):
     raw = dict(experiment="NEGLIGIBILITY", kernel="product:m=3", dist="normal:0,1",

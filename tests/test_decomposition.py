@@ -30,9 +30,9 @@ from ustatlab import (
     variance_kernel,
 )
 from ustatlab import _accel, engine, kernel_from_name
-from ustatlab.decomposition import (
+from ustatlab.decomposition import expansion_report
+from ustatlab.experiments import (
     TREND_STATISTICS,
-    expansion_report,
     negligibility_value,
     truncation_coupling_rate,
 )

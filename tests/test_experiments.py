@@ -32,7 +32,7 @@ from ustatlab import (
     wiener_sup_cdf,
 )
 from ustatlab import _accel, engine, experiments
-from ustatlab.decomposition import TREND_STATISTICS
+from ustatlab.experiments import TREND_STATISTICS
 from ustatlab.distributions import _GridSampler
 from ustatlab.experiments import _rep_value, _resolve, report_from_json, report_to_json
 
@@ -196,6 +196,21 @@ _NEEDS_STATISTIC = ("NEGLIGIBILITY needs statistic from "
     (dict(experiment="JACK_RAIKOV", n_grid=[1, 10]),
      "JACK_RAIKOV needs n >= m + 1 = 3 for the jackknife, got n=1"),
     (dict(n_grid=[2, 10]), "ARVESEN needs n >= m + 1 = 3 for the jackknife, got n=2"),
+    # NEGLIGIBILITY's statistics need n >= m, and n >= 2m - 1 where they
+    # are scaled by [n]_(2m-1)
+    (dict(experiment="NEGLIGIBILITY", rel_mean_threshold=None, statistic="centered-usq",
+          kernel="product:m=2", n_grid=[1, 8]),
+     "NEGLIGIBILITY needs n >= m = 2, got n=1"),
+    (dict(experiment="NEGLIGIBILITY", rel_mean_threshold=None, statistic="shared-pair",
+          kernel="product:m=3", n_grid=[2, 8]),
+     "NEGLIGIBILITY needs n >= 2m - 1 = 5, got n=2"),
+    (dict(experiment="NEGLIGIBILITY", rel_mean_threshold=None,
+          statistic="diagonal-square", kernel="product:m=2", n_grid=[2, 8]),
+     "NEGLIGIBILITY needs n >= 2m - 1 = 3, got n=2"),
+    # every n's ell estimate is checked, not only the largest n's
+    (dict(experiment="RAIKOV", kernel="product:m=2,a=2", dist="example:a=2",
+          ell_method="example-asymptotic", n_grid=[1, 3]),
+     "example-asymptotic ell needs the example family, an affine projection, and n > 1"),
 ])
 def test_driver_config_errors(monkeypatch, overrides, message):
     # each experiment's checks raise their full message before any replication

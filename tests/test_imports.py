@@ -1,8 +1,9 @@
 """What a process loads: the package exports lazily, the library paths
 leave out the decomposition lab and the study driver, no study loads a
-process pool module, and ``ustatlab.cli`` loads every layer the traced
-benchmark wraps.
-Each check runs in a fresh interpreter."""
+process pool module or the decomposition lab, and ``ustatlab.cli`` loads
+every layer the traced benchmark wraps.
+Each check runs in a fresh interpreter, but for the import graph, which
+is read from the source."""
 
 import ast
 import json
@@ -79,6 +80,46 @@ def test_forked_study_loads_no_process_pool(tmp_path):
                    f"print({LOADED})")
     assert not set(POOLS) & set(loaded)
     assert "ustatlab.experiments" in loaded
+
+
+def test_negligibility_study_skips_decomposition():
+    # the study driver owns NEGLIGIBILITY: its statistics, checks and loop
+    loaded = fresh(
+        "import json, sys, ustatlab\n"
+        "ustatlab.run_experiment(ustatlab.ExperimentConfig.from_dict(dict(\n"
+        "    version=1, experiment='NEGLIGIBILITY', kernel='product:m=3',\n"
+        "    dist='normal:0,1', n_grid=[8, 12], replications=50, base_seed=3,\n"
+        "    statistic='shared-pair')))\n"
+        f"print({LOADED})")
+    assert "ustatlab.experiments" in loaded
+    assert "ustatlab.decomposition" not in loaded
+
+
+def _imported_modules(module: str) -> set:
+    """The ustatlab modules ``module`` imports anywhere in its source,
+    inside functions too."""
+    tree = ast.parse((SRC / "ustatlab" / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                names.add(node.module.split(".")[0])
+            elif node.level:
+                names.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("ustatlab."):
+                names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("ustatlab."))
+    return names
+
+
+def test_experiments_and_decomposition_do_not_import_each_other():
+    # the exact lab stands below the study driver: neither loads the other,
+    # and the lab takes no Monte Carlo reduction from the engine
+    assert "decomposition" not in _imported_modules("experiments")
+    assert not {"experiments", "engine"} & _imported_modules("decomposition")
+    assert {"kernels", "errors"} <= _imported_modules("decomposition")
 
 
 def test_exports_and_version():
