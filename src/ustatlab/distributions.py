@@ -34,7 +34,6 @@ __all__ = [
     "finite",
     "sample",
     "sample_grid",
-    "pdf",
     "derive_seed",
     "estimate_ell",
     "moment_diagnostic",
@@ -222,20 +221,6 @@ def _example_grid(a: float, ns: list, bits: np.random.PCG64) -> list:
     return out
 
 
-def pdf(dist: Distribution, x: float) -> float:
-    if dist.kind == "example":
-        a = dist.params[0]
-        return abs(x - a) ** -3 if abs(x - a) >= 1 else 0.0
-    if dist.kind == "normal":
-        mu, sigma = dist.params
-        z = (x - mu) / sigma
-        return math.exp(-0.5 * z * z) / (sigma * math.sqrt(2 * math.pi))
-    if dist.kind == "pareto":
-        alpha, xm = dist.params
-        return alpha * xm ** alpha / x ** (alpha + 1) if x >= xm else 0.0
-    raise UnsupportedOperationError(f"no density for distribution kind {dist.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # normalizing sequence ell(n)
 # ---------------------------------------------------------------------------
@@ -250,7 +235,27 @@ class EllEstimate:
 
 
 def _truncated_second_moment(dist, kernel, bound: float) -> float:
-    """E[h1^2 1(|h1| <= bound)] for affine projections h1 = slope*x + icpt."""
+    """T(B) = E[h1^2 1(|h1| <= B)], exactly, for a finite law or an affine
+    projection h1 = s X + c.
+
+    h1 is centred, so c = -s mu and, with u = B/|s|,
+    T(B) = s^2 E[(X - mu)^2 1(|X - mu| <= u)], in closed form for each law:
+
+    * example(a): 2 ln u for u >= 1;
+    * normal(mu, sigma): with w = u/sigma, sigma^2 [erf(w/sqrt2) - 2 w phi(w)];
+    * pareto(alpha, xm): on the window [L, U] = [max(xm, mu - u), mu + u],
+      alpha (xm/L)^alpha [L^2 J(alpha-1) - 2 mu L J(alpha) + mu^2 J(alpha+1)]
+      with J(p) = (R^(1-p) - 1)/(1-p) for R = U/L, written as expm1((1-p) ln R)
+      / (1-p) (ln R at p = 1), which keeps its digits as p nears 1.
+
+    The normal and Pareto forms subtract terms whose difference is only
+    of relative order (window/scale)^2, the scale being sigma or mu, so they
+    lose digits on a narrow window.  There (w < 1; (alpha + 2) ln R < 2)
+    a 20-point Gauss-Legendre rule takes the integral instead: over
+    v = (x - mu)/sigma for the normal law, and over z = ln(x/mu) for the
+    Pareto law, whose integrand expm1(z)^2 e^(-alpha z) then varies by at
+    most e^2 across the window.
+    """
     if dist.kind == "finite":
         vals = _projection_values(kernel, dist, dist.points)
         keep = np.abs(vals) <= bound
@@ -259,30 +264,63 @@ def _truncated_second_moment(dist, kernel, bound: float) -> float:
         raise UnsupportedOperationError(
             f"no truncated-moment route for kernel '{kernel.name}'"
         )
-    slope, icpt = kernel.affine_projection(dist)
+    slope, _ = kernel.affine_projection(dist)
     if slope == 0:
         return 0.0
+    s_sq, u = slope * slope, bound / abs(slope)
     if dist.kind == "example":
         # |h1| = |slope| * |X - a| on |X - a| >= 1, with the exact identity
-        # E[(X-a)^2 1(|X-a| <= u)] = 2 ln u; icpt is -slope*a by construction.
-        s = abs(slope)
-        u = bound / s
-        return 0.0 if u < 1.0 else s * s * 2.0 * math.log(u)
-    from scipy.integrate import quad
+        # E[(X-a)^2 1(|X-a| <= u)] = 2 ln u
+        return 0.0 if u < 1.0 else s_sq * 2.0 * math.log(u)
+    if dist.kind == "normal":
+        sigma = dist.params[1]
+        w = u / sigma
+        # the integral of v^2 exp(-v^2/2) over [-w, w]
+        if w < 1.0:
+            val = _gauss_legendre(lambda v: v * v * np.exp(-0.5 * v * v), -w, w)
+        else:
+            val = math.sqrt(2.0 * math.pi) * math.erf(w / math.sqrt(2.0)) \
+                - 2.0 * w * math.exp(-0.5 * w * w)
+        return s_sq * sigma * sigma * val / math.sqrt(2.0 * math.pi)
+    if dist.kind == "pareto":
+        alpha, xm = dist.params
+        mu = dist.mean
+        z0, z1 = math.log1p(-min(u, mu - xm) / mu), math.log1p(u / mu)
+        if (alpha + 2.0) * (z1 - z0) < 2.0:
+            val = mu * mu * _gauss_legendre(
+                lambda z: np.expm1(z) ** 2 * np.exp(-alpha * z), z0, z1)
+            return s_sq * alpha * (xm / mu) ** alpha * val
+        lo, r = max(xm, mu - u), z1 - z0
 
-    lo = (-bound - icpt) / slope
-    hi = (bound - icpt) / slope
-    if lo > hi:
-        lo, hi = hi, lo
-    val, _ = quad(lambda t: (slope * t + icpt) ** 2 * pdf(dist, t), lo, hi, limit=200)
-    return float(val)
+        def j(p):
+            q = 1.0 - p
+            return r if q == 0 else math.expm1(q * r) / q
+
+        return s_sq * alpha * (xm / lo) ** alpha * (
+            lo * lo * j(alpha - 1.0) - 2.0 * mu * lo * j(alpha) + mu * mu * j(alpha + 1.0))
+    raise UnsupportedOperationError(
+        f"no truncated-moment route for distribution kind {dist.kind!r}")
+
+
+def _gauss_legendre(f, lo: float, hi: float) -> float:
+    """The integral over [lo, hi] of the vectorized f by the 20-point
+    Gauss-Legendre rule."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(20)
+    half = 0.5 * (hi - lo)
+    return half * float(np.dot(weights, f(half * nodes + 0.5 * (lo + hi))))
 
 
 def estimate_ell(dist: Distribution, kernel: Kernel, n, method: Optional[str] = None,
                  ) -> EllEstimate:
-    """ell^2(n) via, in order: analytic Var h1 when finite; the example
-    family's leading asymptotic a^(2(m-1)) * ln n; a truncated-moment
-    fixed point B^2 <- n * E[h1^2 1(|h1| <= B)] iterated to 1e-6 relative."""
+    """ell^2(n) via the first route that applies, or the one ``method``
+    names: analytic Var h1 when finite; the example family's leading
+    asymptotic a^(2(m-1)) * ln n; the truncated-moment fixed point
+    B^2 <- n T(B), T(B) = E[h1^2 1(|h1| <= B)] exact by
+    :func:`_truncated_second_moment`, iterated from B^2 = n max(T(sqrt n), 1)
+    to 1e-6 relative, with ell^2 = B^2 / n.  A projection the fixed point
+    cannot take raises UnsupportedOperationError."""
     if method is not None and method not in _ELL_METHODS:
         raise InvalidArgumentError(f"unknown ell method {method!r}")
     if method in (None, ANALYTIC_FINITE_VAR):
@@ -309,30 +347,17 @@ def estimate_ell(dist: Distribution, kernel: Kernel, n, method: Optional[str] = 
                 "example-asymptotic ell needs the example family, an affine "
                 "projection, and n > 1"
             )
-    # fixed point
-    try:
-        b_sq = float(n) * max(_truncated_second_moment(dist, kernel, math.sqrt(n)), 1.0)
-        for _ in range(10_000):
-            t = _truncated_second_moment(dist, kernel, math.sqrt(b_sq))
-            new = float(n) * t
-            if new <= 0:
-                raise UnsupportedOperationError(
-                    "truncated-moment fixed point collapsed to zero"
-                )
-            if abs(new - b_sq) <= 1e-6 * b_sq:
-                b_sq = new
-                break
-            b_sq = new
-        ell_sq = b_sq / float(n)
-        if not ell_sq > 0:
-            raise UnsupportedOperationError("fixed point produced ell^2 <= 0")
-        return EllEstimate(n=n, ell_sq=ell_sq, method=TRUNCATED_FIXED_POINT)
-    except UnsupportedOperationError:
-        raise
-    except Exception as exc:  # quadrature failure etc.
-        raise UnsupportedOperationError(
-            f"no ell(n) route for kernel '{kernel.name}' under '{dist.name}': {exc}"
-        ) from exc
+    b_sq = float(n) * max(_truncated_second_moment(dist, kernel, math.sqrt(n)), 1.0)
+    for _ in range(10_000):
+        new = float(n) * _truncated_second_moment(dist, kernel, math.sqrt(b_sq))
+        if not new > 0:
+            raise UnsupportedOperationError(
+                f"truncated-moment fixed point reached B^2 = {new}")
+        converged = abs(new - b_sq) <= 1e-6 * b_sq
+        b_sq = new
+        if converged:
+            break
+    return EllEstimate(n=n, ell_sq=b_sq / float(n), method=TRUNCATED_FIXED_POINT)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from .engine import _as_sample, _max_abs, _shared_pair_total, _square_sum, _tota
 from .errors import (
     ConfigError,
     DegenerateNormalizerError,
+    InsufficientDataError,
     InvalidArgumentError,
     ResourceLimitError,
     UnsupportedOperationError,
@@ -329,12 +330,18 @@ def _t0_ready(config, kernel, dist, theta) -> list:
     return ells
 
 
+def _smallest_size(statistic_id: str, m: int) -> tuple:
+    """The statistic's smallest sample size and its rule: m for
+    ``centered-usq``; 2m - 1 for the others, whose scale [n]_(2m-1)
+    vanishes below it."""
+    return ("m", m) if statistic_id == "centered-usq" else ("2m - 1", 2 * m - 1)
+
+
 def _trend_ready(config, kernel, dist, theta) -> list:
     """NEGLIGIBILITY's checks, all of them before any replication: the
     kernel order and the size caps, an order-3 kernel for ``shared-pair``,
-    every n at least the statistic's smallest size (m for ``centered-usq``;
-    2m - 1 for the others, whose scale [n]_(2m-1) vanishes below it) and a
-    resolved theta for ``centered-usq``.  The statistic and the grid are
+    every n at least the statistic's :func:`_smallest_size` and a resolved
+    theta for ``centered-usq``.  The statistic and the grid are
     checked by ``validate`` or :func:`negligibility_trend`."""
     m, n = kernel.order, config.n_grid[0]
     if m > 3:
@@ -344,7 +351,7 @@ def _trend_ready(config, kernel, dist, theta) -> list:
         raise ResourceLimitError(f"trend sample size capped at {cap} for m={m}")
     if config.statistic == "shared-pair" and m != 3:
         raise InvalidArgumentError("shared-pair statistic needs an order-3 kernel")
-    rule, least = ("m", m) if config.statistic == "centered-usq" else ("2m - 1", 2 * m - 1)
+    rule, least = _smallest_size(config.statistic, m)
     if n < least:
         raise ConfigError(f"{config.experiment} needs n >= {rule} = {least}, got n={n}")
     if config.statistic == "centered-usq" and theta is None:
@@ -364,9 +371,16 @@ def negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float
     the sum of h^2 over distinct tuples scaled by the falling factorial
     [n]^-(2m-1); ``shared-pair`` = the order-3 statistic pairing two
     kernel evaluations that share their first two arguments, same scale.
-    The sample is checked first: a non-finite value raises DomainError.
+    The sample is checked first: a non-finite value raises DomainError,
+    and fewer points than the statistic's smallest size raise
+    InsufficientDataError.
     """
-    return _negligibility_value(statistic_id, kernel, theta, _as_sample(x))
+    x = _as_sample(x)
+    rule, least = _smallest_size(statistic_id, kernel.order)
+    if x.shape[0] < least:
+        raise InsufficientDataError(
+            f"{statistic_id} needs n >= {rule} = {least}, got n={x.shape[0]}")
+    return _negligibility_value(statistic_id, kernel, theta, x)
 
 
 def _negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float],

@@ -118,3 +118,40 @@ def stream_sample(dist, n, seed):
         return xm * (1.0 - rng.random(n)) ** (-1.0 / alpha)
     idx = rng.choice(len(dist.points), size=n, p=dist.probs)
     return dist.points[idx]
+
+
+def truncated_second_moment_mp(dist, slope, icpt, bound, dps=40):
+    """E[h^2 1(|h| <= bound)] for h = slope * X + icpt by mpmath quadrature
+    at ``dps`` digits over the window {t: |h(t)| <= bound}.  For the
+    normal law the integral runs in t, split at the window's centre and at
+    mu +- 4 sigma and cut at mu +- 12 sigma, beyond which the Gaussian
+    leaves less than 1e-30 of the second moment; for the Pareto law it runs in
+    ln t, split at the centre and cut at xm."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        s, c, b = mp.mpf(slope), mp.mpf(icpt), mp.mpf(bound)
+        lo, hi = sorted(((-b - c) / s, (b - c) / s))
+        centre = -c / s
+        if dist.kind == "normal":
+            mu, sigma = (mp.mpf(v) for v in dist.params)
+            lo, hi = max(lo, mu - 12 * sigma), min(hi, mu + 12 * sigma)
+            cuts = [centre, mu - 4 * sigma, mu + 4 * sigma]
+            scale, rate = 1 / (sigma * mp.sqrt(2 * mp.pi)), 1 / (2 * sigma ** 2)
+
+            def f(t):
+                return (s * t + c) ** 2 * scale * mp.exp(-rate * (t - mu) ** 2)
+        else:
+            alpha, xm = (mp.mpf(v) for v in dist.params)
+            lo = max(lo, xm)
+            if hi <= lo:
+                return 0.0
+            lo, hi, cuts = mp.log(lo), mp.log(hi), [mp.log(centre)] if centre > 0 else []
+            scale = alpha * xm ** alpha
+
+            def f(y):
+                return (s * mp.exp(y) + c) ** 2 * scale * mp.exp(-alpha * y)
+        if hi <= lo:
+            return 0.0
+        points = [lo] + sorted(p for p in cuts if lo < p < hi) + [hi]
+        return float(mp.quad(f, points))

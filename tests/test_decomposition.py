@@ -227,7 +227,8 @@ def _truncated_product2(thr):
 
 def test_diagonal_square_matches_oracle():
     # factorial(m) * (sum of h^2 over the combinations) / [n]_(2m-1), on
-    # every route's kernel; n < m raises rather than dividing 0 by 0
+    # every route's kernel; n < 2m - 1 raises rather than dividing by
+    # [n]_(2m-1) = 0
     rng = np.random.default_rng(17)
     cauchy = list(rng.standard_cauchy(11))
     shifted = list(rng.normal(1e6, 1.0, 11))
@@ -252,8 +253,9 @@ def test_diagonal_square_matches_oracle():
             lambda *xs: h(*xs) ** 2, x, m) / math.perm(len(x), 2 * m - 1)
         got = negligibility_value("diagonal-square", kernel, None, np.array(x))
         assert got == pytest.approx(want, rel=1e-12), kernel.name
-        with pytest.raises(InsufficientDataError):
-            negligibility_value("diagonal-square", kernel, None, np.array(x[:m - 1]))
+        for short in range(m - 1, 2 * m - 1):
+            with pytest.raises(InsufficientDataError):
+                negligibility_value("diagonal-square", kernel, None, np.array(x[:short]))
 
 
 class EnumerationRan(Exception):
@@ -311,6 +313,11 @@ def test_shared_pair_constant_kernel(monkeypatch):
     assert negligibility_value("shared-pair", drops, None, x) == 0.0
     assert negligibility_value("shared-pair", constant_kernel(-0.5, 3), None,
                                x[:5]) == 0.25
+    # below 2m - 1 = 5 points [n]_5 = 0: a typed refusal, not a division
+    for kernel in (constant_kernel(2.0, 3), product_kernel(3)):
+        for short in (2, 3, 4):
+            with pytest.raises(InsufficientDataError):
+                negligibility_value("shared-pair", kernel, None, x[:short])
 
 
 def test_negligibility_shortcuts_where_the_bound_clears(monkeypatch):

@@ -23,9 +23,9 @@ from ustatlab import (
     sample_grid,
     variance_kernel,
 )
-from ustatlab.distributions import _GridSampler, pdf
+from ustatlab.distributions import _GridSampler, _truncated_second_moment
 
-from _oracles import stream_sample
+from _oracles import stream_sample, truncated_second_moment_mp
 
 
 def test_example_support_and_median():
@@ -230,8 +230,6 @@ def test_estimate_ell_example_asymptotic():
 
 def test_truncated_second_moment_oracle():
     # E[(X-a)^2 1(|X-a| <= u)] = 2 ln u, cross-checked by quadrature
-    from ustatlab.distributions import _truncated_second_moment
-
     d = example_density(2.0)
     k = identity_kernel()  # h1 = x - 2, slope 1
     for u in (1.5, 3.0, 10.0):
@@ -242,12 +240,40 @@ def test_truncated_second_moment_oracle():
         assert got == pytest.approx(oracle, rel=1e-9)
 
 
+ORACLE_BOUNDS = (1e-3, 0.3, 1.0, 10.0, 1e3, 1e6, 1e9)
+
+
+@pytest.mark.parametrize("dist", [
+    *(normal(mu, sigma) for mu in (-2, 0, 0.5, 1, 3) for sigma in (0.1, 1, 5)),
+    *(pareto(alpha, xm) for alpha in (1.2, 1.5, 1.8, 2 - 1e-9, 2, 2 + 1e-9, 2.5, 3, 6)
+      for xm in (0.5, 1, 3)),
+], ids=lambda d: f"{d.kind}{d.params!r}")
+def test_truncated_second_moment_matches_quadrature(dist):
+    # the closed forms, and the Gauss-Legendre rule where the window hugs
+    # the mean, against 40-digit quadrature: from B = 1e-3, where the
+    # closed forms cancel, up to B = 1e9, far out in the Pareto tail
+    for kernel in (identity_kernel(), product_kernel(2), product_kernel(3)):
+        slope, icpt = kernel.affine_projection(dist)
+        for bound in ORACLE_BOUNDS:
+            got = _truncated_second_moment(dist, kernel, bound)
+            if slope == 0:
+                assert got == 0.0
+                continue
+            want = truncated_second_moment_mp(dist, slope, icpt, bound)
+            assert got == pytest.approx(want, rel=1e-10, abs=0), (kernel.name, bound)
+
+
 def test_estimate_ell_fixed_point():
-    # finite-variance case: the fixed point lands on Var h1
+    # finite-variance case: the fixed point lands on Var h1, where
+    # T(B) = Var h1 to rounding once B is many sigma wide
     est = estimate_ell(normal(1, 1), product_kernel(2), 500,
                        method="truncated-fixed-point")
     assert est.method == "truncated-fixed-point"
     assert est.ell_sq == pytest.approx(1.0, rel=1e-3)
+    for dist, var in ((normal(1, 1), 1.0), (normal(0.5, 5), 6.25)):
+        for n in (10 ** 5, 10 ** 6, 10 ** 7):
+            est = estimate_ell(dist, product_kernel(2), n, method="truncated-fixed-point")
+            assert est.ell_sq == pytest.approx(var, rel=1e-9)
     # example family: h1 = 2(X-2), so E[h1^2 1(|h1| <= B)] = 8 ln(B/2) and
     # the fixed point solves B^2 = 8 n ln(B/2)
     n = 10_000
@@ -256,6 +282,17 @@ def test_estimate_ell_fixed_point():
     b_sq = n * est.ell_sq
     assert b_sq == pytest.approx(n * 8.0 * math.log(math.sqrt(b_sq) / 2.0),
                                  rel=1e-4)
+    # pareto:2,1 has infinite variance, so the default route is the fixed
+    # point, and it solves B^2 = n T(B) with T from the quadrature oracle
+    d = pareto(2, 1)
+    for kernel in (identity_kernel(), product_kernel(2)):
+        slope, icpt = kernel.affine_projection(d)
+        for n in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
+            est = estimate_ell(d, kernel, n)
+            assert est.method == "truncated-fixed-point"
+            b_sq = n * est.ell_sq
+            t = truncated_second_moment_mp(d, slope, icpt, math.sqrt(b_sq))
+            assert b_sq == pytest.approx(n * t, rel=1e-6), (kernel.name, n)
 
 
 def test_estimate_ell_errors():
@@ -302,12 +339,3 @@ def test_registry():
                 "normal:nan,1", "example:a=inf", "pareto:2,inf", "pareto:inf"):
         with pytest.raises(InvalidArgumentError):
             dist_from_name(bad)
-
-
-def test_pdf_values():
-    d = example_density(2.0)
-    assert pdf(d, 2.5) == 0.0
-    assert pdf(d, 4.0) == pytest.approx(0.125)
-    total = quad(lambda t: pdf(d, t), -np.inf, 1)[0] + \
-        quad(lambda t: pdf(d, t), 3, np.inf)[0]
-    assert total == pytest.approx(1.0, rel=1e-6)

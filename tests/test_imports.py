@@ -1,7 +1,8 @@
 """What a process loads: the package exports lazily, the library paths
 leave out the decomposition lab and the study driver, no study loads a
-process pool module or the decomposition lab, and ``ustatlab.cli`` loads
-every layer the traced benchmark wraps.
+process pool module or the decomposition lab, ``ustatlab.cli`` loads
+every layer the traced benchmark wraps, and the fixed-point ell(n) route
+loads no scipy.
 Each check runs in a fresh interpreter, but for the import graph, which
 is read from the source."""
 
@@ -93,6 +94,21 @@ def test_negligibility_study_skips_decomposition():
         f"print({LOADED})")
     assert "ustatlab.experiments" in loaded
     assert "ustatlab.decomposition" not in loaded
+
+
+def test_fixed_point_ell_loads_no_scipy():
+    # the fixed point's truncated moments are closed forms and a fixed
+    # Gauss-Legendre rule, so numpy is the only third-party module loaded
+    loaded = fresh(
+        "import json, sys, ustatlab, ustatlab.cli\n"
+        "est = ustatlab.estimate_ell(ustatlab.pareto(2, 1), ustatlab.product_kernel(2), 10**4)\n"
+        "assert est.method == 'truncated-fixed-point'\n"
+        "ustatlab.run_experiment(ustatlab.ExperimentConfig.from_dict(dict(\n"
+        "    version=1, experiment='RAIKOV', kernel='product:m=2', dist='pareto:2,1',\n"
+        "    n_grid=[200, 400], replications=50, base_seed=3, rel_mean_threshold=0.05)))\n"
+        "print(json.dumps(sorted(sys.modules)))")
+    assert "ustatlab.experiments" in loaded
+    assert not [name for name in loaded if name.split(".")[0] == "scipy"]
 
 
 def _imported_modules(module: str) -> set:
