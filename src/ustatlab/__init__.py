@@ -35,6 +35,7 @@ _EXPORTS = {
         "moment_diagnostic",
         "normal",
         "pareto",
+        "replication_seed",
         "sample",
         "sample_grid",
     ),
@@ -54,12 +55,8 @@ _EXPORTS = {
         "ConvergenceReport",
         "ExperimentConfig",
         "TrendTable",
-        "ks_distance",
         "negligibility_trend",
-        "normal_cdf",
-        "replication_seed",
         "run_experiment",
-        "wiener_sup_cdf",
     ),
     "jackknife": ("JackknifeSummary", "jackknife_closed_form", "leave_one_out"),
     "kernels": (
@@ -80,10 +77,13 @@ _EXPORTS = {
     "processes": (
         "StepProcess",
         "abs_sup_functional",
+        "ks_distance",
+        "normal_cdf",
         "pseudo_selfnormalized_path",
         "studentized_path",
         "studentized_value",
         "sup_functional",
+        "wiener_sup_cdf",
     ),
 }
 

@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     DegenerateNormalizerError,
     UStatError,
 )
-from .experiments import ExperimentConfig, report_to_json, run_experiment
+from .experiments import ExperimentConfig, _check_workers, report_to_json, run_experiment
 from .jackknife import jackknife_closed_form, leave_one_out
 from .kernels import (KERNEL_REGISTRY_HELP, _projection_values, kernel_from_name,
                       theta_under)
@@ -50,6 +51,17 @@ def _resolve_pair(kernel_name: str, dist_name: str):
     return kernel, dist
 
 
+@contextmanager
+def _writing(path: str, newline=None):
+    """``open(path, "w")``: an output path that cannot be written is a
+    usage error (exit 2), not a traceback."""
+    try:
+        with open(path, "w", newline=newline) as fp:
+            yield fp
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+
+
 def cmd_path(args) -> int:
     kernel, dist = _resolve_pair(args.kernel, args.dist)
     if args.n < kernel.order:
@@ -66,10 +78,10 @@ def cmd_path(args) -> int:
         path = pseudo_selfnormalized_path(kernel, data, theta, proj)
     else:
         path = studentized_path(kernel, data, theta)
-    with open(args.out, "w", newline="") as fp:
+    with _writing(args.out, newline="") as fp:
         path_to_csv(path, fp)
     if args.svg:
-        with open(args.svg, "w") as fp:
+        with _writing(args.svg) as fp:
             fp.write(render_svg(path))
     print(f"wrote {args.out}" + (f" and {args.svg}" if args.svg else ""))
     return EXIT_OK
@@ -126,10 +138,16 @@ def cmd_study(args) -> int:
             workers = int(os.environ.get("USTAT_WORKERS", "1"))
         except ValueError as exc:
             raise ConfigError(f"bad USTAT_WORKERS value: {exc}") from exc
+    # the output directory is made before the first replication, so an
+    # unusable one costs no work
+    _check_workers(workers)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {args.out!r}: {exc}") from exc
     report = run_experiment(config, workers=workers)
-    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.json")
-    with open(report_path, "w") as fp:
+    with _writing(report_path) as fp:
         fp.write(report_to_json(report))
         fp.write("\n")
     _write_summary_csv(os.path.join(args.out, "summary.csv"), report)
@@ -141,7 +159,7 @@ def cmd_study(args) -> int:
 
 
 def _write_summary_csv(path: str, report) -> None:
-    with open(path, "w", newline="") as fp:
+    with _writing(path, newline="") as fp:
         w = csv.writer(fp)
         w.writerow(["n", "statistic", "mean", "se", "ks", "pass"])
         for rec in report.per_n:
@@ -155,7 +173,7 @@ def _write_summary_csv(path: str, report) -> None:
 
 
 def _write_values_csv(out_dir: str, n: int, values: list) -> None:
-    with open(os.path.join(out_dir, f"values_n{n}.csv"), "w", newline="") as fp:
+    with _writing(os.path.join(out_dir, f"values_n{n}.csv"), newline="") as fp:
         w = csv.writer(fp)
         w.writerow(["replication", "value"])
         for rep, v in enumerate(values):
@@ -167,11 +185,13 @@ def cmd_decomp(args) -> int:
     if dist.kind != "finite":
         raise ConfigError("decomp needs a finite-support distribution "
                           f"(registry: {DIST_REGISTRY_HELP})")
+    if args.bound_n is not None and args.bound_n < 1:
+        raise ConfigError(f"--bound-n must be >= 1, got {args.bound_n}")
     ps = ProductStatistic(base=kernel, shared=args.shared)
     report = expansion_report(ps, dist, bound_n=args.bound_n)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fp:
+        with _writing(args.out) as fp:
             fp.write(text)
             fp.write("\n")
         print(f"wrote {args.out}")
@@ -187,6 +207,8 @@ def cmd_verify_identity(args) -> int:
     kernel, dist = _resolve_pair(args.kernel, args.dist)
     if args.n < kernel.order + 1:
         raise ConfigError(f"need n >= m + 1 = {kernel.order + 1}, got {args.n}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     worst = 0.0
     for trial in range(args.trials):
         data = sample(dist, args.n, derive_seed(args.seed, trial))

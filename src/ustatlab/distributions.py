@@ -35,6 +35,7 @@ __all__ = [
     "sample",
     "sample_grid",
     "derive_seed",
+    "replication_seed",
     "estimate_ell",
     "moment_diagnostic",
     "dist_from_name",
@@ -54,8 +55,13 @@ _ELL_METHODS = (ANALYTIC_FINITE_VAR, EXAMPLE_ASYMPTOTIC, TRUNCATED_FIXED_POINT)
 
 
 def derive_seed(base_seed: int, index: int) -> int:
-    """base_seed XOR (index * 0x9E3779B97F4A7C15) mod 2^64."""
+    """base_seed XOR (index * 0x9E3779B97F4A7C15) mod 2^64; injective in
+    the index."""
     return (int(base_seed) ^ ((int(index) * _SEED_MULT) & _SEED_MASK)) & _SEED_MASK
+
+
+# replication r of a Monte Carlo loop is seeded by replication_seed(base, r)
+replication_seed = derive_seed
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .distributions import (ANALYTIC_FINITE_VAR, _ELL_METHODS, Distribution, _GridSampler,
-                            derive_seed, dist_from_name, estimate_ell, sample_grid)
+                            dist_from_name, estimate_ell, replication_seed, sample_grid)
 from .engine import _as_sample, _max_abs, _shared_pair_total, _square_sum, _total
 from .errors import (
     ConfigError,
@@ -65,17 +65,14 @@ from .errors import (
 from .jackknife import _jackknife
 from .kernels import (Kernel, TruncationMode, TruncationRule, _projection_values,
                       kernel_from_name, theta_under)
-from .processes import _check_theta, _studentized, _studentized_value, sup_functional
+from .processes import (_check_theta, _studentized, _studentized_value, ks_distance,
+                        normal_cdf, sup_functional, wiener_sup_cdf)
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "PerNRecord",
     "ConvergenceReport",
-    "normal_cdf",
-    "wiener_sup_cdf",
-    "ks_distance",
-    "replication_seed",
     "run_experiment",
     "report_to_json",
     "report_from_json",
@@ -89,36 +86,6 @@ __all__ = [
 
 MAX_DROP_RATE = 0.01
 TREND_STATISTICS = ("centered-usq", "diagonal-square", "shared-pair")
-
-
-def replication_seed(base_seed: int, replication_index: int) -> int:
-    """base_seed XOR (index * 0x9E3779B97F4A7C15) mod 2^64; injective in
-    the index, matching the samplers' derivation rule."""
-    return derive_seed(base_seed, replication_index)
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal Phi(x) through the C-library erf (|err| < 1e-9)."""
-    return 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2.0)))
-
-
-def wiener_sup_cdf(x: float) -> float:
-    """P(sup over [0,1] of a standard Wiener path <= x) = 2 Phi(x) - 1 for
-    x >= 0 (reflection principle), 0 below."""
-    if x < 0:
-        return 0.0
-    return 2.0 * normal_cdf(x) - 1.0
-
-
-def ks_distance(samples, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance against a fully specified CDF."""
-    v = np.sort(np.asarray(samples, dtype=np.float64))
-    if v.size == 0:
-        raise InvalidArgumentError("ks_distance needs a nonempty sample")
-    f = np.array([cdf(t) for t in v])
-    i = np.arange(1, v.size + 1, dtype=np.float64)
-    return float(max(np.max(np.abs(i / v.size - f)),
-                     np.max(np.abs(f - (i - 1) / v.size))))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +150,14 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{self.experiment} needs statistic from {TREND_STATISTICS}"
                 )
-        elif getattr(self, experiment.rule) is None:
-            raise ConfigError(f"{self.experiment} needs {experiment.rule}")
+        else:
+            threshold = getattr(self, experiment.rule)
+            if threshold is None:
+                raise ConfigError(f"{self.experiment} needs {experiment.rule}")
+            # NaN or 0 would fail every study, infinity pass every one
+            if not 0 < threshold < math.inf:
+                raise ConfigError(
+                    f"{experiment.rule} must be finite and positive, got {threshold!r}")
         return self
 
     def _check_types(self) -> None:
@@ -598,15 +571,20 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
     return _run(config, *_resolve(config), workers=workers)
 
 
+def _check_workers(workers: int) -> None:
+    """A worker count the driver can run: at least 1, and 1 without os.fork."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ConfigError("workers > 1 needs os.fork, which this platform lacks")
+
+
 def _run(config: ExperimentConfig, kernel, dist, theta,
          workers: int = 1) -> ConvergenceReport:
     """The study of ``config`` on resolved objects, which the forked
     children share as they are: a kernel the registry cannot name runs at
     any worker count."""
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    if workers > 1 and not hasattr(os, "fork"):
-        raise ConfigError("workers > 1 needs os.fork, which this platform lacks")
+    _check_workers(workers)
     started = time.monotonic()
     experiment = _EXPERIMENTS[config.experiment]
     ells = experiment.preflight(config, kernel, dist, theta)
@@ -714,7 +692,7 @@ def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
                         n_grid, R: int, seed: int) -> TrendTable:
     """Monte Carlo mean of |statistic| (see :func:`negligibility_value`)
     along ``n_grid``: the study driver's NEGLIGIBILITY run on this kernel
-    and law, replication r seeded by ``derive_seed(seed, r)``.  It skips
+    and law, replication r seeded by ``replication_seed(seed, r)``.  It skips
     ``validate``, so it checks R, the statistic and the grid itself."""
     if R < 1:
         raise InvalidArgumentError(f"R must be >= 1, got {R}")
@@ -743,7 +721,7 @@ def truncation_coupling_rate(kernel: Kernel, dist: Distribution, n_grid,
     n_grid = list(n_grid)
     hits = [0] * len(n_grid)
     for rep in range(R):
-        for j, x in enumerate(sample_grid(dist, n_grid, derive_seed(seed, rep))):
+        for j, x in enumerate(sample_grid(dist, n_grid, replication_seed(seed, rep))):
             threshold = TruncationRule(TruncationMode.FULL_M, len(x)).threshold(m)
             hits[j] += _max_abs(kernel, x) > threshold
     return [(n, h / R) for n, h in zip(n_grid, hits)]

@@ -29,11 +29,14 @@ to helpers that do not check it again, down to the engine's reductions:
 A Monte Carlo replication checks its stream itself and calls the
 helpers directly: ``_studentized_value`` for CLT_T0, and
 ``_studentized`` for FCLT_SUP.
+
+The laws the functionals are checked against (:func:`normal_cdf`,
+:func:`wiener_sup_cdf`) and :func:`ks_distance` live here as well, so a
+library Monte Carlo loop takes them without loading the study driver.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -57,6 +60,9 @@ __all__ = [
     "studentized_value",
     "sup_functional",
     "abs_sup_functional",
+    "normal_cdf",
+    "wiener_sup_cdf",
+    "ks_distance",
     "path_to_csv",
 ]
 
@@ -170,8 +176,34 @@ def abs_sup_functional(path: StepProcess) -> float:
     return float(np.max(np.abs(path.values)))
 
 
+def normal_cdf(x: float) -> float:
+    """Standard normal Phi(x) through the C-library erf (|err| < 1e-9)."""
+    return 0.5 * (1.0 + math.erf(float(x) / math.sqrt(2.0)))
+
+
+def wiener_sup_cdf(x: float) -> float:
+    """P(sup over [0,1] of a standard Wiener path <= x) = 2 Phi(x) - 1 for
+    x >= 0 (reflection principle), 0 below."""
+    if x < 0:
+        return 0.0
+    return 2.0 * normal_cdf(x) - 1.0
+
+
+def ks_distance(samples, cdf) -> float:
+    """One-sample Kolmogorov-Smirnov distance against a fully specified CDF."""
+    v = np.sort(np.asarray(samples, dtype=np.float64))
+    if v.size == 0:
+        raise InvalidArgumentError("ks_distance needs a nonempty sample")
+    f = np.array([cdf(t) for t in v])
+    i = np.arange(1, v.size + 1, dtype=np.float64)
+    return float(max(np.max(np.abs(i / v.size - f)),
+                     np.max(np.abs(f - (i - 1) / v.size))))
+
+
 def path_to_csv(path: StepProcess, fp) -> None:
     """Write rows (k, t, value) with header."""
+    import csv
+
     writer = csv.writer(fp)
     writer.writerow(["k", "t", "value"])
     for k in range(path.n + 1):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ustatlab import leave_one_out, normal, product_kernel, sample
+from ustatlab import experiments, leave_one_out, normal, product_kernel, sample
 from ustatlab.cli import main
 
 
@@ -187,6 +187,16 @@ def test_verify_identity_n_equals_m_exits_2():
                    "normal:0,1", "--n", "2", "--trials", "5", "--seed", "1") == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_identity_without_trials_exits_2(capsys, trials):
+    # no trial would compare nothing and report a discrepancy of 0
+    assert run_cli("verify-identity", "--kernel", "product:m=2", "--dist",
+                   "normal:0,1", "--n", "10", "--trials", trials) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --trials must be >= 1, got {trials}\n"
+    assert captured.out == ""
+
+
 def test_decomp_report(tmp_path):
     out = tmp_path / "decomp.json"
     code = run_cli("decomp", "--kernel", "product:m=2", "--dist",
@@ -201,6 +211,32 @@ def test_decomp_report(tmp_path):
 def test_decomp_requires_finite():
     assert run_cli("decomp", "--kernel", "product:m=2",
                    "--dist", "normal:0,1") == 2
+
+
+@pytest.mark.parametrize("bound_n", ["0", "-1"])
+def test_decomp_bound_n_below_one_exits_2(capsys, bound_n):
+    # below 1 the second-moment bound would drop out of every term
+    assert run_cli("decomp", "--kernel", "product:m=2", "--dist",
+                   "finite:[-1,1];[0.5,0.5]", "--bound-n", bound_n) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --bound-n must be >= 1, got {bound_n}\n"
+    assert captured.out == ""
+
+
+def test_unwritable_output_paths_exit_2(tmp_path, capsys):
+    # a missing directory in an output path is a usage error, not a traceback
+    missing = tmp_path / "missing"
+    for argv in (["path", "--kernel", "identity", "--dist", "normal:0,1", "--n", "10",
+                  "--out", str(missing / "p.csv")],
+                 ["path", "--kernel", "identity", "--dist", "normal:0,1", "--n", "10",
+                  "--out", str(tmp_path / "p.csv"), "--svg", str(missing / "p.svg")],
+                 ["decomp", "--kernel", "product:m=2", "--dist", "finite:[-1,1];[0.5,0.5]",
+                  "--out", str(missing / "d.json")]):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+        assert str(missing) in err
+    assert not missing.exists()
 
 
 def test_module_entry_point():
@@ -280,6 +316,32 @@ def test_workers_env_fallback(tmp_path, monkeypatch):
     cfg = _study_config(tmp_path)
     out = tmp_path / "study_env"
     assert run_cli("study", "--config", str(cfg), "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf])
+def test_study_threshold_out_of_range_exits_2(tmp_path, capsys, threshold):
+    # json writes NaN and Infinity bare, and json.load reads them back
+    cfg = _study_config(tmp_path, rel_mean_threshold=threshold)
+    out = tmp_path / "o"
+    assert run_cli("study", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: rel_mean_threshold must be finite and positive, got {threshold!r}\n")
+    assert not out.exists()
+
+
+def test_study_out_is_a_file_exits_2_before_any_replication(tmp_path, monkeypatch, capsys):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(experiments, "_collect", no_replications)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run_cli("study", "--config", str(_study_config(tmp_path)), "--out", str(out),
+                   "--workers", "2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create output directory {str(out)!r}: ")
+    assert "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("flag,env", [("0", None), ("-2", None), (None, "-1")])

@@ -152,6 +152,8 @@ def test_config_value_types(monkeypatch, overrides, message):
 
 _NEEDS_STATISTIC = ("NEGLIGIBILITY needs statistic from "
                     "('centered-usq', 'diagonal-square', 'shared-pair')")
+_REL_RANGE = "rel_mean_threshold must be finite and positive, got "
+_KS_RANGE = "ks_threshold must be finite and positive, got "
 
 
 @pytest.mark.parametrize("overrides,message", [
@@ -211,6 +213,21 @@ _NEEDS_STATISTIC = ("NEGLIGIBILITY needs statistic from "
     (dict(experiment="RAIKOV", kernel="product:m=2,a=2", dist="example:a=2",
           ell_method="example-asymptotic", n_grid=[1, 3]),
      "example-asymptotic ell needs the example family, an affine projection, and n > 1"),
+    # a pass-rule threshold that would fail every study (NaN, 0, negative)
+    # or pass every one (infinity)
+    (dict(rel_mean_threshold=math.nan), _REL_RANGE + "nan"),
+    (dict(rel_mean_threshold=0), _REL_RANGE + "0"),
+    (dict(rel_mean_threshold=-0.1), _REL_RANGE + "-0.1"),
+    (dict(rel_mean_threshold=math.inf), _REL_RANGE + "inf"),
+    (dict(experiment="RAIKOV", rel_mean_threshold=-math.inf), _REL_RANGE + "-inf"),
+    (dict(experiment="CLT_T0", rel_mean_threshold=None, ks_threshold=math.nan),
+     _KS_RANGE + "nan"),
+    (dict(experiment="FCLT_SUP", rel_mean_threshold=None, ks_threshold=0.0),
+     _KS_RANGE + "0.0"),
+    (dict(experiment="FCLT_SUP", rel_mean_threshold=None, ks_threshold=-0.1),
+     _KS_RANGE + "-0.1"),
+    (dict(experiment="CLT_T0", rel_mean_threshold=None, ks_threshold=math.inf),
+     _KS_RANGE + "inf"),
 ])
 def test_driver_config_errors(monkeypatch, overrides, message):
     # each experiment's checks raise their full message before any replication

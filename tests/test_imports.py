@@ -63,8 +63,33 @@ def test_library_path_skips_decomposition_cli_and_pool():
         "ustatlab.studentized_path, ustatlab.sup_functional\n"
         "ustatlab.ks_distance, ustatlab.truncate_kernel\n"
         f"print({LOADED})")
-    assert "ustatlab.processes" in loaded and "ustatlab.experiments" in loaded
-    assert not {"ustatlab.decomposition", "ustatlab.cli", *POOLS} & set(loaded)
+    assert "ustatlab.processes" in loaded
+    assert not {"ustatlab.experiments", "ustatlab.decomposition", "ustatlab.cli",
+                *POOLS} & set(loaded)
+
+
+def test_truncated_monte_carlo_loop_skips_study_driver():
+    # the calls of a library Monte Carlo loop over FULL_M-truncated kernels:
+    # the limit laws, the KS distance and the replication seeds come from
+    # the path functionals and the samplers, not from the study driver
+    loaded, same_seed, same_ks = fresh(
+        "import json, sys, ustatlab as us\n"
+        "kernel, dist, n = us.product_kernel(2), us.normal(1, 1), 40\n"
+        "rule = us.TruncationRule(us.TruncationMode.FULL_M, n)\n"
+        "sups = [us.sup_functional(us.studentized_path(us.truncate_kernel(kernel, rule),\n"
+        "                                              us.sample(dist, n, us.replication_seed(3, r)),\n"
+        "                                              1.0))\n"
+        "        for r in range(20)]\n"
+        "assert 0 < us.ks_distance(sups, us.wiener_sup_cdf) <= 1\n"
+        "x = us.sample(dist, 10, us.replication_seed(3, 0))\n"
+        "assert us.jackknife_closed_form(us.truncate_kernel(kernel, rule), x).sum_sq > 0\n"
+        "loaded = sorted(sys.modules)\n"
+        "same_seed = us.replication_seed is us.derive_seed\n"
+        "print(json.dumps([loaded, same_seed,\n"
+        "                  us.ks_distance is us.experiments.ks_distance]))")
+    assert "ustatlab.processes" in loaded
+    assert not {"ustatlab.experiments", "ustatlab.decomposition", "ustatlab.cli"} & set(loaded)
+    assert same_seed and same_ks
 
 
 def test_forked_study_loads_no_process_pool(tmp_path):
