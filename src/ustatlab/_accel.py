@@ -1,27 +1,28 @@
 """Closed forms and sort routes of the built-in kernels, in numpy.
 
 This is the one module that tells the built-in kernels apart and picks
-between their closed forms and their sort routes; :mod:`ustatlab.engine`,
-the one module that calls its reductions, asks it only whether it serves
-a kernel (:func:`serves`) and otherwise enumerates.
+between their closed forms and their sort routes.  Each reduction takes
+any kernel code, None (a kernel that is not built in) included, and
+either answers exactly or returns None: :mod:`ustatlab.engine`, the one
+module that calls the reductions, enumerates what they decline and owns
+every refusal.
 
-Three reductions serve every built-in kernel: ``ustat_sum`` (the sum of h
-over all m-combinations), ``prefix_sums`` (that sum over each prefix of
-the data) and ``q_raw`` (per point, the sum of h over the m-subsets
-containing it).  Each takes ``(code, thr, data, m)``, computes the
-truncated kernel ``h * 1(|h| <= thr)`` and returns a result that shares
-no memory with ``data``.  It takes the closed form of the untruncated
-kernel when the truncation keeps every evaluation: when ``thr`` is
-infinite, or when the O(n) bound :func:`max_abs_kernel` on |h| is at
-most ``thr``.  Any other threshold takes the sort route.  The bound is
-at least every |h| as the enumeration of :mod:`ustatlab.engine` rounds
-it, so the shortcut keeps exactly the enumeration's kept set; an
-overflowed bound is infinite and takes the sort route.  Two more
-reductions serve the NEGLIGIBILITY statistics of :mod:`ustatlab.experiments`
-by the same decision, and return None where the truncation bites, for the
-engine to enumerate: ``square_sum(code, thr, data, m)``, the sum of h^2
-over the m-combinations (diagonal-square), and ``shared_pair_total(code,
-thr, data)``, the order-3 shared-pair total.
+Five reductions take ``(code, thr, data, m)`` and compute the truncated
+kernel ``h * 1(|h| <= thr)``: ``ustat_sum`` (the sum of h over all
+m-combinations), ``prefix_sums`` (that sum over each prefix of the data)
+and ``q_raw`` (per point, the sum of h over the m-subsets containing it),
+and for the NEGLIGIBILITY statistics of :mod:`ustatlab.experiments`
+``square_sum`` (the sum of h^2, diagonal-square) and ``shared_pair_total``
+(the order-3 shared-pair total).  A result shares no memory with
+``data``.  Each takes the closed form of the untruncated kernel when the
+truncation keeps every evaluation: when ``thr`` is infinite, or when the
+O(n) bound :func:`max_abs_kernel` on |h| is at most ``thr``.  The bound
+is at least every |h| as the enumeration of :mod:`ustatlab.engine`
+rounds it, so the shortcut keeps exactly the enumeration's kept set; an
+overflowed bound is infinite.  Where the truncation bites, the first
+three take a sort route, and a reduction returns None where none covers
+the kernel: products of order > 3, the two NEGLIGIBILITY sums, and the
+order-3 product past ``MAX_SORT_PAIRS`` pairs.
 
 A kernel's code is ``KERNEL_PRODUCT`` or ``KERNEL_VARIANCE``, or the pair
 ``(KERNEL_CONSTANT, c)`` for the constant kernel h = c of any order,
@@ -78,8 +79,6 @@ import itertools
 import math
 
 import numpy as np
-
-from .errors import ResourceLimitError
 
 KERNEL_PRODUCT = 1   # h(x_1..x_m) = prod x_i
 KERNEL_VARIANCE = 2  # m = 2, h(x, y) = (x - y)^2 / 2
@@ -263,22 +262,24 @@ def _constant(code, thr: float):
     return c if abs(c) <= thr else 0.0
 
 
-def max_abs_kernel(code, data, m: int) -> float:
+def max_abs_kernel(code, data, m: int):
     """The largest |h| over the m-subsets of an untruncated built-in
-    kernel, in O(n): 0.5 (max x - min x)^2 for the variance kernel, and
-    for the product kernel the product of the m largest |x|, multiplied
-    in each order the enumeration may multiply them in (m <= 3) and the
-    largest of those taken.
+    kernel, in O(n), or None for a kernel with no code: 0.5 (max x -
+    min x)^2 for the variance kernel, |c| for the constant kernel, and for
+    the product kernel the product P of the m largest |x|.
 
-    For the variance kernel and the product kernel of order m <= 3, the
-    bound is at least every |h| as the enumeration of
-    :mod:`ustatlab.engine` rounds it, with no margin: rounded subtraction
-    and multiplication are monotone, and each factor of a subset is at
-    most the matching one of the m largest |x|.  An overflow, or a 0 *
-    inf where the enumeration overflows too, gives inf.  For m > 3 the
-    product is taken in ascending order, the bound only up to rounding.
-    The constant kernel's bound is |c|.
+    The bound is at least every |h| as the enumeration of
+    :mod:`ustatlab.engine` rounds it, since rounded subtraction and
+    multiplication are monotone and each factor of a subset is at most
+    the matching one of the m largest |x|.  For m <= 3, P is the largest
+    over every order of the factors, with no margin.  For m > 3, P is
+    increased by 2m ulps for the m - 1 roundings of the enumeration and of P;
+    where the factors below 1 may leave the normal range, whose rounding
+    error is absolute, P leaves them out, as they only shrink a product.
+    An overflow, or one the enumeration may meet, gives inf.
     """
+    if code is None:
+        return None
     c = _constant(code, math.inf)
     if c is not None:
         return abs(c)
@@ -289,9 +290,16 @@ def max_abs_kernel(code, data, m: int) -> float:
             return float(0.5 * (d * d))
         n = x.shape[0]
         top = sorted(np.partition(np.abs(x), n - m)[n - m:].tolist())
-    orders = itertools.permutations(top) if m <= MAX_SORT_ORDER else [top]
-    peaks = [math.prod(p) for p in orders]
-    return math.inf if any(map(math.isnan, peaks)) else max(peaks)
+    if m <= MAX_SORT_ORDER:
+        peaks = [math.prod(p) for p in itertools.permutations(top)]
+        return math.inf if any(map(math.isnan, peaks)) else max(peaks)
+    big = math.prod(v for v in top if v >= 1.0)
+    if not big < 2.0 ** 1023:
+        return math.inf
+    peak = math.prod(top) if math.prod(v for v in top if 0.0 < v < 1.0) >= 2.0 ** -1021 else big
+    for _ in range(2 * m):
+        peak = math.nextafter(peak, math.inf)
+    return peak
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +387,8 @@ def _product2(x: np.ndarray, thr: float):
 
 def _product3_pairs(x: np.ndarray):
     """Pairs i < j with their product x_i * x_j, the first factor the
-    enumeration forms; an overflowed product is never kept and weighs 0.
-    Refuses past ``MAX_SORT_PAIRS`` pairs."""
-    n = x.shape[0]
-    if math.comb(n, 2) > MAX_SORT_PAIRS:
-        raise ResourceLimitError(
-            f"C({n},2) = {math.comb(n, 2)} pairs exceed the {MAX_SORT_PAIRS} "
-            "cap of the order-3 sort route"
-        )
-    i, j = np.triu_indices(n, 1)
+    enumeration forms; an overflowed product is never kept and weighs 0."""
+    i, j = np.triu_indices(x.shape[0], 1)
     with np.errstate(over="ignore"):
         p = x[i] * x[j]
     return i, j, p, np.where(np.isfinite(p), p, 0.0)
@@ -482,26 +483,25 @@ def _by_last(code: int, thr: float, x: np.ndarray, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the reductions: a threshold that keeps every evaluation takes the closed
-# form, any other the sort route (or None, for the NEGLIGIBILITY sums)
+# the reductions: the closed form where the threshold keeps every
+# evaluation, else a sort route, else None, for the engine to enumerate
 # ---------------------------------------------------------------------------
 
-def serves(code, thr: float, m: int) -> bool:
-    """Whether the reductions serve the kernel coded ``code`` (None for a
-    kernel that is not built in) at threshold ``thr`` and order m: every
-    untruncated built-in and every truncated constant, of any order, and
-    the truncated product and variance kernels of order <= 3."""
-    return code is not None and (thr == math.inf or isinstance(code, tuple)
-                                 or m <= MAX_SORT_ORDER)
+def _keeps_all(code, thr: float, x: np.ndarray, m: int) -> bool:
+    """Whether h * 1(|h| <= thr) of a built-in kernel keeps every
+    evaluation on x, so that it equals the untruncated kernel there."""
+    return code is not None and (thr == math.inf or max_abs_kernel(code, x, m) <= thr)
 
 
-def _keeps_all(code: int, thr: float, x: np.ndarray, m: int) -> bool:
-    """Whether h * 1(|h| <= thr) keeps every evaluation on x, so that it
-    equals the untruncated kernel there."""
-    return thr == math.inf or max_abs_kernel(code, x, m) <= thr
+def _sorts(code, x: np.ndarray, m: int) -> bool:
+    """Whether a sort route covers the truncated kernel on x: the variance
+    kernel, the product kernel of order <= 3 (3 within MAX_SORT_PAIRS pairs)."""
+    return code == KERNEL_VARIANCE or code == KERNEL_PRODUCT and (
+        m < MAX_SORT_ORDER
+        or m == MAX_SORT_ORDER and math.comb(x.shape[0], 2) <= MAX_SORT_PAIRS)
 
 
-def ustat_sum(code, thr: float, data, m: int) -> float:
+def ustat_sum(code, thr: float, data, m: int):
     """Sum of the kernel over all m-combinations."""
     x = _as_f64(data)
     c = _constant(code, thr)
@@ -509,10 +509,10 @@ def ustat_sum(code, thr: float, data, m: int) -> float:
         return c * math.comb(x.shape[0], m)
     if _keeps_all(code, thr, x, m):
         return _variance_sum(x) if code == KERNEL_VARIANCE else _esp_totals(x, m)[-1]
-    return float(_by_last(code, thr, x, m).sum())
+    return float(_by_last(code, thr, x, m).sum()) if _sorts(code, x, m) else None
 
 
-def prefix_sums(code, thr: float, data, m: int) -> np.ndarray:
+def prefix_sums(code, thr: float, data, m: int):
     """out[k] = sum of the kernel over the combinations of data[:k],
     k = 0..n, in a fresh array on every route: it shares no memory with
     ``data`` or with any other result, so the caller may overwrite it."""
@@ -524,10 +524,10 @@ def prefix_sums(code, thr: float, data, m: int) -> np.ndarray:
         return out
     if _keeps_all(code, thr, x, m):
         return _variance_prefix(x) if code == KERNEL_VARIANCE else _esp_prefix(x, m)
-    return running_sums(_by_last(code, thr, x, m))
+    return running_sums(_by_last(code, thr, x, m)) if _sorts(code, x, m) else None
 
 
-def q_raw(code, thr: float, data, m: int) -> np.ndarray:
+def q_raw(code, thr: float, data, m: int):
     """q_raw[i] = sum of the kernel over the m-subsets containing i, in a
     fresh array on every route, which the caller may overwrite."""
     x = _as_f64(data)
@@ -536,6 +536,8 @@ def q_raw(code, thr: float, data, m: int) -> np.ndarray:
         return np.full(x.shape[0], c * math.comb(x.shape[0] - 1, m - 1))
     if _keeps_all(code, thr, x, m):
         return _variance_q_raw(x) if code == KERNEL_VARIANCE else _product_q_raw(x, m)
+    if not _sorts(code, x, m):
+        return None
     if code == KERNEL_VARIANCE:
         order, _, cuts, y, w = _variance_setup(x, thr)
         sums = np.concatenate([np.zeros((1, 3)), np.cumsum(w[order], axis=0)])
@@ -566,17 +568,17 @@ def square_sum(code, thr: float, data, m: int):
     return _esp_totals(x * x, m)[-1]
 
 
-def shared_pair_total(code, thr: float, data):
+def shared_pair_total(code, thr: float, data, m: int = 3):
     """sum over distinct ordered (i1,i2,i3,i4) of h(x1,x2,x3) * h(x1,x2,x4)
-    for an order-3 kernel: c^2 [n]_4 for the constant kernel, and for the
-    product kernel, over the ordered pairs i != j, (x_i x_j)^2 ((sum of
-    the other x)^2 - sum of the other x^2), as one n x n array; None for
-    any other kernel, or when the truncation bites."""
+    for a kernel of order m = 3: c^2 [n]_4 for the constant kernel, and
+    for the product kernel, over the ordered pairs i != j, (x_i x_j)^2
+    ((sum of the other x)^2 - sum of the other x^2), as one n x n array;
+    None for any other kernel, or when the truncation bites."""
     x = _as_f64(data)
     c = _constant(code, thr)
     if c is not None:
         return c * c * float(math.perm(x.shape[0], 4))
-    if code != KERNEL_PRODUCT or not _keeps_all(code, thr, x, 3):
+    if code != KERNEL_PRODUCT or not _keeps_all(code, thr, x, m):
         return None
     xx = x * x
     s1 = float(x.sum())

@@ -1,24 +1,22 @@
 """Exact and incremental U-statistic evaluation.
 
 Everything here is deterministic; Monte Carlo belongs to
-:mod:`ustatlab.experiments`.  :func:`kernel_route` asks one question of
-each kernel: does :mod:`ustatlab._accel` serve it (``_accel.serves``)?
-If so, ``_accel``'s reductions evaluate it, and only they tell the
-built-in kernels apart and pick between their closed forms and their
-sort routes; the route is reported as closed form for an untruncated
-kernel and as sort for a truncated one.  Every other kernel takes one
-enumeration of every m-combination (:func:`_combination_blocks`).
-Enumeration is capped wherever it runs (combination count <= 1e8), and
-the order-3 sort route, which holds every pair, at C(n, 2) <= 2e6 where
-it runs (``_accel.MAX_SORT_PAIRS``): past a cap the engine refuses with
+:mod:`ustatlab.experiments`.  Each reduction of a kernel over a checked
+sample is one private function (``_total``, ``_prefix_values``,
+``_q_raw``, ``_square_sum``, ``_shared_pair_total`` and ``_max_abs``),
+and each reaches :mod:`ustatlab._accel` and the enumeration through one
+helper, :func:`_reduce`: after the size check it takes ``_accel``'s
+answer, and where ``_accel`` declines (a kernel with no built-in code,
+or a truncation that bites where no sort route covers the kernel) it
+enumerates every m-combination (:func:`_combination_blocks`).  Only
+``_accel`` tells the built-in kernels apart and picks between their
+closed forms and sort routes; :func:`kernel_route` only describes the
+route a kernel is built for.  Enumeration is capped (combination count
+<= 1e8): past the cap the engine refuses with
 :class:`ResourceLimitError` rather than silently subsampling.
 
-The public functions check their data (``_as_sample``: float64, finite).
-Each reduction of a kernel over a checked sample is one private function,
-the only code that routes it: ``_total``, ``_prefix_values``, ``_q_raw``,
-``_square_sum``, ``_shared_pair_total`` and ``_max_abs`` take ``_accel``'s
-result where it serves the kernel (untruncated, for the peak) and gives
-one, and enumerate elsewhere.  Callers that check once call them directly.
+The public functions check their data (``_as_sample``: one-dimensional,
+float64, finite).  Callers that check once call the reductions directly.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .errors import DomainError, InsufficientDataError, ResourceLimitError
+from .errors import DomainError, InsufficientDataError, InvalidArgumentError, ResourceLimitError
 from .kernels import Kernel, eval_kernel_rows
 
 __all__ = [
@@ -72,46 +70,45 @@ class UPrefixValues:
 
 
 def _as_sample(data) -> np.ndarray:
-    """``data`` as a float64 array; non-finite values raise DomainError."""
+    """``data`` as a float64 array: data that is not one-dimensional raises
+    InvalidArgumentError, and non-finite values raise DomainError."""
     x = np.asarray(data, dtype=np.float64)
+    if x.ndim != 1:
+        raise InvalidArgumentError(f"data must be one-dimensional, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise DomainError("data must be finite; got NaN or infinite values")
     return x
 
 
-def _check_enumeration(n: int, m: int) -> None:
-    """The cap on every enumeration of the m-combinations of n points."""
-    if math.comb(n, m) > MAX_ENUMERATION:
-        raise ResourceLimitError(
-            f"C({n},{m}) = {math.comb(n, m)} exceeds the {MAX_ENUMERATION} "
-            "evaluation cap"
-        )
-
-
 def kernel_route(kernel: Kernel) -> str:
-    """Which implementation evaluates ``kernel``: ROUTE_ENUMERATION unless
-    ``_accel`` serves it, else ROUTE_CLOSED_FORM untruncated and ROUTE_SORT
-    truncated.
-
-    Decided for every computation alike: sums, prefix sums, jackknife
-    q-accumulation and the NEGLIGIBILITY statistics.  A ROUTE_SORT kernel
-    may still take the closed form at run time: ``_accel`` takes it on
-    data where an O(n) bound on |h| shows that the threshold keeps every
-    evaluation, and a truncated constant of any order always does, with c
-    or 0.
-    """
-    if not _accel.serves(kernel.accel_code, kernel.accel_thr, kernel.order):
+    """The route ``kernel`` is built for: ROUTE_ENUMERATION without a
+    built-in code, else ROUTE_CLOSED_FORM untruncated and ROUTE_SORT
+    truncated.  It only describes; :func:`_reduce` decides per sample, and
+    a ROUTE_SORT kernel takes the closed form where an O(n) bound on |h|
+    shows that the threshold keeps every evaluation (a truncated constant
+    always does, with c or 0), and enumerates where the truncation bites
+    and no sort route covers it."""
+    if kernel.accel_code is None:
         return ROUTE_ENUMERATION
     return ROUTE_CLOSED_FORM if kernel.accel_thr == math.inf else ROUTE_SORT
 
 
-def _routed(kernel: Kernel, n: int) -> str:
-    """The kernel's route, after the size check (the enumeration cap and
-    the order-3 pair cap are checked where those routes run)."""
-    m = kernel.order
+def _reduce(kernel: Kernel, x: np.ndarray, answer, enumerate_):
+    """A reduction of ``kernel`` over a checked sample, the one route to
+    ``_accel`` and the enumeration: after the size check,
+    ``answer(code, thr, x, m)``, an ``_accel`` reduction, and where it
+    returns None, ``enumerate_(kernel, x)`` over the blocks of
+    :func:`_combination_blocks`, held to the enumeration cap."""
+    n, m = x.shape[0], kernel.order
     if n < m:
         raise InsufficientDataError(f"need n >= m, got n={n}, m={m}")
-    return kernel_route(kernel)
+    result = answer(kernel.accel_code, kernel.accel_thr, x, m)
+    if result is not None:
+        return result
+    if math.comb(n, m) > MAX_ENUMERATION:
+        raise ResourceLimitError(
+            f"C({n},{m}) = {math.comb(n, m)} exceeds the {MAX_ENUMERATION} evaluation cap")
+    return enumerate_(kernel, x)
 
 
 def _colex_rows(pos: np.ndarray, starts: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -151,10 +148,8 @@ def _head_blocks(n: int, m: int):
 def _combination_blocks(kernel: Kernel, x: np.ndarray):
     """Yield ``(heads, lo, vals)`` covering every m-combination of x once:
     vals[a, b] = h(x[heads[a]], x[lo + b]) where lo + b > heads[a, -1],
-    else 0.  Each combination sits in the column of its largest index.
-    Held to the enumeration cap."""
+    else 0.  Each combination sits in the column of its largest index."""
     n, m = x.shape[0], kernel.order
-    _check_enumeration(n, m)
     for heads in _head_blocks(n, m):
         top = (heads[:, -1] if m > 1 else np.full(1, -1))[:, None]
         lo = int(top[0, 0]) + 1
@@ -192,60 +187,54 @@ def u_prefix_process(kernel: Kernel, data) -> UPrefixValues:
 def _prefix_values(kernel: Kernel, x: np.ndarray) -> UPrefixValues:
     """:func:`u_prefix_process` of a checked sample."""
     n, m = x.shape[0], kernel.order
-    if _routed(kernel, n) != ROUTE_ENUMERATION:
-        sums = _accel.prefix_sums(kernel.accel_code, kernel.accel_thr, x, m)
-    else:
-        by_last = np.zeros(n)
-        for _, lo, vals in _combination_blocks(kernel, x):
-            by_last[lo:] += vals.sum(axis=0)
-        sums = _accel.running_sums(by_last)
-    # both routes return fresh sums, so U_k overwrites them
-    values = sums
+    # every route returns fresh sums, so U_k overwrites them
+    values = _reduce(kernel, x, _accel.prefix_sums, _enumerated_prefix)
     values[:m] = np.nan
     np.divide(values[m:], _accel._comb_column(n, m), out=values[m:])
     return UPrefixValues(n=n, m=m, values=values)
 
 
+def _enumerated_prefix(kernel: Kernel, x: np.ndarray) -> np.ndarray:
+    by_last = np.zeros(x.shape[0])
+    for _, lo, vals in _combination_blocks(kernel, x):
+        by_last[lo:] += vals.sum(axis=0)
+    return _accel.running_sums(by_last)
+
+
 def _total(kernel: Kernel, x: np.ndarray) -> float:
     """Sum of h over the m-combinations of a checked sample."""
-    if _routed(kernel, x.shape[0]) != ROUTE_ENUMERATION:
-        return _accel.ustat_sum(kernel.accel_code, kernel.accel_thr, x, kernel.order)
-    return float(np.sum([vals.sum() for _, _, vals in _combination_blocks(kernel, x)]))
+    return _reduce(kernel, x, _accel.ustat_sum, lambda kernel, x: float(np.sum(
+        [vals.sum() for _, _, vals in _combination_blocks(kernel, x)])))
 
 
 def _q_raw(kernel: Kernel, x: np.ndarray) -> np.ndarray:
     """q_raw[i] = un-normalized sum of h over m-subsets containing i, in a
-    fresh array: on the enumeration route, the column sums credit each
+    fresh array."""
+    return _reduce(kernel, x, _accel.q_raw, _enumerated_q_raw)
+
+
+def _enumerated_q_raw(kernel: Kernel, x: np.ndarray) -> np.ndarray:
+    """:func:`_q_raw` by enumeration: the column sums credit each
     combination's last index and the row sums each of its head indices."""
-    n, m = x.shape[0], kernel.order
-    if _routed(kernel, n) != ROUTE_ENUMERATION:
-        return _accel.q_raw(kernel.accel_code, kernel.accel_thr, x, m)
-    q = np.zeros(n)
+    q = np.zeros(x.shape[0])
     for heads, lo, vals in _combination_blocks(kernel, x):
         q[lo:] += vals.sum(axis=0)
         row = vals.sum(axis=1)
         for col in heads.T:
-            q += np.bincount(col, weights=row, minlength=n)
+            q += np.bincount(col, weights=row, minlength=x.shape[0])
     return q
 
 
 def _square_sum(kernel: Kernel, x: np.ndarray) -> float:
     """Sum of h^2 over the m-combinations of a checked sample."""
-    if _routed(kernel, x.shape[0]) != ROUTE_ENUMERATION:
-        squares = _accel.square_sum(kernel.accel_code, kernel.accel_thr, x, kernel.order)
-        if squares is not None:
-            return squares
-    return float(np.sum([(v * v).sum() for _, _, v in _combination_blocks(kernel, x)]))
+    return _reduce(kernel, x, _accel.square_sum, lambda kernel, x: float(np.sum(
+        [(v * v).sum() for _, _, v in _combination_blocks(kernel, x)])))
 
 
 def _shared_pair_total(kernel: Kernel, x: np.ndarray) -> float:
     """sum over distinct ordered (i, j, k, l) of h(x_i, x_j, x_k) *
     h(x_i, x_j, x_l) for an order-3 kernel, on a checked sample."""
-    if _routed(kernel, x.shape[0]) != ROUTE_ENUMERATION:
-        total = _accel.shared_pair_total(kernel.accel_code, kernel.accel_thr, x)
-        if total is not None:
-            return total
-    return _shared_pair_generic(kernel, x)
+    return _reduce(kernel, x, _accel.shared_pair_total, _shared_pair_generic)
 
 
 def _shared_pair_generic(kernel: Kernel, x: np.ndarray) -> float:
@@ -267,7 +256,10 @@ def _shared_pair_generic(kernel: Kernel, x: np.ndarray) -> float:
 
 
 def _max_abs(kernel: Kernel, x: np.ndarray) -> float:
-    """The largest |h| over the m-combinations, or ``_accel``'s O(n) bound."""
-    if _routed(kernel, x.shape[0]) == ROUTE_CLOSED_FORM:
-        return _accel.max_abs_kernel(kernel.accel_code, x, kernel.order)
-    return max(float(np.abs(vals).max()) for _, _, vals in _combination_blocks(kernel, x))
+    """The largest |h| over the m-combinations, or for an untruncated
+    kernel ``_accel``'s O(n) bound on it."""
+    return _reduce(
+        kernel, x,
+        lambda code, thr, x, m: _accel.max_abs_kernel(code, x, m) if thr == math.inf else None,
+        lambda kernel, x: max(float(np.abs(vals).max())
+                              for _, _, vals in _combination_blocks(kernel, x)))

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._accel import _comb_column
-from .engine import UPrefixValues, _as_sample, _prefix_values, _total, u_prefix_process
+from .engine import UPrefixValues, _as_sample, _prefix_values, _total
 from .errors import (
     DegenerateNormalizerError,
     DomainError,
@@ -107,7 +107,7 @@ def pseudo_selfnormalized_path(kernel: Kernel, data, theta: float,
                                projections) -> StepProcess:
     """(k/m) (U_k - theta) / V_n on the prefix grid; zero below k = m."""
     _check_theta(theta)
-    x = np.asarray(data, dtype=np.float64)
+    x = _as_sample(data)
     proj = np.asarray(projections, dtype=np.float64)
     if proj.shape != x.shape:
         raise InvalidArgumentError("projections must align with data")
@@ -116,7 +116,7 @@ def pseudo_selfnormalized_path(kernel: Kernel, data, theta: float,
     v_n = math.sqrt(float(np.einsum("i,i->", proj, proj)))
     if not v_n > 0:
         raise DegenerateNormalizerError("V_n = 0: all projections vanish")
-    prefix = u_prefix_process(kernel, x)
+    prefix = _prefix_values(kernel, x)
     return _step_path(prefix, theta, _k_grid(prefix.n, prefix.m) / prefix.m, v_n)
 
 
@@ -149,11 +149,13 @@ def studentized_value(kernel: Kernel, data, theta: float, k: int) -> float:
     jack_scale, without the prefix pass.  U_n is the jackknife's own, so
     k = n costs one jackknife and nothing more."""
     _check_theta(theta)
-    x = np.asarray(data, dtype=np.float64)
+    x = _as_sample(data)
     n, m = x.shape[0], kernel.order
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InvalidArgumentError(f"k must be an integer, got {k!r}")
     if not m <= k <= n:
         raise InsufficientDataError(f"need m <= k <= n, got k={k}, m={m}, n={n}")
-    return _studentized_value(kernel, _as_sample(x), theta, k)
+    return _studentized_value(kernel, x, theta, k)
 
 
 def _studentized_value(kernel: Kernel, x: np.ndarray, theta: float,
@@ -190,10 +192,14 @@ def wiener_sup_cdf(x: float) -> float:
 
 
 def ks_distance(samples, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov distance against a fully specified CDF."""
-    v = np.sort(np.asarray(samples, dtype=np.float64))
-    if v.size == 0:
-        raise InvalidArgumentError("ks_distance needs a nonempty sample")
+    """One-sample Kolmogorov-Smirnov distance against a fully specified CDF;
+    non-finite samples raise DomainError."""
+    v = np.asarray(samples, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise InvalidArgumentError("ks_distance needs a nonempty one-dimensional sample")
+    v = np.sort(v)
+    if not np.isfinite(v[[0, -1]]).all():  # NaN sorts last
+        raise DomainError("ks_distance needs finite samples")
     f = np.array([cdf(t) for t in v])
     i = np.arange(1, v.size + 1, dtype=np.float64)
     return float(max(np.max(np.abs(i / v.size - f)),

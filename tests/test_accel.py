@@ -96,7 +96,7 @@ def test_product_q_raw_accurate_to_its_terms():
 
 
 BOUNDED = [(KERNEL_PRODUCT, 1), (KERNEL_PRODUCT, 2), (KERNEL_PRODUCT, 3),
-           (KERNEL_VARIANCE, 2)]
+           (KERNEL_PRODUCT, 4), (KERNEL_PRODUCT, 5), (KERNEL_VARIANCE, 2)]
 MAGNITUDES = st.builds(lambda sign, mantissa, e: sign * mantissa * 10.0 ** e,
                        st.sampled_from([-1.0, 1.0]),
                        st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.floats(0.1, 10.0)),
@@ -124,6 +124,48 @@ def test_max_abs_kernel_bounds_every_enumerated_value(data):
         assert bound == math.inf
     if code == KERNEL_VARIANCE or m <= 2:
         assert bound == h.max()  # one rounding: the bound is attained
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_high_order_closed_form_only_where_the_enumeration_keeps_all(m):
+    # Cauchy data with planted extremes, and thr at every multiplication
+    # order's rounded product of the m largest |x|, one ulp either side and
+    # at the bound itself: _accel answers only where every |h| that the
+    # enumeration forms in index order is <= thr, and then with the
+    # untruncated sum; elsewhere it declines.  In the ``ordered`` rows,
+    # taken in index order, a * a rounds to 0 but (2^1000 a) a does not,
+    # and 1e200 * 1e200 overflows where the ascending product is 1e200.
+    a = math.sqrt(0.4) * 2.0 ** -537
+    rest = [3.0] * (m - 4) + [0.0] * 3
+    ordered = [[2.0 ** 1000, a, a, 2.0 ** 10] + rest, [a, a, 2.0 ** 1000, 2.0 ** 10] + rest,
+               [1e200, 1e200, 1e-100, 1e-100] + rest]
+    planted = [[1e150, -1e150, 1e-200, 3.0], [0.0, -5e-324, 1e300, 1e8],
+               [1e-100, 1e-100, 1e-100, 1e-100], [a, a, 2.0 ** 1000, 2.0 ** 10]]
+    rng = np.random.default_rng(80 + m)
+    answered = 0
+    for trial in range(40):
+        x = rng.standard_cauchy(m + 3)
+        if trial < len(ordered):
+            x = np.array(ordered[trial])
+        elif trial < len(ordered) + len(planted):
+            x[rng.permutation(x.size)[:4]] = planted[trial - len(ordered)]
+        else:
+            x[rng.integers(x.size)] *= 10.0 ** rng.integers(-300, 300)
+        with np.errstate(all="ignore"):
+            h = np.abs(eval_kernel_rows(product_kernel(m),
+                                        np.array(list(itertools.combinations(x, m)))))
+        top = sorted(np.abs(x).tolist())[-m:]
+        thresholds = {max_abs_kernel(KERNEL_PRODUCT, x, m)}
+        for order in itertools.permutations(top):
+            p = math.prod(order)
+            thresholds |= {math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)}
+        for thr in filter(math.isfinite, thresholds):
+            got = ustat_sum(KERNEL_PRODUCT, thr, x, m)
+            if got is not None:
+                answered += 1
+                assert (h <= thr).all(), (x.tolist(), thr)
+                assert got == ustat_sum(KERNEL_PRODUCT, math.inf, x, m)
+    assert answered >= 30
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +203,7 @@ def test_constant_square_sum_is_exact():
 # one dispatch point
 # ---------------------------------------------------------------------------
 
-_KERNEL_DECISIONS = {"MAX_SORT_ORDER", "_keeps_all", "_constant"}
+_KERNEL_DECISIONS = {"MAX_SORT_ORDER", "MAX_SORT_PAIRS", "_keeps_all", "_sorts", "_constant"}
 
 
 def _names_read(tree, module):
@@ -205,21 +247,22 @@ def _library_modules():
 
 def test_only_accel_tells_the_builtin_kernels_apart():
     # outside _accel, and kernels, which assigns the codes, no module reads
-    # a kernel code or a route decision of _accel: they ask only whether
-    # _accel serves a kernel
+    # a kernel code or a route decision of _accel: the engine takes a
+    # reduction's answer, or enumerates where it is None
     readers = {name: _kernel_decisions_read(tree) for name, tree in _library_modules().items()
                if name not in ("_accel", "kernels")}
     assert {name: read for name, read in readers.items() if read} == {}
     assert _kernel_decisions_read(ast.parse(
         "from . import _accel as a\nfrom ._accel import _keeps_all\n"
-        "a.KERNEL_PRODUCT, a.MAX_SORT_ORDER, a.serves")) \
-        == {"KERNEL_PRODUCT", "MAX_SORT_ORDER", "_keeps_all"}
+        "a.KERNEL_PRODUCT, a._sorts, a.ustat_sum")) \
+        == {"KERNEL_PRODUCT", "_sorts", "_keeps_all"}
 
 
+_REDUCTIONS = {"ustat_sum", "prefix_sums", "q_raw", "square_sum", "shared_pair_total",
+               "max_abs_kernel"}
 _ROUTING = {
-    "_accel": {"serves", "ustat_sum", "prefix_sums", "q_raw", "square_sum",
-               "shared_pair_total", "max_abs_kernel"},
-    "engine": {"_routed", "_combination_blocks", "kernel_route"},
+    "_accel": _REDUCTIONS,
+    "engine": {"_reduce", "_combination_blocks", "kernel_route"},
 }
 
 
@@ -240,5 +283,40 @@ def test_only_engine_chooses_the_route():
     assert {name: read for name, read in readers.items() if read} == {}
     assert _routing_read(ast.parse(
         "from .engine import ROUTE_SORT, _as_sample\nfrom . import engine as e, _accel\n"
-        "e._routed, _accel.q_raw, _accel._comb_column, e._total")) \
-        == {"engine.ROUTE_SORT", "engine._routed", "_accel.q_raw"}
+        "e._reduce, _accel.q_raw, _accel._comb_column, e._total")) \
+        == {"engine.ROUTE_SORT", "engine._reduce", "_accel.q_raw"}
+
+
+def _outside_reduce(tree):
+    """What an engine module reads or calls outside the arguments of its
+    ``_reduce`` calls: the ``_accel`` reductions it reads, the functions
+    that call ``_combination_blocks``, and the names it calls."""
+    inside = {id(node) for call in ast.walk(tree)
+              if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_reduce"
+              for arg in call.args for node in ast.walk(arg)}
+    reductions = {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_accel"
+                  and node.attr in _REDUCTIONS and id(node) not in inside}
+    enumerating = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "_combination_blocks"
+                   and id(node) not in inside}
+    called = {node.func.id for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    return reductions, enumerating, called
+
+
+def test_every_engine_reduction_reaches_accel_and_the_enumeration_through_reduce():
+    # an _accel reduction is read only as an argument of _reduce, and a
+    # function that enumerates is only passed to _reduce, never called
+    reductions, enumerating, called = _outside_reduce(_library_modules()["engine"])
+    assert reductions == set()
+    assert enumerating and not enumerating & called
+    reductions, enumerating, called = _outside_reduce(ast.parse(
+        "def _total(kernel, x):\n"
+        "    return _reduce(kernel, x, _accel.ustat_sum, _listed)\n"
+        "def _listed(kernel, x):\n"
+        "    return list(_combination_blocks(kernel, x))\n"
+        "def _q_raw(kernel, x):\n"
+        "    return _accel.q_raw(None, 1.0, x, 2) or _listed(kernel, x)\n"))
+    assert (reductions, enumerating, "_listed" in called) == ({"q_raw"}, {"_listed"}, True)

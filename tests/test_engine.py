@@ -9,15 +9,19 @@ import pytest
 from ustatlab import (
     DomainError,
     InsufficientDataError,
+    InvalidArgumentError,
     ResourceLimitError,
     TruncationMode,
     TruncationRule,
     constant_kernel,
     identity_kernel,
     jackknife_closed_form,
+    ks_distance,
     leave_one_out,
     make_kernel,
+    normal_cdf,
     product_kernel,
+    pseudo_selfnormalized_path,
     studentized_path,
     studentized_value,
     truncate_kernel,
@@ -27,6 +31,7 @@ from ustatlab import (
 )
 from ustatlab import _accel, engine
 from ustatlab._accel import _binomials, _comb_column
+from ustatlab.experiments import negligibility_value
 from ustatlab.engine import (
     ROUTE_CLOSED_FORM,
     ROUTE_ENUMERATION,
@@ -122,10 +127,11 @@ def test_kernel_route():
     assert kernel_route(product_kernel(5)) == ROUTE_CLOSED_FORM
     assert kernel_route(identity_kernel()) == ROUTE_CLOSED_FORM
     assert kernel_route(variance_kernel()) == ROUTE_CLOSED_FORM
+    # every truncated built-in is described as sort, whatever its order:
+    # the route a sample takes is decided per sample
     for base in (identity_kernel(), product_kernel(1), product_kernel(2),
-                 product_kernel(3), variance_kernel()):
+                 product_kernel(3), product_kernel(4), product_kernel(5), variance_kernel()):
         assert kernel_route(truncate_kernel(base, cut)) == ROUTE_SORT
-    assert kernel_route(truncate_kernel(product_kernel(4), cut)) == ROUTE_ENUMERATION
     proj_ell = TruncationRule(TruncationMode.PROJECTION_ELL, 50, ell_of_n=1.0)
     assert kernel_route(truncate_kernel(product_kernel(2), proj_ell,
                                         h1m=lambda x: x)) == ROUTE_ENUMERATION
@@ -222,13 +228,20 @@ def test_enumeration_cap():
         0.5 * (n // 2) * (n // 2 - 1) / math.comb(n, 2))
     with pytest.raises(ResourceLimitError):
         u_statistic(make_kernel("user", 2, lambda a, b: a * b), x)
-    with pytest.raises(ResourceLimitError):
-        u_statistic(truncate_kernel(product_kernel(4), cut), x[:300])
-    # the order-3 sort route holds every pair, and is capped on pairs where
-    # it runs: on data the truncation bites, but not on data it keeps whole
+    # a truncated product of order 4 has no sort route: data it keeps whole
+    # takes the closed form, and data it bites is enumerated, past the cap
+    assert u_statistic(truncate_kernel(product_kernel(4), cut), x[:300]) == u_statistic(
+        product_kernel(4), x[:300])
+    bitten = x[:300].copy()
+    bitten[0] = 2.0 * cut.threshold(4)
+    with pytest.raises(ResourceLimitError, match="evaluation cap"):
+        u_statistic(truncate_kernel(product_kernel(4), cut), bitten)
+    # the order-3 sort route holds every pair, so past its pair cap a sample
+    # the truncation bites is enumerated too, and refused; data it keeps
+    # whole takes the closed form
     bitten = x[:2001].copy()
     bitten[0] = 2.0 * cut.threshold(3)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="evaluation cap"):
         u_statistic(truncate_kernel(product_kernel(3), cut), bitten)
     assert u_statistic(truncate_kernel(product_kernel(3), cut), x) == u_statistic(
         product_kernel(3), x)
@@ -450,3 +463,24 @@ def test_non_finite_data_raises_domain_error(bad, entry, name):
     x = [0.5, -1.0, bad, 2.0, 1.5]
     with pytest.raises(DomainError):
         ENTRY_POINTS[entry](NON_FINITE_KERNELS[name], x)
+
+
+SHAPED_ENTRY_POINTS = dict(
+    ENTRY_POINTS,
+    pseudo_selfnormalized_path=lambda kernel, x: pseudo_selfnormalized_path(
+        kernel, x, 0.5, np.ones(6)),
+    negligibility_value=lambda kernel, x: negligibility_value(
+        "diagonal-square", kernel, None, x),
+    ks_distance=lambda kernel, x: ks_distance(x, normal_cdf),
+)
+
+
+@pytest.mark.parametrize("data", [np.arange(1.0, 13.0).reshape(6, 2), 2.5],
+                         ids=["2-d", "scalar"])
+@pytest.mark.parametrize("entry", sorted(SHAPED_ENTRY_POINTS))
+@pytest.mark.parametrize("name", sorted(NON_FINITE_KERNELS))
+def test_data_that_is_not_one_dimensional_is_refused(data, entry, name):
+    # refused before any value is computed from it: the path checks the
+    # data before it reads the projections
+    with pytest.raises(InvalidArgumentError, match="one-dimensional"):
+        SHAPED_ENTRY_POINTS[entry](NON_FINITE_KERNELS[name], data)

@@ -79,6 +79,14 @@ def test_ks_distance_requires_samples():
         ks_distance([], normal_cdf)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_ks_distance_refuses_non_finite_samples(bad):
+    # a NaN would otherwise come back as the distance
+    for samples in ([0.1, bad], [bad], [bad, -0.3, 0.2]):
+        with pytest.raises(DomainError, match="finite"):
+            ks_distance(samples, normal_cdf)
+
+
 def test_replication_seed_rule():
     assert replication_seed(987, 0) == 987
     assert replication_seed(0, 1) == 0x9E3779B97F4A7C15

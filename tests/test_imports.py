@@ -155,6 +155,11 @@ def _imported_modules(module: str) -> set:
     return names
 
 
+def test_accel_imports_no_ustatlab_module():
+    # _accel answers or declines; every refusal belongs to the engine
+    assert _imported_modules("_accel") == set()
+
+
 def test_experiments_and_decomposition_do_not_import_each_other():
     # the exact lab stands below the study driver: neither loads the other,
     # and the lab takes no Monte Carlo reduction from the engine

@@ -9,6 +9,7 @@ from ustatlab import (
     DegenerateNormalizerError,
     DomainError,
     InsufficientDataError,
+    InvalidArgumentError,
     TruncationMode,
     TruncationRule,
     constant_kernel,
@@ -123,6 +124,11 @@ def test_studentized_value_is_the_path_at_k(kernel):
         40 * (summary.u_n - theta) / math.sqrt(40 * summary.sum_sq)
     for k in (kernel.order - 1, 41):
         with pytest.raises(InsufficientDataError):
+            studentized_value(kernel, x, theta, k)
+    assert studentized_value(kernel, x, theta, np.int64(17)) == \
+        studentized_value(kernel, x, theta, 17)
+    for k in (5.5, 17.0, True, "17"):
+        with pytest.raises(InvalidArgumentError, match="k must be an integer"):
             studentized_value(kernel, x, theta, k)
     with pytest.raises(DomainError):
         studentized_value(kernel, x, math.nan, 40)

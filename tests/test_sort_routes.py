@@ -1,7 +1,9 @@
 """The sort routes of the truncated built-in kernels against exact oracles
 and against the enumeration route.
 
-Covered: the product kernel of order 1, 2 and 3 and the variance kernel;
+Covered: the product kernel of order 1, 2 and 3 and the variance kernel,
+and the product kernel of order 4 and 5, which has no sort route, so a
+sample the truncation bites is enumerated;
 LOG, LEVEL_J and FULL_M thresholds and thresholds that keep none, some or
 all evaluations, the peak |h| itself among them; data with ties, zeros,
 sign changes and scales from 1e-100 to 1e100; values placed next to the
@@ -22,6 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ustatlab import (
+    ResourceLimitError,
     TruncationMode,
     TruncationRule,
     jackknife_closed_form,
@@ -31,7 +34,7 @@ from ustatlab import (
     u_prefix_process,
     variance_kernel,
 )
-from ustatlab import _accel
+from ustatlab import _accel, engine
 from ustatlab.engine import ROUTE_ENUMERATION, ROUTE_SORT, combination_sum, kernel_route
 
 
@@ -40,6 +43,8 @@ KERNELS = {
     "product1": (product_kernel(1), lambda x: x),
     "product2": (product_kernel(2), lambda x, y: x * y),
     "product3": (product_kernel(3), lambda x, y, z: x * y * z),
+    "product4": (product_kernel(4), lambda w, x, y, z: w * x * y * z),
+    "product5": (product_kernel(5), lambda v, w, x, y, z: v * w * x * y * z),
     "variance": (variance_kernel(), lambda x, y: 0.5 * ((x - y) * (x - y))),
 }
 
@@ -142,15 +147,17 @@ def cases(draw, name):
     m = KERNELS[name][0].order
     rule = draw(rules(m))
     scale = 10.0 ** draw(st.integers(-100, 100))
-    x = [v * scale for v in draw(st.lists(VALUES, min_size=m + 1, max_size=9 if m == 3 else 11))]
+    x = [v * scale for v in draw(st.lists(VALUES, min_size=m + 1, max_size=9 if m >= 3 else 11))]
     kernel = truncate_kernel(KERNELS[name][0], rule)
     if draw(st.booleans()):
         x.insert(draw(st.integers(m - 1, len(x))),
                  _near_threshold(name, x, kernel.accel_thr, draw(st.integers(-2, 2))))
     peak = _accel.max_abs_kernel(kernel.accel_code, x, m)
-    if math.isfinite(peak) and draw(st.booleans()):
+    if m <= 3 and math.isfinite(peak) and draw(st.booleans()):
         # the threshold at the peak |h|: everything is kept, and only the
-        # oracle and the routes read accel_thr
+        # oracle and the routes read accel_thr (the enumeration, which
+        # serves the orders above 3 where the truncation bites, reads the
+        # rule's)
         kernel = dataclasses.replace(kernel, accel_thr=peak)
     return kernel, x
 
@@ -267,16 +274,19 @@ class SortRouteRan(Exception):
     pass
 
 
-@pytest.mark.parametrize("name", ["product2", "product3", "variance"])
+@pytest.mark.parametrize("name", ["product2", "product3", "variance", "product4", "product5"])
 def test_clearing_bound_skips_the_sort_route(name, monkeypatch):
     # FULL_M keeps every evaluation of these samples, so their Studentized
-    # path runs no sort route and equals the untruncated kernel's; one value
-    # past the threshold sends it to the sort route
-    def sort_route(*args, **kwargs):
+    # path runs neither a sort route nor the enumeration and equals the
+    # untruncated kernel's; one value past the threshold sends it to the
+    # sort route, or past order 3, which has none, to an enumeration of
+    # C(500, m) combinations, which the engine refuses
+    def ran(*args, **kwargs):
         raise SortRouteRan
 
-    monkeypatch.setattr(_accel, "_dominance", sort_route)
-    monkeypatch.setattr(_accel, "_settle", sort_route)
+    monkeypatch.setattr(_accel, "_dominance", ran)
+    monkeypatch.setattr(_accel, "_settle", ran)
+    monkeypatch.setattr(engine, "_combination_blocks", ran)
     n = 500
     base = KERNELS[name][0]
     kernel = truncate_kernel(base, TruncationRule(TruncationMode.FULL_M, n))
@@ -285,5 +295,5 @@ def test_clearing_bound_skips_the_sort_route(name, monkeypatch):
     assert np.array_equal(studentized_path(kernel, x, 1.0).values,
                           studentized_path(base, x, 1.0).values)
     x[n // 2] = 1e3 * kernel.accel_thr
-    with pytest.raises(SortRouteRan):
+    with pytest.raises(SortRouteRan if base.order <= 3 else ResourceLimitError):
         studentized_path(kernel, x, 1.0)
