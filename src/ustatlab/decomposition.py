@@ -53,7 +53,7 @@ from .errors import (
     PreconditionViolationError,
     ResourceLimitError,
 )
-from .kernels import Kernel, _support_rows
+from .kernels import Kernel, _support_rows, eval_kernel
 
 __all__ = [
     "ProductStatistic",
@@ -107,8 +107,7 @@ def eval_product_statistic(ps: ProductStatistic, points) -> float:
             f"product statistic expects {ps.arity} arguments, got {len(pts)}"
         )
     m, s = ps.base.order, ps.shared
-    return float(ps.base.eval_fn(*pts[:m])
-                 * ps.base.eval_fn(*(pts[:s] + pts[m:])))
+    return eval_kernel(ps.base, pts[:m]) * eval_kernel(ps.base, pts[:s] + pts[m:])
 
 
 @dataclass(frozen=True)

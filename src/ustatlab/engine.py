@@ -98,17 +98,19 @@ def _reduce(kernel: Kernel, x: np.ndarray, answer, enumerate_):
     ``_accel`` and the enumeration: after the size check,
     ``answer(code, thr, x, m)``, an ``_accel`` reduction, and where it
     returns None, ``enumerate_(kernel, x)`` over the blocks of
-    :func:`_combination_blocks`, held to the enumeration cap."""
+    :func:`_combination_blocks`, held to the enumeration cap.  On either
+    route a sum past the float range is an infinity, not a warning."""
     n, m = x.shape[0], kernel.order
     if n < m:
         raise InsufficientDataError(f"need n >= m, got n={n}, m={m}")
-    result = answer(kernel.accel_code, kernel.accel_thr, x, m)
-    if result is not None:
-        return result
-    if math.comb(n, m) > MAX_ENUMERATION:
-        raise ResourceLimitError(
-            f"C({n},{m}) = {math.comb(n, m)} exceeds the {MAX_ENUMERATION} evaluation cap")
-    return enumerate_(kernel, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = answer(kernel.accel_code, kernel.accel_thr, x, m)
+        if result is not None:
+            return result
+        if math.comb(n, m) > MAX_ENUMERATION:
+            raise ResourceLimitError(
+                f"C({n},{m}) = {math.comb(n, m)} exceeds the {MAX_ENUMERATION} evaluation cap")
+        return enumerate_(kernel, x)
 
 
 def _colex_rows(pos: np.ndarray, starts: np.ndarray, rest: np.ndarray) -> np.ndarray:

@@ -91,16 +91,18 @@ def _jackknife(kernel: Kernel, x: np.ndarray, keep_q: bool = True) -> tuple:
     n, m = x.shape[0], kernel.order
     _check_loo_size(n, m)
     q = _q_raw(kernel, x)
-    u_n = float(q.sum()) / (m * math.comb(n, m))
-    if m > 1:
-        q /= math.comb(n - 1, m - 1)  # q_raw is fresh on every route
-    if q[0] == q[-1] and (q == q[0]).all():
-        # the q_i average to U_n, so equal q_i are each U_n and the sum of
-        # squares is 0, where q - u_n would square the rounding of u_n
-        sum_sq = 0.0
-    else:
-        d = np.subtract(q, u_n, out=None if keep_q else q)
-        sum_sq = m ** 2 * (n - 1) / (n - m) ** 2 * float(np.einsum("i,i->", d, d))
+    # as in the reductions, a sum past the float range is an infinity
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_n = float(q.sum()) / (m * math.comb(n, m))
+        if m > 1:
+            q /= math.comb(n - 1, m - 1)  # q_raw is fresh on every route
+        if q[0] == q[-1] and (q == q[0]).all():
+            # the q_i average to U_n, so equal q_i are each U_n and the sum of
+            # squares is 0, where q - u_n would square the rounding of u_n
+            sum_sq = 0.0
+        else:
+            d = np.subtract(q, u_n, out=None if keep_q else q)
+            sum_sq = m ** 2 * (n - 1) / (n - m) ** 2 * float(np.einsum("i,i->", d, d))
     return (q if keep_q else None), u_n, sum_sq
 
 

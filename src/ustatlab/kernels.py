@@ -57,8 +57,11 @@ class Kernel:
     the built-ins that have one derive ``projection`` from it.
     ``accel_code`` sends a built-in kernel to :mod:`ustatlab._accel`: an
     integer code, or ``(KERNEL_CONSTANT, c)`` for the constant kernel,
-    whose code carries its value; ``accel_thr`` is its truncation
-    threshold.
+    whose code carries its value.  ``accel_thr`` is the kernel's one
+    truncation threshold c: a finite c makes it ``h * 1(|h| <= c)`` on
+    every route, ``_accel``'s and :func:`eval_kernel`'s and
+    :func:`eval_kernel_rows`'s alike, where ``eval_fn`` and ``batch_fn``
+    stay the untruncated h.
     """
 
     name: str
@@ -80,19 +83,16 @@ class TruncationMode(str, Enum):
     FULL_M = "full-m"
     LEVEL_J = "level-j"
     LOG = "log"
-    PROJECTION_ELL = "projection-ell"
 
 
 @dataclass(frozen=True)
 class TruncationRule:
-    """Threshold rule: FULL_M -> n^(3m/5), LEVEL_J -> n^(3j/5) with
-    1 <= j <= m-1, LOG -> log(n) with n >= 2, PROJECTION_ELL ->
-    sqrt(n) * ell_of_n applied through the first coordinate's projection."""
+    """Threshold rule for |h|: FULL_M -> n^(3m/5), LEVEL_J -> n^(3j/5)
+    with 1 <= j <= m-1, LOG -> log(n) with n >= 2."""
 
     mode: TruncationMode
     n: int
     j: Optional[int] = None
-    ell_of_n: Optional[float] = None
 
     def threshold(self, order: int) -> float:
         if self.n < 1:
@@ -105,21 +105,18 @@ class TruncationRule:
                     f"LEVEL_J needs 1 <= j <= {order - 1}, got {self.j}"
                 )
             c = float(self.n) ** (0.6 * self.j)
-        elif self.mode is TruncationMode.LOG:
+        else:
             if self.n < 2:
                 raise InvalidArgumentError("LOG truncation needs n >= 2")
             c = math.log(self.n)
-        else:
-            if self.ell_of_n is None or self.ell_of_n <= 0:
-                raise InvalidArgumentError("PROJECTION_ELL needs ell_of_n > 0")
-            c = math.sqrt(self.n) * self.ell_of_n
         if not c > 0:
             raise InvalidArgumentError(f"truncation threshold must be positive, got {c}")
         return c
 
 
 def eval_kernel(kernel: Kernel, points) -> float:
-    """Evaluate the kernel at one argument tuple."""
+    """Evaluate the kernel, truncated at its ``accel_thr``, at one argument
+    tuple."""
     pts = [float(p) for p in points]
     if len(pts) != kernel.order:
         raise InvalidArgumentError(
@@ -127,19 +124,29 @@ def eval_kernel(kernel: Kernel, points) -> float:
         )
     if not all(math.isfinite(p) for p in pts):
         raise DomainError(f"kernel '{kernel.name}' requires finite inputs, got {pts}")
-    return float(kernel.eval_fn(*pts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = float(kernel.eval_fn(*pts))
+    # an infinite threshold keeps every value, NaN included
+    return v if kernel.accel_thr == math.inf or abs(v) <= kernel.accel_thr else 0.0
 
 
 def eval_kernel_rows(kernel: Kernel, rows: np.ndarray) -> np.ndarray:
-    """Evaluate the kernel on each row of an (N, m) array."""
+    """Evaluate the kernel, truncated at its ``accel_thr``, on each row of
+    an (N, m) array."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if rows.shape[1] != kernel.order:
         raise InvalidArgumentError(
             f"kernel '{kernel.name}' expects {kernel.order} arguments per row"
         )
-    if kernel.batch_fn is not None:
-        return np.asarray(kernel.batch_fn(rows), dtype=np.float64)
-    return np.array([kernel.eval_fn(*r) for r in rows], dtype=np.float64)
+    # under _accel's errstate: an overflow is inf, which a finite threshold drops
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kernel.batch_fn is not None:
+            v = np.asarray(kernel.batch_fn(rows), dtype=np.float64)
+        else:
+            v = np.array([kernel.eval_fn(*r) for r in rows], dtype=np.float64)
+    if kernel.accel_thr == math.inf:
+        return v
+    return np.where(np.abs(v) <= kernel.accel_thr, v, 0.0)
 
 
 def theta_under(kernel: Kernel, dist) -> Optional[float]:
@@ -203,54 +210,19 @@ def _exact_h1(kernel: Kernel, dist, x: np.ndarray) -> Optional[np.ndarray]:
 def _no_exact_h1(kernel: Kernel, dist) -> UnsupportedOperationError:
     return UnsupportedOperationError(
         f"no analytic projection for kernel '{kernel.name}' under "
-        f"'{dist.name}' and no mc_budget supplied"
+        f"'{dist.name}', and '{dist.name}' is not a finite law to enumerate"
     )
 
 
-def project_h1(kernel: Kernel, x: float, dist, mc_budget: Optional[int] = None,
-               seed: int = 0, with_se: bool = False):
-    """Projection h1(x) = E(h(X1..Xm) - theta | X1 = x).
-
-    Routes, in order of preference: analytic projection; exact enumeration
-    on finite support; Monte Carlo with an explicit ``mc_budget`` (no
-    silent default).  With ``with_se=True`` returns ``(value, se)`` where
-    ``se`` is 0 for the exact routes.
-    """
-    x = float(x)
-    h1 = _exact_h1(kernel, dist, np.array([x]))
-    if h1 is not None:
-        v = float(h1[0])
-        return (v, 0.0) if with_se else v
-    m = kernel.order
-    if mc_budget is None:
-        raise _no_exact_h1(kernel, dist)
-    if mc_budget < 1:
-        raise InvalidArgumentError("mc_budget must be a positive integer")
-    from .distributions import sample
-
-    theta = theta_under(kernel, dist)
-    theta_se = 0.0
-    rng_offset = 0
-    if theta is None:
-        draws = sample(dist, mc_budget * m, seed).reshape(mc_budget, m)
-        hv = eval_kernel_rows(kernel, draws)
-        theta = float(hv.mean())
-        theta_se = float(hv.std(ddof=1) / math.sqrt(mc_budget))
-        rng_offset = 1
-    if m == 1:
-        v = kernel.eval_fn(x) - theta
-        return (v, theta_se) if with_se else v
-    rest = sample(dist, mc_budget * (m - 1), seed + rng_offset).reshape(mc_budget, m - 1)
-    rows = np.column_stack([np.full(mc_budget, x), rest])
-    vals = eval_kernel_rows(kernel, rows)
-    est = float(vals.mean()) - theta
-    se = math.hypot(float(vals.std(ddof=1) / math.sqrt(mc_budget)), theta_se)
-    return (est, se) if with_se else est
+def project_h1(kernel: Kernel, x: float, dist) -> float:
+    """Projection h1(x) = E(h(X1..Xm) - theta | X1 = x), from the kernel's
+    analytic projection or by exact enumeration of a finite law."""
+    return float(_projection_values(kernel, dist, np.array([float(x)]))[0])
 
 
 def _projection_values(kernel: Kernel, dist, x: np.ndarray) -> np.ndarray:
     """h1 at every point of x, by the exact routes on the whole of x at
-    once; without them, h1 needs :func:`project_h1`'s ``mc_budget``."""
+    once; UnsupportedOperationError where neither applies."""
     h1 = _exact_h1(kernel, dist, x)
     if h1 is None:
         raise _no_exact_h1(kernel, dist)
@@ -276,43 +248,14 @@ def _projection_variance(kernel: Kernel, dist) -> Optional[float]:
     return None
 
 
-def truncate_kernel(kernel: Kernel, rule: TruncationRule,
-                    h1m: Optional[Callable[[float], float]] = None) -> Kernel:
-    """Return the kernel h * 1(|h| <= c) for the rule's threshold c.
-
-    PROJECTION_ELL instead gates on |h1m(x1)| <= sqrt(n) * ell_of_n and
-    requires an ``h1m`` evaluator for the (already truncated) kernel.
-    """
+def truncate_kernel(kernel: Kernel, rule: TruncationRule) -> Kernel:
+    """The kernel h * 1(|h| <= c) for the rule's threshold c: the same
+    kernel with ``accel_thr`` lowered to c, which every route reads.  A
+    kernel truncated twice keeps the smaller threshold.  Theta and the
+    projections of h no longer hold, so they are cleared."""
     c = rule.threshold(kernel.order)
-    inner = kernel.eval_fn
-    if rule.mode is TruncationMode.PROJECTION_ELL:
-        if h1m is None:
-            raise UnsupportedOperationError(
-                "PROJECTION_ELL truncation needs an h1m evaluator"
-            )
-
-        def eval_fn(*xs):
-            return inner(*xs) if abs(h1m(xs[0])) <= c else 0.0
-
-        def batch_fn(rows):
-            vals = eval_kernel_rows(kernel, rows)
-            gate = np.array([abs(h1m(v)) <= c for v in rows[:, 0]])
-            return np.where(gate, vals, 0.0)
-
-        name, code, thr = f"{kernel.name}|proj-ell@{c:.6g}", None, math.inf
-    else:
-        def eval_fn(*xs):
-            v = inner(*xs)
-            return v if abs(v) <= c else 0.0
-
-        def batch_fn(rows):
-            v = eval_kernel_rows(kernel, rows)
-            return np.where(np.abs(v) <= c, v, 0.0)
-
-        name = f"{kernel.name}|{rule.mode.value}@{c:.6g}"
-        code, thr = kernel.accel_code, min(kernel.accel_thr, c)
-    return replace(kernel, name=name, eval_fn=eval_fn, batch_fn=batch_fn,
-                   accel_code=code, accel_thr=thr, theta=None, projection=None,
+    return replace(kernel, name=f"{kernel.name}|{rule.mode.value}@{c:.6g}",
+                   accel_thr=min(kernel.accel_thr, c), theta=None, projection=None,
                    affine_projection=None)
 
 

@@ -132,9 +132,6 @@ def test_kernel_route():
     for base in (identity_kernel(), product_kernel(1), product_kernel(2),
                  product_kernel(3), product_kernel(4), product_kernel(5), variance_kernel()):
         assert kernel_route(truncate_kernel(base, cut)) == ROUTE_SORT
-    proj_ell = TruncationRule(TruncationMode.PROJECTION_ELL, 50, ell_of_n=1.0)
-    assert kernel_route(truncate_kernel(product_kernel(2), proj_ell,
-                                        h1m=lambda x: x)) == ROUTE_ENUMERATION
     user = make_kernel("sum", 2, lambda x, y: x + y)
     assert kernel_route(user) == ROUTE_ENUMERATION
     assert kernel_route(truncate_kernel(user, cut)) == ROUTE_ENUMERATION

@@ -82,18 +82,12 @@ def test_projection_m1_is_centered_kernel():
         assert project_h1(k, x, d) == pytest.approx(x - 1.5, abs=1e-12)
 
 
-def test_projection_variance_normal_mc_oracle():
-    # analytic h1(x) = (x^2 - 1)/2 under a standard normal; the Monte Carlo
-    # estimate with 1e6 draws must agree within 3 standard errors
+def test_projection_variance_normal():
+    # analytic h1(x) = (x^2 - 1)/2 under a standard normal
     k = variance_kernel()
     d = normal(0.0, 1.0)
     for x in (0.5, 2.0):
-        analytic = (x ** 2 - 1) / 2
-        assert project_h1(k, x, d) == pytest.approx(analytic, abs=1e-12)
-        bare = replace(variance_kernel(), projection=None)  # force the MC route
-        est, se = project_h1(bare, x, d, mc_budget=10 ** 6, seed=9, with_se=True)
-        assert se > 0
-        assert abs(est - analytic) <= 3 * se
+        assert project_h1(k, x, d) == pytest.approx((x ** 2 - 1) / 2, abs=1e-12)
 
 
 def test_projection_finite_enumeration_matches_analytic():
@@ -109,12 +103,10 @@ def test_projection_finite_enumeration_matches_analytic():
         assert exact == pytest.approx(oracle, abs=1e-12)
 
 
-def test_projection_requires_budget():
+def test_projection_needs_an_exact_route():
     bare = replace(product_kernel(2), projection=None)
     with pytest.raises(UnsupportedOperationError):
         project_h1(bare, 1.0, normal(0, 1))
-    with pytest.raises(InvalidArgumentError):
-        project_h1(bare, 1.0, normal(0, 1), mc_budget=0)
 
 
 def test_truncation_full_m_example():
@@ -150,45 +142,25 @@ def test_truncation_level_j_bounds():
         TruncationRule(TruncationMode.LEVEL_J, n=10).threshold(2)
 
 
-@given(st.lists(finite_floats, min_size=2, max_size=2),
-       st.floats(min_value=0.5, max_value=30),
-       st.floats(min_value=0.5, max_value=30))
-def test_truncation_idempotent_and_monotone(pts, c1, c2):
-    k = product_kernel(2)
-    lo, hi = sorted((c1, c2))
-    rule_lo = TruncationRule(TruncationMode.PROJECTION_ELL, n=1, ell_of_n=lo)
-    rule_hi = TruncationRule(TruncationMode.PROJECTION_ELL, n=1, ell_of_n=hi)
-    # arbitrary-threshold |h| <= c gating for the property check
-    k_lo = _abs_truncate(k, lo)
-    k_hi = _abs_truncate(k, hi)
-    v = eval_kernel(k, pts)
-    v_lo, v_hi = eval_kernel(k_lo, pts), eval_kernel(k_hi, pts)
-    assert abs(v_lo) <= abs(v_hi) <= abs(v)
-    again = eval_kernel(_abs_truncate(k_lo, lo), pts)
-    assert again == v_lo
-    del rule_lo, rule_hi
+RULES = st.builds(TruncationRule, st.sampled_from([TruncationMode.LOG, TruncationMode.FULL_M]),
+                  st.integers(2, 40))
 
 
-def _abs_truncate(kernel, c):
-    inner = kernel.eval_fn
-
-    def eval_fn(*xs):
-        v = inner(*xs)
-        return v if abs(v) <= c else 0.0
-
-    from ustatlab import make_kernel
-
-    return make_kernel(f"{kernel.name}|abs@{c}", kernel.order, eval_fn)
-
-
-def test_truncation_projection_ell():
-    k = product_kernel(2)
-    rule = TruncationRule(TruncationMode.PROJECTION_ELL, n=4, ell_of_n=1.0)
-    with pytest.raises(UnsupportedOperationError):
-        truncate_kernel(k, rule)
-    kt = truncate_kernel(k, rule, h1m=lambda x: x)  # gate: |x1| <= 2
-    assert eval_kernel(kt, [1.5, 10.0]) == 15.0
-    assert eval_kernel(kt, [2.5, 1.0]) == 0.0
+@pytest.mark.parametrize("base", [product_kernel(2), make_kernel("sum", 2, lambda x, y: x + y)],
+                         ids=["product", "user"])
+@given(pts=st.lists(finite_floats, min_size=2, max_size=2), r1=RULES, r2=RULES)
+def test_truncation_idempotent_and_monotone(base, pts, r1, r2):
+    # truncating at one threshold and then the other is truncating once at
+    # their min, on the scalar and the row evaluator alike
+    k1, k2 = truncate_kernel(base, r1), truncate_kernel(base, r2)
+    both = truncate_kernel(k1, r2)
+    assert both.accel_thr == min(k1.accel_thr, k2.accel_thr)
+    lo = k1 if k1.accel_thr <= k2.accel_thr else k2
+    v = eval_kernel(base, pts)
+    assert eval_kernel(both, pts) == eval_kernel(lo, pts) == (v if abs(v) <= lo.accel_thr else 0.0)
+    assert abs(eval_kernel(lo, pts)) <= min(abs(eval_kernel(k1, pts)), abs(eval_kernel(k2, pts)))
+    assert eval_kernel(truncate_kernel(both, r1), pts) == eval_kernel(both, pts)
+    assert eval_kernel_rows(both, np.array([pts]))[0] == eval_kernel(both, pts)
 
 
 def test_registry_names():
@@ -352,16 +324,11 @@ def test_truncated_kernels_keep_their_theta_routes():
     d, law = normal(0.0, 1.0), finite([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5])
     c = math.log(4)  # keeps 0.5 (x - y)^2 = 1.125, drops 4.5
     cut = truncate_kernel(variance_kernel(), TruncationRule(TruncationMode.LOG, n=4))
-    gated = truncate_kernel(product_kernel(2), TruncationRule(
-        TruncationMode.PROJECTION_ELL, n=1, ell_of_n=1.0), h1m=lambda x: x)
-    for kernel in (cut, gated):
-        assert theta_under(kernel, d) is None
-        assert _projection_variance(kernel, d) is None
-    cases = ((cut, lambda a, b: v if abs(v := 0.5 * (a - b) ** 2) <= c else 0.0),
-             (gated, lambda a, b: a * b if abs(a) <= 1.0 else 0.0))
-    for kernel, fn in cases:
-        oracle = finite_expectation(fn, law.points, law.probs, 2)
-        assert theta_under(kernel, law) == pytest.approx(oracle, abs=1e-12)
+    assert theta_under(cut, d) is None
+    assert _projection_variance(cut, d) is None
+    oracle = finite_expectation(lambda a, b: v if abs(v := 0.5 * (a - b) ** 2) <= c else 0.0,
+                                law.points, law.probs, 2)
+    assert theta_under(cut, law) == pytest.approx(oracle, abs=1e-12)
 
 
 _NAME_PARSES = {"split", "rsplit", "partition", "rpartition", "startswith", "endswith"}
@@ -400,6 +367,31 @@ def test_no_module_reads_a_kernel_off_its_name():
         "head, _, rest = d.name.partition(':')\n"
         "spec.split(':'), name.partition(':'), k.order in (1, 2)\n"
         "x = k.name in NAMES\n")) == [1, 2, 3, 5]
+
+
+def _evaluators_read(tree) -> set:
+    """The top-level functions that read a ``.eval_fn`` or ``.batch_fn``
+    attribute, "<module>" for a read outside any function."""
+    readers = set()
+    for top in tree.body:
+        reads = any(isinstance(node, ast.Attribute) and node.attr in ("eval_fn", "batch_fn")
+                    for node in ast.walk(top))
+        if reads:
+            readers.add(top.name if isinstance(top, ast.FunctionDef) else "<module>")
+    return readers
+
+
+def test_only_eval_kernel_reads_the_untruncated_kernel():
+    # eval_fn and batch_fn are h before its threshold: every route
+    # evaluates through the two functions that apply accel_thr
+    src = Path(__file__).resolve().parents[1] / "src" / "ustatlab"
+    readers = {p.stem: _evaluators_read(ast.parse(p.read_text())) for p in src.glob("*.py")}
+    assert {stem: r for stem, r in readers.items() if r} \
+        == {"kernels": {"eval_kernel", "eval_kernel_rows"}}
+    assert _evaluators_read(ast.parse(
+        "def f(ps):\n    return ps.base.eval_fn(1.0)\n"
+        "def g(k):\n    return replace(k, eval_fn=abs)\n"
+        "h = k.batch_fn\n")) == {"f", "<module>"}
 
 
 def test_projection_values_on_a_finite_law_enumerate_once_per_support_point(monkeypatch):

@@ -37,6 +37,8 @@ from ustatlab import (
 from ustatlab import _accel, engine
 from ustatlab.engine import ROUTE_ENUMERATION, ROUTE_SORT, combination_sum, kernel_route
 
+# every route evaluates under np.errstate, so an overflow is a value, not a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # the oracles multiply in index order, (x_i x_j) x_k, as the enumeration does
 KERNELS = {
@@ -153,11 +155,8 @@ def cases(draw, name):
         x.insert(draw(st.integers(m - 1, len(x))),
                  _near_threshold(name, x, kernel.accel_thr, draw(st.integers(-2, 2))))
     peak = _accel.max_abs_kernel(kernel.accel_code, x, m)
-    if m <= 3 and math.isfinite(peak) and draw(st.booleans()):
-        # the threshold at the peak |h|: everything is kept, and only the
-        # oracle and the routes read accel_thr (the enumeration, which
-        # serves the orders above 3 where the truncation bites, reads the
-        # rule's)
+    if math.isfinite(peak) and draw(st.booleans()):
+        # the threshold at the peak |h|: everything is kept
         kernel = dataclasses.replace(kernel, accel_thr=peak)
     return kernel, x
 
@@ -178,9 +177,24 @@ def test_sum_past_the_float_range_is_infinite():
     kernel = dataclasses.replace(
         kernel, accel_thr=_accel.max_abs_kernel(kernel.accel_code, x, 3))
     assert kernel.accel_thr == 1.0875e308
-    with np.errstate(over="ignore"):
-        assert combination_sum(kernel, x) == -math.inf
-        check_against_oracle("product3", kernel, x)
+    assert combination_sum(kernel, x) == -math.inf
+    check_against_oracle("product3", kernel, x)
+
+
+def test_replaced_threshold_moves_every_route():
+    # the threshold lives in accel_thr alone, so replacing it moves the
+    # closed form and the enumeration together: the one nonzero product,
+    # -0.5 * 1 * -0.5 * -5 = -1.25, is kept at the new threshold, though
+    # the rule's log 2 would drop it
+    x = [-0.0, -0.0, -0.5, 1.0, -0.5, -5.0]
+    kernel = truncate_kernel(product_kernel(4), TruncationRule(TruncationMode.LOG, 2))
+    kernel = dataclasses.replace(kernel, accel_thr=1.2500000000000018)
+    assert combination_sum(kernel, x) == -1.25
+    with pytest.MonkeyPatch.context() as mp:
+        # an infinite bound never clears thr: the enumeration runs
+        mp.setattr(_accel, "max_abs_kernel", lambda code, data, m: math.inf)
+        assert combination_sum(kernel, x) == -1.25
+    check_against_oracle("product4", kernel, x)
 
 
 # a threshold of exactly 1.0 (FULL_M at n = 1)
