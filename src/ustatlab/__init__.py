@@ -54,7 +54,6 @@ _EXPORTS = {
     "experiments": (
         "ConvergenceReport",
         "ExperimentConfig",
-        "TrendTable",
         "negligibility_trend",
         "run_experiment",
     ),

@@ -33,7 +33,8 @@ config check, the replications and the summary read: a new experiment
 is one new record.  NEGLIGIBILITY is the Monte Carlo side of the
 degenerate remainder that ``ustatlab.decomposition`` verifies exactly;
 this module owns its statistics, its checks and its library loops
-(:func:`negligibility_trend`, :func:`truncation_coupling_rate`) and never
+(:func:`negligibility_trend`, which returns the driver's own
+:class:`ConvergenceReport`, and :func:`truncation_coupling_rate`) and never
 loads ``decomposition``.  ``signal`` is imported only where a child
 fails; no study loads ``concurrent.futures`` or ``multiprocessing``.
 """
@@ -75,10 +76,7 @@ __all__ = [
     "ConvergenceReport",
     "run_experiment",
     "report_to_json",
-    "report_from_json",
     "TREND_STATISTICS",
-    "TrendRow",
-    "TrendTable",
     "negligibility_value",
     "negligibility_trend",
     "truncation_coupling_rate",
@@ -229,18 +227,6 @@ class ConvergenceReport:
 
 def report_to_json(report: ConvergenceReport) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True)
-
-
-def report_from_json(text: str) -> ConvergenceReport:
-    d = json.loads(text)
-    return ConvergenceReport(
-        config=d["config"],
-        per_n=[PerNRecord(**r) for r in d["per_n"]],
-        overall_pass=d["overall_pass"],
-        dropped_total=d["dropped_total"],
-        notes=list(d["notes"]),
-        runtime_seconds=d["runtime_seconds"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -671,29 +657,13 @@ def _se(arr: np.ndarray) -> float:
 # NEGLIGIBILITY library loops
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrendRow:
-    n: int
-    mean_abs: float
-    se: float
-
-
-@dataclass(frozen=True)
-class TrendTable:
-    statistic: str
-    rows: list
-    decreasing: bool  # last mean below half the first mean
-
-    def means(self):
-        return [r.mean_abs for r in self.rows]
-
-
 def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
-                        n_grid, R: int, seed: int) -> TrendTable:
+                        n_grid, R: int, seed: int) -> ConvergenceReport:
     """Monte Carlo mean of |statistic| (see :func:`negligibility_value`)
-    along ``n_grid``: the study driver's NEGLIGIBILITY run on this kernel
-    and law, replication r seeded by ``replication_seed(seed, r)``.  It skips
-    ``validate``, so it checks R, the statistic and the grid itself."""
+    along ``n_grid``: the report of the study driver's NEGLIGIBILITY run on
+    this kernel and law, replication r seeded by ``replication_seed(seed,
+    r)``.  It skips ``validate``, so it checks R, the statistic and the grid
+    itself."""
     if R < 1:
         raise InvalidArgumentError(f"R must be >= 1, got {R}")
     if statistic_id not in TREND_STATISTICS:
@@ -706,10 +676,7 @@ def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
     config = ExperimentConfig(
         experiment="NEGLIGIBILITY", kernel=kernel.name, dist=dist.name, n_grid=n_grid,
         replications=R, base_seed=seed, statistic=statistic_id)
-    report = _run(config, kernel, dist, theta_under(kernel, dist))
-    return TrendTable(statistic=statistic_id,
-                      rows=[TrendRow(n=r.n, mean_abs=r.mean, se=r.se) for r in report.per_n],
-                      decreasing=report.per_n[-1].passed)
+    return _run(config, kernel, dist, theta_under(kernel, dist))
 
 
 def truncation_coupling_rate(kernel: Kernel, dist: Distribution, n_grid,

@@ -93,7 +93,10 @@ def _jackknife(kernel: Kernel, x: np.ndarray, keep_q: bool = True) -> tuple:
     q = _q_raw(kernel, x)
     # as in the reductions, a sum past the float range is an infinity
     with np.errstate(over="ignore", invalid="ignore"):
-        u_n = float(q.sum()) / (m * math.comb(n, m))
+        count = m * math.comb(n, m)
+        u_n = float(q.sum()) / count
+        if not math.isfinite(u_n):  # q's sum counts each combination m times
+            u_n = float((q / count).sum())
         if m > 1:
             q /= math.comb(n - 1, m - 1)  # q_raw is fresh on every route
         if q[0] == q[-1] and (q == q[0]).all():

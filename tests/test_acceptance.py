@@ -294,12 +294,12 @@ def test_c10_negligibility_trends():
     p3 = negligibility_trend("diagonal-square", kernel_from_name("constant:c=1,m=2"),
                              normal(0, 1), [50, 100, 200, 400], R=50,
                              seed=SEED + 10)
-    p3_exact = all(abs(row.mean_abs - 1.0 / (row.n - 2)) <= 1e-12
-                   for row in p3.rows)
+    p3_exact = all(abs(row.mean - 1.0 / (row.n - 2)) <= 1e-12
+                   for row in p3.per_n)
     p4 = negligibility_trend("shared-pair", product_kernel(3), normal(0, 1),
                              [12, 24, 48], R=150, seed=SEED + 10)
-    ok = p1.decreasing and p3.decreasing and p3_exact and p4.decreasing
-    ratios = {t.statistic: f"{t.rows[0].mean_abs / t.rows[-1].mean_abs:.1f}x"
+    ok = p1.overall_pass and p3.overall_pass and p3_exact and p4.overall_pass
+    ratios = {t.config["statistic"]: f"{t.per_n[0].mean / t.per_n[-1].mean:.1f}x"
               for t in (p1, p3, p4)}
     _check(f"C10 negligibility trends >= 2x decrease {ratios}; constant-"
            "kernel closed form 1/(n-2) exact", ok)

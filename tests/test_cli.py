@@ -16,6 +16,11 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def read_csv(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
 def test_path_csv_zero_branch(tmp_path):
     out = tmp_path / "path.csv"
     svg = tmp_path / "path.svg"
@@ -23,7 +28,7 @@ def test_path_csv_zero_branch(tmp_path):
                    "--n", "200", "--seed", "3", "--process", "studentized",
                    "--out", str(out), "--svg", str(svg))
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = read_csv(out)
     assert rows[0] == ["k", "t", "value"]
     assert len(rows) == 202  # header + 201 grid values
     assert float(rows[1][2]) == 0.0
@@ -96,9 +101,9 @@ def test_study_pass(tmp_path):
     assert run_cli("study", "--config", str(cfg), "--out", str(out)) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["overall_pass"] is True
-    summary = list(csv.reader((out / "summary.csv").open()))
+    summary = read_csv(out / "summary.csv")
     assert summary[0] == ["n", "statistic", "mean", "se", "ks", "pass"]
-    values = list(csv.reader((out / "values_n100.csv").open()))
+    values = read_csv(out / "values_n100.csv")
     assert values[0] == ["replication", "value"]
     assert len(values) == 51
 
@@ -112,7 +117,7 @@ def test_study_negligibility_writes_values(tmp_path):
                    "--workers", "2") == 0
     report = json.loads((out / "report.json").read_text())
     for rec in report["per_n"]:
-        rows = list(csv.reader((out / f"values_n{rec['n']}.csv").open()))
+        rows = read_csv(out / f"values_n{rec['n']}.csv")
         assert [r[0] for r in rows[1:]] == [str(r) for r in range(60)]
         values = [float(v) for _, v in rows[1:]]
         assert math.fsum(values) / 60 == pytest.approx(rec["mean"], rel=1e-12)
@@ -166,7 +171,7 @@ def test_study_degenerate_config_exits_1_with_values(tmp_path):
     out = tmp_path / "o"
     assert run_cli("study", "--config", str(cfg), "--out", str(out)) == 1
     for n in (100, 200):
-        rows = list(csv.reader((out / f"values_n{n}.csv").open()))
+        rows = read_csv(out / f"values_n{n}.csv")
         assert rows[1:] == [[str(r), ""] for r in range(50)]
 
 

@@ -215,10 +215,10 @@ def test_moment_bound_precondition():
 def test_trend_p3_constant_closed_form():
     table = negligibility_trend("diagonal-square", constant_kernel(1.0, m=2),
                                 normal(0, 1), [10, 20, 40], R=50, seed=3)
-    for row in table.rows:
-        assert row.mean_abs == pytest.approx(1.0 / (row.n - 2), rel=1e-12)
+    for row in table.per_n:
+        assert row.mean == pytest.approx(1.0 / (row.n - 2), rel=1e-12)
         assert row.se == pytest.approx(0.0, abs=1e-14)
-    assert table.decreasing
+    assert table.overall_pass
 
 
 def _truncated_product2(thr):
@@ -360,7 +360,7 @@ def test_negligibility_value_rejects_non_finite_samples(statistic, bad, user):
 def test_trend_p1_zero_kernel():
     table = negligibility_trend("centered-usq", constant_kernel(0.0, m=2),
                                 normal(0, 1), [10, 20], R=50, seed=3)
-    assert all(r.mean_abs == 0.0 for r in table.rows)
+    assert all(r.mean == 0.0 for r in table.per_n)
 
 
 def test_trend_shared_pair_matches_ordered_enumeration():
@@ -432,10 +432,10 @@ def test_trend_of_a_user_kernel_the_registry_cannot_name(statistic, dist):
     vals = np.array([[negligibility_value(statistic, kernel, theta, x)
                       for x in sample_grid(dist, n_grid, derive_seed(seed, rep))]
                      for rep in range(R)]).T.copy()
-    assert [(r.n, r.mean_abs, r.se) for r in table.rows] == [
+    assert [(r.n, r.mean, r.se) for r in table.per_n] == [
         (n, float(v.mean()), float(v.std(ddof=1) / math.sqrt(R)))
         for n, v in zip(n_grid, vals)]
-    assert table.decreasing == (vals[-1].mean() < 0.5 * vals[0].mean())
+    assert table.overall_pass == (vals[-1].mean() < 0.5 * vals[0].mean())
 
 
 @pytest.mark.parametrize("R", [0, -1])

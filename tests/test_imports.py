@@ -21,7 +21,7 @@ EXPORTS = [
     "DomainError", "EllEstimate", "ExperimentConfig", "InsufficientDataError",
     "InvalidArgumentError", "JackknifeSummary", "Kernel", "MomentBoundResult",
     "MomentDiagnostic", "PreconditionViolationError", "ProductStatistic",
-    "ResourceLimitError", "StepProcess", "TrendTable", "TruncationMode",
+    "ResourceLimitError", "StepProcess", "TruncationMode",
     "TruncationRule", "UPrefixValues", "UStatError", "UnsupportedOperationError",
     "VExpansion", "VTerm", "abs_sup_functional", "build_v_expansion",
     "check_degeneracy", "constant_kernel", "degenerate_moment_bound", "derive_seed",

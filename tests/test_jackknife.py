@@ -169,6 +169,18 @@ def test_product_closed_form_exempt_from_enumeration_cap(m, n):
     assert s.u_n == pytest.approx(u_statistic(product_kernel(m), data), rel=1e-10)
 
 
+def test_u_n_finite_where_the_sum_of_q_overflows():
+    # sum_i q_i counts each combination m times: here it is 2.92e308, past
+    # the float range, while U_n = 4.8667e307 is not.  The sum of squares
+    # stays inf, because its exact value is past the float range too.
+    data = [8e153, 7e153, 6e153]
+    s = jackknife_closed_form(product_kernel(2), data)
+    u = u_statistic(product_kernel(2), data)
+    assert math.isfinite(u)
+    assert abs(s.u_n - u) <= math.ulp(u)
+    assert s.sum_sq == math.inf
+
+
 def test_heavy_tail_fast_path_consistency():
     data = sample(example_density(2.0), 60, 5)
     s = jackknife_closed_form(product_kernel(2), data)
