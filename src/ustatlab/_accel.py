@@ -22,7 +22,10 @@ rounds it, so the shortcut keeps exactly the enumeration's kept set; an
 overflowed bound is infinite.  Where the truncation bites, the first
 three take a sort route, and a reduction returns None where none covers
 the kernel: products of order > 3, the two NEGLIGIBILITY sums, and the
-order-3 product past ``MAX_SORT_PAIRS`` pairs.
+order-3 product past ``MAX_SORT_PAIRS`` pairs.  The three scalar sums
+(``ustat_sum``, ``square_sum`` and ``shared_pair_total``) also return
+None where a closed form or a sort route sums past the float range, so
+the enumeration settles them; the array reductions return what they sum.
 
 A kernel's code is ``KERNEL_PRODUCT`` or ``KERNEL_VARIANCE``, or the pair
 ``(KERNEL_CONSTANT, c)`` for the constant kernel h = c of any order,
@@ -501,6 +504,13 @@ def _sorts(code, x: np.ndarray, m: int) -> bool:
         or m == MAX_SORT_ORDER and math.comb(x.shape[0], 2) <= MAX_SORT_PAIRS)
 
 
+def _finite(total: float):
+    """A closed form's or sort route's sum, or None where it is not finite:
+    its order of additions can overflow, or meet inf - inf, where the
+    enumeration's stays in range."""
+    return total if math.isfinite(total) else None
+
+
 def ustat_sum(code, thr: float, data, m: int):
     """Sum of the kernel over all m-combinations."""
     x = _as_f64(data)
@@ -508,8 +518,8 @@ def ustat_sum(code, thr: float, data, m: int):
     if c is not None:
         return c * math.comb(x.shape[0], m)
     if _keeps_all(code, thr, x, m):
-        return _variance_sum(x) if code == KERNEL_VARIANCE else _esp_totals(x, m)[-1]
-    return float(_by_last(code, thr, x, m).sum()) if _sorts(code, x, m) else None
+        return _finite(_variance_sum(x) if code == KERNEL_VARIANCE else _esp_totals(x, m)[-1])
+    return _finite(float(_by_last(code, thr, x, m).sum())) if _sorts(code, x, m) else None
 
 
 def prefix_sums(code, thr: float, data, m: int):
@@ -556,16 +566,15 @@ def square_sum(code, thr: float, data, m: int):
     """Sum of h^2 over all m-combinations: c^2 C(n, m) for the constant
     kernel, e_m(x^2) for the product kernel (whose square is the product
     kernel of x^2) and :func:`_variance_square_sum` for the variance
-    kernel; None when the truncation bites."""
+    kernel; None when the truncation bites or the sum is not finite."""
     x = _as_f64(data)
     c = _constant(code, thr)
     if c is not None:
         return c * c * math.comb(x.shape[0], m)
     if not _keeps_all(code, thr, x, m):
         return None
-    if code == KERNEL_VARIANCE:
-        return _variance_square_sum(x)
-    return _esp_totals(x * x, m)[-1]
+    return _finite(_variance_square_sum(x) if code == KERNEL_VARIANCE
+                   else _esp_totals(x * x, m)[-1])
 
 
 def shared_pair_total(code, thr: float, data, m: int = 3):
@@ -573,7 +582,8 @@ def shared_pair_total(code, thr: float, data, m: int = 3):
     for a kernel of order m = 3: c^2 [n]_4 for the constant kernel, and
     for the product kernel, over the ordered pairs i != j, (x_i x_j)^2
     ((sum of the other x)^2 - sum of the other x^2), as one n x n array;
-    None for any other kernel, or when the truncation bites."""
+    None for any other kernel, when the truncation bites or when the sum
+    is not finite."""
     x = _as_f64(data)
     c = _constant(code, thr)
     if c is not None:
@@ -586,4 +596,4 @@ def shared_pair_total(code, thr: float, data, m: int = 3):
     t = (x[:, None] * x) * ((s1 - x)[:, None] - x)
     d = t * t - (xx[:, None] * xx) * ((s2 - xx)[:, None] - xx)
     np.fill_diagonal(d, 0.0)
-    return float(d.sum())
+    return _finite(float(d.sum()))

@@ -2,7 +2,9 @@
 
 Subcommands: path, jackknife, study, decomp, verify-identity.
 Exit codes: 0 success (study: all tolerances met), 1 study tolerances
-failed, 2 configuration error, 3 degenerate normalizer.
+failed, 2 configuration error, 3 degenerate normalizer.  The library
+states every argument rule and refuses with a typed error, which exits
+2; the CLI checks only its own flags, config reading and output paths.
 
 ``python -m ustatlab`` and the ``ustatlab`` script both end through
 :func:`run`; :func:`main` returns the code instead, for callers that
@@ -45,12 +47,6 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 
 
-def _resolve_pair(kernel_name: str, dist_name: str):
-    kernel = kernel_from_name(kernel_name)
-    dist = dist_from_name(dist_name)
-    return kernel, dist
-
-
 @contextmanager
 def _writing(path: str, newline=None):
     """``open(path, "w")``: an output path that cannot be written is a
@@ -63,9 +59,7 @@ def _writing(path: str, newline=None):
 
 
 def cmd_path(args) -> int:
-    kernel, dist = _resolve_pair(args.kernel, args.dist)
-    if args.n < kernel.order:
-        raise ConfigError(f"need n >= m = {kernel.order}, got n = {args.n}")
+    kernel, dist = kernel_from_name(args.kernel), dist_from_name(args.dist)
     theta = args.theta if args.theta is not None else theta_under(kernel, dist)
     if theta is None:
         raise ConfigError(
@@ -113,9 +107,7 @@ def render_svg(path: StepProcess) -> str:
 
 
 def cmd_jackknife(args) -> int:
-    kernel, dist = _resolve_pair(args.kernel, args.dist)
-    if args.n < kernel.order + 1:
-        raise ConfigError(f"need n >= m + 1 = {kernel.order + 1}, got {args.n}")
+    kernel, dist = kernel_from_name(args.kernel), dist_from_name(args.dist)
     data = sample(dist, args.n, args.seed)
     summary = jackknife_closed_form(kernel, data)
     out = asdict(summary)
@@ -132,20 +124,14 @@ def cmd_study(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     config = ExperimentConfig.from_dict(raw)
-    workers = args.workers
-    if workers is None:
-        try:
-            workers = int(os.environ.get("USTAT_WORKERS", "1"))
-        except ValueError as exc:
-            raise ConfigError(f"bad USTAT_WORKERS value: {exc}") from exc
     # the output directory is made before the first replication, so an
     # unusable one costs no work
-    _check_workers(workers)
+    _check_workers(args.workers)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {args.out!r}: {exc}") from exc
-    report = run_experiment(config, workers=workers)
+    report = run_experiment(config, workers=args.workers)
     report_path = os.path.join(args.out, "report.json")
     with _writing(report_path) as fp:
         fp.write(report_to_json(report))
@@ -181,14 +167,8 @@ def _write_values_csv(out_dir: str, n: int, values: list) -> None:
 
 
 def cmd_decomp(args) -> int:
-    kernel, dist = _resolve_pair(args.kernel, args.dist)
-    if dist.kind != "finite":
-        raise ConfigError("decomp needs a finite-support distribution "
-                          f"(registry: {DIST_REGISTRY_HELP})")
-    if args.bound_n is not None and args.bound_n < 1:
-        raise ConfigError(f"--bound-n must be >= 1, got {args.bound_n}")
-    ps = ProductStatistic(base=kernel, shared=args.shared)
-    report = expansion_report(ps, dist, bound_n=args.bound_n)
+    ps = ProductStatistic(base=kernel_from_name(args.kernel), shared=args.shared)
+    report = expansion_report(ps, dist_from_name(args.dist), bound_n=args.bound_n)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with _writing(args.out) as fp:
@@ -204,9 +184,7 @@ def cmd_decomp(args) -> int:
 
 
 def cmd_verify_identity(args) -> int:
-    kernel, dist = _resolve_pair(args.kernel, args.dist)
-    if args.n < kernel.order + 1:
-        raise ConfigError(f"need n >= m + 1 = {kernel.order + 1}, got {args.n}")
+    kernel, dist = kernel_from_name(args.kernel), dist_from_name(args.dist)
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     worst = 0.0
@@ -251,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     ss = sub.add_parser("study", help="run an experiment config")
     ss.add_argument("--config", required=True)
     ss.add_argument("--out", required=True)
-    ss.add_argument("--workers", type=int, default=None,
-                    help="defaults to $USTAT_WORKERS or 1")
+    ss.add_argument("--workers", type=int, default=1, help="defaults to 1")
     ss.set_defaults(fn=cmd_study)
 
     sd = sub.add_parser("decomp", help="verify the degenerate expansion")

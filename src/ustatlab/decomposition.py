@@ -289,7 +289,10 @@ def expansion_report(ps: ProductStatistic, dist: Distribution,
                      bound_n: Optional[int] = None) -> dict:
     """JSON-ready verification report: per-term degeneracy, pointwise
     reconstruction error, and the second-moment bound run on each
-    component of small arity."""
+    component of small arity, on ``bound_n`` >= 1 observations (below 1
+    the bound would drop out of every term)."""
+    if bound_n is not None and bound_n < 1:
+        raise InvalidArgumentError(f"bound_n must be >= 1, got {bound_n}")
     expansion = build_v_expansion(ps, dist)
     if bound_n is None:
         bound_n = min(_MAX_BOUND_N, max(ps.arity + 1, 4))

@@ -289,56 +289,58 @@ def _t0_ready(config, kernel, dist, theta) -> list:
     return ells
 
 
-def _smallest_size(statistic_id: str, m: int) -> tuple:
-    """The statistic's smallest sample size and its rule: m for
-    ``centered-usq``; 2m - 1 for the others, whose scale [n]_(2m-1)
-    vanishes below it."""
-    return ("m", m) if statistic_id == "centered-usq" else ("2m - 1", 2 * m - 1)
+def _trend_check(statistic_id: str, kernel: Kernel, theta: Optional[float],
+                 n: int) -> None:
+    """NEGLIGIBILITY's argument rules, which :func:`negligibility_value`
+    and the study's preflight both ask: a known statistic, an order-3
+    kernel for ``shared-pair``, n >= m for ``centered-usq`` and n >= 2m - 1
+    for the others, whose scale [n]_(2m-1) vanishes below it, and a theta
+    for ``centered-usq``."""
+    if statistic_id not in TREND_STATISTICS:
+        raise InvalidArgumentError(
+            f"unknown statistic {statistic_id!r}; choose from {TREND_STATISTICS}")
+    m = kernel.order
+    if statistic_id == "shared-pair" and m != 3:
+        raise InvalidArgumentError("shared-pair statistic needs an order-3 kernel")
+    rule, least = ("m", m) if statistic_id == "centered-usq" else ("2m - 1", 2 * m - 1)
+    if n < least:
+        raise InsufficientDataError(
+            f"{statistic_id} needs n >= {rule} = {least}, got n={n}")
+    if statistic_id == "centered-usq" and theta is None:
+        raise InvalidArgumentError(f"centered-usq needs theta for kernel '{kernel.name}'")
 
 
 def _trend_ready(config, kernel, dist, theta) -> list:
     """NEGLIGIBILITY's checks, all of them before any replication: the
-    kernel order and the size caps, an order-3 kernel for ``shared-pair``,
-    every n at least the statistic's :func:`_smallest_size` and a resolved
-    theta for ``centered-usq``.  The statistic and the grid are
-    checked by ``validate`` or :func:`negligibility_trend`."""
-    m, n = kernel.order, config.n_grid[0]
+    kernel order and the size caps, then :func:`_trend_check` at the
+    grid's first n, where a grid too short is a configuration error.  The
+    grid is checked by ``validate`` or :func:`negligibility_trend`."""
+    m = kernel.order
     if m > 3:
         raise ResourceLimitError("trend statistics capped at kernel order 3")
     cap = 400 if m <= 2 else 60
     if config.n_grid[-1] > cap:
         raise ResourceLimitError(f"trend sample size capped at {cap} for m={m}")
-    if config.statistic == "shared-pair" and m != 3:
-        raise InvalidArgumentError("shared-pair statistic needs an order-3 kernel")
-    rule, least = _smallest_size(config.statistic, m)
-    if n < least:
-        raise ConfigError(f"{config.experiment} needs n >= {rule} = {least}, got n={n}")
-    if config.statistic == "centered-usq" and theta is None:
-        raise InvalidArgumentError(
-            f"centered-usq needs theta for kernel '{kernel.name}' under "
-            f"'{dist.name}'"
-        )
+    try:
+        _trend_check(config.statistic, kernel, theta, config.n_grid[0])
+    except InsufficientDataError as exc:
+        raise ConfigError(str(exc)) from exc
     return [None] * len(config.n_grid)
 
 
 def negligibility_value(statistic_id: str, kernel: Kernel, theta: Optional[float],
                         x: np.ndarray) -> float:
-    """|statistic| on one sample x, for arguments that pass NEGLIGIBILITY's
-    checks.
+    """|statistic| on one sample x.
 
     Statistics: ``centered-usq`` = (U_n - theta)^2; ``diagonal-square`` =
     the sum of h^2 over distinct tuples scaled by the falling factorial
     [n]^-(2m-1); ``shared-pair`` = the order-3 statistic pairing two
     kernel evaluations that share their first two arguments, same scale.
-    The sample is checked first: a non-finite value raises DomainError,
-    and fewer points than the statistic's smallest size raise
-    InsufficientDataError.
+    The sample is checked first, so a non-finite value raises DomainError,
+    and then the arguments, by :func:`_trend_check`, before any reduction.
     """
     x = _as_sample(x)
-    rule, least = _smallest_size(statistic_id, kernel.order)
-    if x.shape[0] < least:
-        raise InsufficientDataError(
-            f"{statistic_id} needs n >= {rule} = {least}, got n={x.shape[0]}")
+    _trend_check(statistic_id, kernel, theta, x.shape[0])
     return _negligibility_value(statistic_id, kernel, theta, x)
 
 
@@ -662,14 +664,10 @@ def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
     """Monte Carlo mean of |statistic| (see :func:`negligibility_value`)
     along ``n_grid``: the report of the study driver's NEGLIGIBILITY run on
     this kernel and law, replication r seeded by ``replication_seed(seed,
-    r)``.  It skips ``validate``, so it checks R, the statistic and the grid
-    itself."""
+    r)``.  It skips ``validate``, so it checks R and the grid itself; the
+    preflight checks the statistic."""
     if R < 1:
         raise InvalidArgumentError(f"R must be >= 1, got {R}")
-    if statistic_id not in TREND_STATISTICS:
-        raise InvalidArgumentError(
-            f"unknown statistic {statistic_id!r}; choose from {TREND_STATISTICS}"
-        )
     n_grid = tuple(n_grid)
     if not n_grid or sorted(set(n_grid)) != list(n_grid):
         raise InvalidArgumentError("n_grid must be nonempty ascending")

@@ -188,32 +188,6 @@ def _finite_mean(kernel: Kernel, dist, fixed: tuple = ()) -> float:
     return float(np.dot(eval_kernel_rows(kernel, rows), w))
 
 
-def _exact_h1(kernel: Kernel, dist, x: np.ndarray) -> Optional[np.ndarray]:
-    """h1 at every point of x from the kernel's analytic projection, else
-    by exact enumeration of a finite law: theta once, then E h(v, X_2..X_m)
-    once per distinct value v of x; None where neither route applies."""
-    if kernel.projection is not None:
-        try:
-            return np.asarray(kernel.projection(x, dist), dtype=np.float64)
-        except UnsupportedOperationError:
-            pass
-    if dist.kind != "finite":
-        return None
-    theta = _finite_mean(kernel, dist)
-    # distinct by bit pattern, so -0.0 and 0.0 are evaluated apart
-    bits, inverse = np.unique(np.asarray(x, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
-    return np.array([_finite_mean(kernel, dist, (v,)) - theta
-                     for v in bits.view(np.float64).tolist()])[inverse]
-
-
-def _no_exact_h1(kernel: Kernel, dist) -> UnsupportedOperationError:
-    return UnsupportedOperationError(
-        f"no analytic projection for kernel '{kernel.name}' under "
-        f"'{dist.name}', and '{dist.name}' is not a finite law to enumerate"
-    )
-
-
 def project_h1(kernel: Kernel, x: float, dist) -> float:
     """Projection h1(x) = E(h(X1..Xm) - theta | X1 = x), from the kernel's
     analytic projection or by exact enumeration of a finite law."""
@@ -221,12 +195,26 @@ def project_h1(kernel: Kernel, x: float, dist) -> float:
 
 
 def _projection_values(kernel: Kernel, dist, x: np.ndarray) -> np.ndarray:
-    """h1 at every point of x, by the exact routes on the whole of x at
-    once; UnsupportedOperationError where neither applies."""
-    h1 = _exact_h1(kernel, dist, x)
-    if h1 is None:
-        raise _no_exact_h1(kernel, dist)
-    return h1
+    """h1 at every point of x, on the whole of x at once: from the kernel's
+    analytic projection, else by exact enumeration of a finite law, theta
+    once and then E h(v, X_2..X_m) once per distinct value v of x;
+    UnsupportedOperationError where neither route applies."""
+    if kernel.projection is not None:
+        try:
+            return np.asarray(kernel.projection(x, dist), dtype=np.float64)
+        except UnsupportedOperationError:
+            pass
+    if dist.kind != "finite":
+        raise UnsupportedOperationError(
+            f"no analytic projection for kernel '{kernel.name}' under "
+            f"'{dist.name}', and '{dist.name}' is not a finite law to enumerate"
+        )
+    theta = _finite_mean(kernel, dist)
+    # distinct by bit pattern, so -0.0 and 0.0 are evaluated apart
+    bits, inverse = np.unique(np.asarray(x, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    return np.array([_finite_mean(kernel, dist, (v,)) - theta
+                     for v in bits.view(np.float64).tolist()])[inverse]
 
 
 def _projection_variance(kernel: Kernel, dist) -> Optional[float]:

@@ -38,6 +38,7 @@ library Monte Carlo loop takes them without loading the study driver.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,10 @@ class StepProcess:
 
 
 def _check_theta(theta: float) -> None:
+    """theta is a real number (else InvalidArgumentError, None included)
+    and finite (else DomainError)."""
+    if not isinstance(theta, numbers.Real):
+        raise InvalidArgumentError(f"theta must be a real number, got {theta!r}")
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta}")
 
@@ -113,10 +118,12 @@ def pseudo_selfnormalized_path(kernel: Kernel, data, theta: float,
         raise InvalidArgumentError("projections must align with data")
     if not np.isfinite(proj).all():
         raise DomainError("projections must be finite; got NaN or infinite values")
+    # the prefix pass checks n >= m first, so a short sample is refused
+    # as short, not as degenerate
+    prefix = _prefix_values(kernel, x)
     v_n = math.sqrt(float(np.einsum("i,i->", proj, proj)))
     if not v_n > 0:
         raise DegenerateNormalizerError("V_n = 0: all projections vanish")
-    prefix = _prefix_values(kernel, x)
     return _step_path(prefix, theta, _k_grid(prefix.n, prefix.m) / prefix.m, v_n)
 
 

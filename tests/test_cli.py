@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ustatlab import experiments, leave_one_out, normal, product_kernel, sample
+from ustatlab import cli, experiments, leave_one_out, normal, product_kernel, sample
 from ustatlab.cli import main
 
 
@@ -49,6 +50,34 @@ def test_path_bad_kernel_exits_2(tmp_path, capsys):
                    "--n", "10", "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert "registry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_path_below_the_jackknife_size_exits_2_with_the_library_rule(tmp_path, capsys, n):
+    # the Studentized path needs n >= m + 1 for its leave-one-out values;
+    # the library states the rule, and its refusal exits 2
+    code = run_cli("path", "--kernel", "product:m=2", "--dist", "normal:1,1",
+                   "--n", str(n), "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: leave-one-out needs n >= m + 1, got n={n}, m=2\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _orders_read(tree):
+    """Line numbers where a module reads an attribute named ``order``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "order"]
+
+
+def test_cli_reads_no_kernel_order():
+    # the library checks every size against the kernel's order and refuses
+    # with a typed error, which exits 2; a CLI that reads the order would
+    # state a size rule a second time
+    src = Path(__file__).resolve().parent.parent / "src" / "ustatlab" / "cli.py"
+    assert _orders_read(ast.parse(src.read_text())) == []
+    assert _orders_read(ast.parse(
+        "kernel = kernel_from_name(name)\nif args.n < kernel.order + 1:\n    pass\n")) == [2]
 
 
 def test_path_non_finite_law_exits_2(tmp_path, capsys):
@@ -126,7 +155,7 @@ def test_study_negligibility_writes_values(tmp_path):
 @pytest.mark.parametrize("overrides,message", [
     (dict(kernel="product:m=2"), "order-3 kernel"),
     (dict(n_grid=[12, 61]), "capped at 60"),
-    (dict(n_grid=[2, 24]), "NEGLIGIBILITY needs n >= 2m - 1 = 5, got n=2"),
+    (dict(n_grid=[2, 24]), "shared-pair needs n >= 2m - 1 = 5, got n=2"),
 ])
 def test_study_negligibility_bad_shape_exits_2(tmp_path, capsys, overrides, message):
     raw = dict(experiment="NEGLIGIBILITY", kernel="product:m=3", dist="normal:0,1",
@@ -224,7 +253,7 @@ def test_decomp_bound_n_below_one_exits_2(capsys, bound_n):
     assert run_cli("decomp", "--kernel", "product:m=2", "--dist",
                    "finite:[-1,1];[0.5,0.5]", "--bound-n", bound_n) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: --bound-n must be >= 1, got {bound_n}\n"
+    assert captured.err == f"error: bound_n must be >= 1, got {bound_n}\n"
     assert captured.out == ""
 
 
@@ -316,11 +345,17 @@ def test_module_degenerate_normalizer_exits_3(tmp_path):
     assert proc.stderr.startswith("degenerate normalizer: ")
 
 
-def test_workers_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("USTAT_WORKERS", "2")
-    cfg = _study_config(tmp_path)
+def test_workers_default_to_one(tmp_path, monkeypatch):
+    # --workers is the one setting of the worker count, 1 when absent;
+    # the environment is not read
+    monkeypatch.setenv("USTAT_WORKERS", "-1")
+    seen = []
+    real = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda config, workers: seen.append(workers) or real(config, workers))
     out = tmp_path / "study_env"
-    assert run_cli("study", "--config", str(cfg), "--out", str(out)) == 0
+    assert run_cli("study", "--config", str(_study_config(tmp_path)), "--out", str(out)) == 0
+    assert seen == [1]
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf])
@@ -349,13 +384,10 @@ def test_study_out_is_a_file_exits_2_before_any_replication(tmp_path, monkeypatc
     assert out.read_text() == "not a directory\n"
 
 
-@pytest.mark.parametrize("flag,env", [("0", None), ("-2", None), (None, "-1")])
-def test_study_worker_count_below_one_exits_2(tmp_path, monkeypatch, capsys, flag, env):
-    if env is not None:
-        monkeypatch.setenv("USTAT_WORKERS", env)
-    argv = ["study", "--config", str(_study_config(tmp_path)), "--out", str(tmp_path / "o")]
-    if flag is not None:
-        argv += ["--workers", flag]
+@pytest.mark.parametrize("flag", ["0", "-2"])
+def test_study_worker_count_below_one_exits_2(tmp_path, capsys, flag):
+    argv = ["study", "--config", str(_study_config(tmp_path)), "--out", str(tmp_path / "o"),
+            "--workers", flag]
     assert run_cli(*argv) == 2
-    assert capsys.readouterr().err == f"error: workers must be >= 1, got {flag or env}\n"
+    assert capsys.readouterr().err == f"error: workers must be >= 1, got {flag}\n"
     assert not (tmp_path / "o").exists()

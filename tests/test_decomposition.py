@@ -29,7 +29,7 @@ from ustatlab import (
     truncate_kernel,
     variance_kernel,
 )
-from ustatlab import _accel, engine, kernel_from_name
+from ustatlab import _accel, decomposition, engine, kernel_from_name
 from ustatlab.decomposition import expansion_report
 from ustatlab.experiments import (
     TREND_STATISTICS,
@@ -340,6 +340,24 @@ def test_negligibility_shortcuts_where_the_bound_clears(monkeypatch):
             == negligibility_value(statistic, base, None, x)
 
 
+@pytest.mark.parametrize("statistic,kernel,theta,message", [
+    ("bogus", product_kernel(3), None, "unknown statistic 'bogus'"),
+    ("shared-pair", product_kernel(2), None, "shared-pair statistic needs an order-3 kernel"),
+    ("centered-usq", product_kernel(2), None, "centered-usq needs theta for kernel"),
+], ids=["unknown", "shared-pair-order-2", "centered-usq-no-theta"])
+def test_negligibility_value_refuses_bad_arguments_before_any_reduction(
+        monkeypatch, statistic, kernel, theta, message):
+    # the statistic, the kernel's order and theta are checked by the one
+    # statement of NEGLIGIBILITY's rules, before any reduction runs
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("a reduction ran")
+
+    monkeypatch.setattr(engine, "_reduce", no_reduction)
+    x = np.random.default_rng(3).normal(0, 1, 12)
+    with pytest.raises(InvalidArgumentError, match=f"^{message}"):
+        negligibility_value(statistic, kernel, theta, x)
+
+
 @pytest.mark.parametrize("user", [False, True], ids=["closed-form", "user"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("statistic", TREND_STATISTICS)
@@ -476,6 +494,18 @@ def test_truncation_coupling_rate_enumerated_peak_matches_closed_form():
     rates = truncation_coupling_rate(product_kernel(2), *args)
     assert truncation_coupling_rate(user, *args) == rates
     assert any(r > 0 for _, r in rates)
+
+
+@pytest.mark.parametrize("bound_n", [0, -1])
+def test_expansion_report_refuses_bound_n_below_one(monkeypatch, bound_n):
+    # below 1 the second-moment bound would drop out of every term; the
+    # refusal comes before the expansion is built
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("the expansion was built")
+
+    monkeypatch.setattr(decomposition, "build_v_expansion", no_expansion)
+    with pytest.raises(InvalidArgumentError, match=rf"^bound_n must be >= 1, got {bound_n}$"):
+        expansion_report(ProductStatistic(base=product_kernel(2)), PM1, bound_n=bound_n)
 
 
 def test_expansion_report_shape():

@@ -210,13 +210,13 @@ _KS_RANGE = "ks_threshold must be finite and positive, got "
     # are scaled by [n]_(2m-1)
     (dict(experiment="NEGLIGIBILITY", rel_mean_threshold=None, statistic="centered-usq",
           kernel="product:m=2", n_grid=[1, 8]),
-     "NEGLIGIBILITY needs n >= m = 2, got n=1"),
+     "centered-usq needs n >= m = 2, got n=1"),
     (dict(experiment="NEGLIGIBILITY", rel_mean_threshold=None, statistic="shared-pair",
           kernel="product:m=3", n_grid=[2, 8]),
-     "NEGLIGIBILITY needs n >= 2m - 1 = 5, got n=2"),
+     "shared-pair needs n >= 2m - 1 = 5, got n=2"),
     (dict(experiment="NEGLIGIBILITY", rel_mean_threshold=None,
           statistic="diagonal-square", kernel="product:m=2", n_grid=[2, 8]),
-     "NEGLIGIBILITY needs n >= 2m - 1 = 3, got n=2"),
+     "diagonal-square needs n >= 2m - 1 = 3, got n=2"),
     # every n's ell estimate is checked, not only the largest n's
     (dict(experiment="RAIKOV", kernel="product:m=2,a=2", dist="example:a=2",
           ell_method="example-asymptotic", n_grid=[1, 3]),

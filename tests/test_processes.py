@@ -45,6 +45,9 @@ def test_pseudo_path_m1_example():
 def test_pseudo_degenerate_projections():
     with pytest.raises(DegenerateNormalizerError):
         pseudo_selfnormalized_path(identity_kernel(), [1.0, 2.0], 0.0, [0.0, 0.0])
+    # a sample below m is refused as short before its normalizer is read
+    with pytest.raises(InsufficientDataError):
+        pseudo_selfnormalized_path(product_kernel(2), [1.0], 0.0, [0.0])
 
 
 NON_FINITE = pytest.mark.parametrize(
@@ -67,6 +70,20 @@ def test_non_finite_theta_raises_domain_error(bad, path):
             pseudo_selfnormalized_path(identity_kernel(), x, bad, [1.0, -1.0, 0.5, 2.0])
         else:
             studentized_path(identity_kernel(), x, bad)
+
+
+@pytest.mark.parametrize("theta", [None, "0.5"], ids=["none", "str"])
+@pytest.mark.parametrize("path", ["pseudo", "studentized", "value"])
+def test_theta_that_is_not_a_real_number_is_a_typed_refusal(theta, path):
+    # None or a string is refused as an argument, not by a raw TypeError
+    x = [1.0, 2.0, 3.0, 0.5]
+    with pytest.raises(InvalidArgumentError, match="theta must be a real number"):
+        if path == "pseudo":
+            pseudo_selfnormalized_path(identity_kernel(), x, theta, [1.0, -1.0, 0.5, 2.0])
+        elif path == "studentized":
+            studentized_path(identity_kernel(), x, theta)
+        else:
+            studentized_value(identity_kernel(), x, theta, 2)
 
 
 def test_pseudo_final_value_recomputed_independently():

@@ -181,6 +181,23 @@ def test_sum_past_the_float_range_is_infinite():
     check_against_oracle("product3", kernel, x)
 
 
+def test_closed_form_past_the_float_range_defers_to_the_enumeration():
+    # the exact sums are finite, but a closed form's order of additions
+    # is not: the ESP running sums add the three positive triples
+    # (2.005e308) before the negative one, and the variance kernel's
+    # 3 S2^2 passes the float range, though h^2 = 4 a^4 does not.  The
+    # reductions decline, and the enumeration sums in range
+    x = [-5e101, -7.25e102, -6e102, 4e102]
+    product3 = product_kernel(3)
+    assert _accel.ustat_sum(product3.accel_code, math.inf, x, 3) is None
+    assert combination_sum(product3, x) == 1.7874999999999998e+308
+    a = 3e307 ** 0.25
+    h = 2 * a * a
+    variance = variance_kernel()
+    assert _accel.square_sum(variance.accel_code, math.inf, [a, -a], 2) is None
+    assert engine._square_sum(variance, np.array([a, -a])) == h * h
+
+
 def test_replaced_threshold_moves_every_route():
     # the threshold lives in accel_thr alone, so replacing it moves the
     # closed form and the enumeration together: the one nonzero product,
