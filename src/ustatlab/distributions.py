@@ -22,7 +22,8 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedOperationError,
 )
-from .kernels import Kernel, _projection_values, _projection_variance, eval_kernel_rows
+from .kernels import (Kernel, _check_integer, _projection_values, _projection_variance,
+                      _registry_args, eval_kernel_rows)
 
 __all__ = [
     "Distribution",
@@ -161,6 +162,9 @@ class _GridSampler:
     xm * (1 - U)^(-1/alpha) is the same product in either order."""
 
     def __init__(self, dist: Distribution, ns):
+        ns = list(ns)
+        for n in ns:
+            _check_integer("a sample size", n)
         ns = [int(n) for n in ns]
         if not ns or min(ns) < 1:
             raise InvalidArgumentError(f"sample sizes must be >= 1, got {ns}")
@@ -434,8 +438,7 @@ def dist_from_name(spec: str) -> Distribution:
     base, _, argstr = spec.partition(":")
     try:
         if base == "example":
-            kv = dict(part.split("=") for part in argstr.split(",") if part)
-            return example_density(float(kv["a"]))
+            return example_density(float(_registry_args(argstr, ("a",))["a"]))
         if base == "normal":
             mu, sigma = (float(v) for v in argstr.split(","))
             return normal(mu, sigma)

@@ -10,8 +10,7 @@ answer, and where ``_accel`` declines (a kernel with no built-in code,
 or a truncation that bites where no sort route covers the kernel) it
 enumerates every m-combination (:func:`_combination_blocks`).  Only
 ``_accel`` tells the built-in kernels apart and picks between their
-closed forms and sort routes; :func:`kernel_route` only describes the
-route a kernel is built for.  Enumeration is capped (combination count
+closed forms and sort routes.  Enumeration is capped (combination count
 <= 1e8): past the cap the engine refuses with
 :class:`ResourceLimitError` rather than silently subsampling.
 
@@ -36,18 +35,10 @@ __all__ = [
     "u_statistic",
     "u_prefix_process",
     "combination_sum",
-    "kernel_route",
-    "ROUTE_CLOSED_FORM",
-    "ROUTE_SORT",
-    "ROUTE_ENUMERATION",
 ]
 
 MAX_ENUMERATION = 10 ** 8
 _CHUNK = 1 << 16
-
-ROUTE_CLOSED_FORM = "closed-form"  # untruncated, served by _accel
-ROUTE_SORT = "sort"                # truncated, served by _accel
-ROUTE_ENUMERATION = "enumeration"  # anything else: block enumeration
 
 
 @dataclass(frozen=True)
@@ -78,19 +69,6 @@ def _as_sample(data) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DomainError("data must be finite; got NaN or infinite values")
     return x
-
-
-def kernel_route(kernel: Kernel) -> str:
-    """The route ``kernel`` is built for: ROUTE_ENUMERATION without a
-    built-in code, else ROUTE_CLOSED_FORM untruncated and ROUTE_SORT
-    truncated.  It only describes; :func:`_reduce` decides per sample, and
-    a ROUTE_SORT kernel takes the closed form where an O(n) bound on |h|
-    shows that the threshold keeps every evaluation (a truncated constant
-    always does, with c or 0), and enumerates where the truncation bites
-    and no sort route covers it."""
-    if kernel.accel_code is None:
-        return ROUTE_ENUMERATION
-    return ROUTE_CLOSED_FORM if kernel.accel_thr == math.inf else ROUTE_SORT
 
 
 def _reduce(kernel: Kernel, x: np.ndarray, answer, enumerate_):

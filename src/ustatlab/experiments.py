@@ -295,7 +295,7 @@ def _trend_check(statistic_id: str, kernel: Kernel, theta: Optional[float],
     and the study's preflight both ask: a known statistic, an order-3
     kernel for ``shared-pair``, n >= m for ``centered-usq`` and n >= 2m - 1
     for the others, whose scale [n]_(2m-1) vanishes below it, and a theta
-    for ``centered-usq``."""
+    for ``centered-usq``, finite wherever one is given."""
     if statistic_id not in TREND_STATISTICS:
         raise InvalidArgumentError(
             f"unknown statistic {statistic_id!r}; choose from {TREND_STATISTICS}")
@@ -308,6 +308,8 @@ def _trend_check(statistic_id: str, kernel: Kernel, theta: Optional[float],
             f"{statistic_id} needs n >= {rule} = {least}, got n={n}")
     if statistic_id == "centered-usq" and theta is None:
         raise InvalidArgumentError(f"centered-usq needs theta for kernel '{kernel.name}'")
+    if theta is not None:
+        _check_theta(theta)
 
 
 def _trend_ready(config, kernel, dist, theta) -> list:

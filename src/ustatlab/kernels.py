@@ -79,6 +79,13 @@ class Kernel:
             raise InvalidArgumentError(f"kernel order must be >= 1, got {self.order}")
 
 
+def _check_integer(name: str, value) -> None:
+    """``value`` is a Python or numpy integer, not a bool (else
+    InvalidArgumentError)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+
+
 class TruncationMode(str, Enum):
     FULL_M = "full-m"
     LEVEL_J = "level-j"
@@ -95,6 +102,7 @@ class TruncationRule:
     j: Optional[int] = None
 
     def threshold(self, order: int) -> float:
+        _check_integer("truncation rule n", self.n)
         if self.n < 1:
             raise InvalidArgumentError(f"truncation rule needs n >= 1, got {self.n}")
         if self.mode is TruncationMode.FULL_M:
@@ -376,41 +384,40 @@ KERNEL_REGISTRY_HELP = (
 )
 
 
+_KERNEL_KEYS = {"identity": (), "variance": (), "product": ("m", "a"), "constant": ("c", "m")}
+
+
+def _registry_args(argstr: str, keys: tuple) -> dict:
+    """The ``key=value`` arguments of a registry spec, keys from ``keys``:
+    a malformed, unknown or repeated argument raises ValueError, which the
+    registry reports with its help."""
+    args = {}
+    for part in argstr.split(",") if argstr else ():
+        key, eq, value = (s.strip() for s in part.partition("="))
+        if not eq or key not in keys or key in args:
+            problem = "malformed" if not eq else "repeated" if key in args else "unknown"
+            raise ValueError(f"{problem} argument {part!r}")
+        args[key] = value
+    return args
+
+
 def kernel_from_name(spec: str) -> Kernel:
     """Resolve a registry name like 'product:m=2,a=2' or 'variance'."""
     spec = spec.strip()
     base, _, argstr = spec.partition(":")
-    args = {}
-    if argstr:
-        for part in argstr.split(","):
-            k, eq, v = part.partition("=")
-            if not eq:
-                raise InvalidArgumentError(
-                    f"malformed kernel argument {part!r} in {spec!r}; "
-                    f"registry: {KERNEL_REGISTRY_HELP}"
-                )
-            args[k.strip()] = v.strip()
+    if base not in _KERNEL_KEYS:
+        raise InvalidArgumentError(f"unknown kernel {spec!r}; registry: {KERNEL_REGISTRY_HELP}")
     try:
+        args = _registry_args(argstr, _KERNEL_KEYS[base])
         if base == "identity":
             return identity_kernel()
         if base == "variance":
             return variance_kernel()
         if base == "product":
-            m = int(args.pop("m", 2))
-            a = float(args.pop("a")) if "a" in args else None
-            if args:
-                raise InvalidArgumentError(f"unknown product arguments {sorted(args)}")
-            return product_kernel(m, a)
-        if base == "constant":
-            c = float(args.pop("c", 1.0))
-            m = int(args.pop("m", 1))
-            if args:
-                raise InvalidArgumentError(f"unknown constant arguments {sorted(args)}")
-            return constant_kernel(c, m)
+            return product_kernel(int(args.get("m", 2)),
+                                  float(args["a"]) if "a" in args else None)
+        return constant_kernel(float(args.get("c", 1.0)), int(args.get("m", 1)))
     except (ValueError, TypeError) as exc:
         raise InvalidArgumentError(
             f"bad kernel spec {spec!r}: {exc}; registry: {KERNEL_REGISTRY_HELP}"
         ) from exc
-    raise InvalidArgumentError(
-        f"unknown kernel {spec!r}; registry: {KERNEL_REGISTRY_HELP}"
-    )

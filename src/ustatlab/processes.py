@@ -52,7 +52,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .jackknife import _jackknife
-from .kernels import Kernel
+from .kernels import Kernel, _check_integer
 
 __all__ = [
     "StepProcess",
@@ -158,8 +158,7 @@ def studentized_value(kernel: Kernel, data, theta: float, k: int) -> float:
     _check_theta(theta)
     x = _as_sample(data)
     n, m = x.shape[0], kernel.order
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise InvalidArgumentError(f"k must be an integer, got {k!r}")
+    _check_integer("k", k)
     if not m <= k <= n:
         raise InsufficientDataError(f"need m <= k <= n, got k={k}, m={m}, n={n}")
     return _studentized_value(kernel, x, theta, k)

@@ -262,17 +262,16 @@ _REDUCTIONS = {"ustat_sum", "prefix_sums", "q_raw", "square_sum", "shared_pair_t
                "max_abs_kernel"}
 _ROUTING = {
     "_accel": _REDUCTIONS,
-    "engine": {"_reduce", "_combination_blocks", "kernel_route"},
+    "engine": {"_reduce", "_combination_blocks"},
 }
 
 
 def _routing_read(tree):
     """The names a module reads that choose between _accel and the
-    enumeration, or run either: the reductions of _accel, and the routes,
-    the route check and the enumeration of the engine."""
+    enumeration, or run either: the reductions of _accel, and the route
+    check and the enumeration of the engine."""
     return {f"{module}.{name}" for module, names in _ROUTING.items()
-            for name in _names_read(tree, module)
-            if name in names or (module == "engine" and name.startswith("ROUTE_"))}
+            for name in _names_read(tree, module) if name in names}
 
 
 def test_only_engine_chooses_the_route():
@@ -282,9 +281,9 @@ def test_only_engine_chooses_the_route():
                if name not in ("_accel", "engine")}
     assert {name: read for name, read in readers.items() if read} == {}
     assert _routing_read(ast.parse(
-        "from .engine import ROUTE_SORT, _as_sample\nfrom . import engine as e, _accel\n"
+        "from .engine import _combination_blocks, _as_sample\nfrom . import engine as e, _accel\n"
         "e._reduce, _accel.q_raw, _accel._comb_column, e._total")) \
-        == {"engine.ROUTE_SORT", "engine._reduce", "_accel.q_raw"}
+        == {"engine._combination_blocks", "engine._reduce", "_accel.q_raw"}
 
 
 def _outside_reduce(tree):

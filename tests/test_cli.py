@@ -156,6 +156,8 @@ def test_study_negligibility_writes_values(tmp_path):
     (dict(kernel="product:m=2"), "order-3 kernel"),
     (dict(n_grid=[12, 61]), "capped at 60"),
     (dict(n_grid=[2, 24]), "shared-pair needs n >= 2m - 1 = 5, got n=2"),
+    (dict(kernel="variance", statistic="centered-usq", theta=math.nan),
+     "theta must be finite, got nan"),
 ])
 def test_study_negligibility_bad_shape_exits_2(tmp_path, capsys, overrides, message):
     raw = dict(experiment="NEGLIGIBILITY", kernel="product:m=3", dist="normal:0,1",

@@ -36,7 +36,6 @@ from ustatlab.experiments import (
     negligibility_value,
     truncation_coupling_rate,
 )
-from ustatlab.engine import ROUTE_CLOSED_FORM, ROUTE_SORT, kernel_route
 from ustatlab import derive_seed, example_density, sample_grid, theta_under
 
 from _oracles import brute_combination_sum, brute_ordered_sum, finite_expectation
@@ -272,15 +271,13 @@ def test_diagonal_square_closed_forms_never_enumerate(monkeypatch):
     rng = np.random.default_rng(23)
     for kernel in (identity_kernel(), product_kernel(2), product_kernel(3),
                    variance_kernel(), constant_kernel(1.0, 2), constant_kernel(-3.0, 3)):
-        assert kernel_route(kernel) == ROUTE_CLOSED_FORM
         x = rng.normal(0.5, 1.0, 400 if kernel.order <= 2 else 60)
         assert negligibility_value("diagonal-square", kernel, None, x) > 0
-    # FULL_M-truncated kernels on the sort route whose O(n) bound clears the
-    # threshold: h^2 sums to the untruncated square_sum
+    # FULL_M-truncated kernels whose O(n) bound clears the threshold: h^2
+    # sums to the untruncated square_sum
     for base, n in ((product_kernel(2), 400), (product_kernel(3), 60),
                     (variance_kernel(), 400), (constant_kernel(-3.0, 3), 60)):
         kernel = truncate_kernel(base, TruncationRule(TruncationMode.FULL_M, n))
-        assert kernel_route(kernel) == ROUTE_SORT
         x = rng.normal(0.5, 1.0, n)
         assert _accel._keeps_all(kernel.accel_code, kernel.accel_thr, x, kernel.order)
         want = math.factorial(base.order) \
@@ -301,14 +298,12 @@ def test_shared_pair_constant_kernel(monkeypatch):
 
     x = np.random.default_rng(5).normal(0, 1, 12)
     kernel = constant_kernel(2.0, 3)
-    assert kernel_route(kernel) == ROUTE_CLOSED_FORM
     want = engine._shared_pair_generic(kernel, x) / math.perm(12, 5)
     assert want == pytest.approx(0.5, rel=1e-12)
     monkeypatch.setattr(engine, "_shared_pair_generic", generic)
     assert negligibility_value("shared-pair", kernel, None, x) == 0.5
     keeps = truncate_kernel(kernel, TruncationRule(TruncationMode.FULL_M, 12))
     drops = truncate_kernel(kernel, TruncationRule(TruncationMode.FULL_M, 1))
-    assert kernel_route(keeps) == kernel_route(drops) == ROUTE_SORT
     assert negligibility_value("shared-pair", keeps, None, x) == 0.5
     assert negligibility_value("shared-pair", drops, None, x) == 0.0
     assert negligibility_value("shared-pair", constant_kernel(-0.5, 3), None,
@@ -340,13 +335,18 @@ def test_negligibility_shortcuts_where_the_bound_clears(monkeypatch):
             == negligibility_value(statistic, base, None, x)
 
 
-@pytest.mark.parametrize("statistic,kernel,theta,message", [
-    ("bogus", product_kernel(3), None, "unknown statistic 'bogus'"),
-    ("shared-pair", product_kernel(2), None, "shared-pair statistic needs an order-3 kernel"),
-    ("centered-usq", product_kernel(2), None, "centered-usq needs theta for kernel"),
-], ids=["unknown", "shared-pair-order-2", "centered-usq-no-theta"])
+@pytest.mark.parametrize("statistic,kernel,theta,error,message", [
+    ("bogus", product_kernel(3), None, InvalidArgumentError, "unknown statistic 'bogus'"),
+    ("shared-pair", product_kernel(2), None, InvalidArgumentError,
+     "shared-pair statistic needs an order-3 kernel"),
+    ("centered-usq", product_kernel(2), None, InvalidArgumentError,
+     "centered-usq needs theta for kernel"),
+    ("centered-usq", variance_kernel(), math.nan, DomainError, "theta must be finite, got nan"),
+    ("centered-usq", variance_kernel(), -math.inf, DomainError, "theta must be finite, got -inf"),
+], ids=["unknown", "shared-pair-order-2", "centered-usq-no-theta", "centered-usq-nan-theta",
+        "centered-usq-infinite-theta"])
 def test_negligibility_value_refuses_bad_arguments_before_any_reduction(
-        monkeypatch, statistic, kernel, theta, message):
+        monkeypatch, statistic, kernel, theta, error, message):
     # the statistic, the kernel's order and theta are checked by the one
     # statement of NEGLIGIBILITY's rules, before any reduction runs
     def no_reduction(*args, **kwargs):
@@ -354,7 +354,7 @@ def test_negligibility_value_refuses_bad_arguments_before_any_reduction(
 
     monkeypatch.setattr(engine, "_reduce", no_reduction)
     x = np.random.default_rng(3).normal(0, 1, 12)
-    with pytest.raises(InvalidArgumentError, match=f"^{message}"):
+    with pytest.raises(error, match=f"^{message}"):
         negligibility_value(statistic, kernel, theta, x)
 
 

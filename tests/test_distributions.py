@@ -163,6 +163,14 @@ def test_sample_grid_prefixes_are_read_only():
         sample_grid(normal(0, 1), [], 1)
     with pytest.raises(InvalidArgumentError):
         sample_grid(normal(0, 1), [3, 0], 1)
+    # a size is a Python or numpy integer: none is rounded or cut
+    for ns in ([2.7], [2.9, 5.5], [3, 5.0], ["3"], [True], [np.float64(4.0)]):
+        with pytest.raises(InvalidArgumentError, match="sample size must be an integer"):
+            sample_grid(normal(0, 1), ns, 1)
+    with pytest.raises(InvalidArgumentError, match="sample size must be an integer"):
+        sample(normal(0, 1), 2.7, 1)
+    assert [len(x) for x in sample_grid(normal(0, 1), np.array([2, 5]), 1)] == [2, 5]
+    assert len(sample(normal(0, 1), np.int64(3), 1)) == 3
 
 
 def test_finite_sampling_multinomial():
@@ -338,4 +346,8 @@ def test_registry():
                 "finite:[0,1];[nan,nan]", "finite:[0,inf];[0.5,0.5]", "normal:0,inf",
                 "normal:nan,1", "example:a=inf", "pareto:2,inf", "pareto:inf"):
         with pytest.raises(InvalidArgumentError):
+            dist_from_name(bad)
+    # an unknown or repeated argument is refused, not ignored or overwritten
+    for bad in ("example:a=2,b=3", "example:a=2,a=5"):
+        with pytest.raises(InvalidArgumentError, match="registry"):
             dist_from_name(bad)

@@ -32,15 +32,7 @@ from ustatlab import (
 from ustatlab import _accel, engine
 from ustatlab._accel import _binomials, _comb_column
 from ustatlab.experiments import negligibility_value
-from ustatlab.engine import (
-    ROUTE_CLOSED_FORM,
-    ROUTE_ENUMERATION,
-    ROUTE_SORT,
-    _combination_blocks,
-    _head_blocks,
-    combination_sum,
-    kernel_route,
-)
+from ustatlab.engine import _combination_blocks, _head_blocks, combination_sum
 
 from _oracles import (
     brute_combination_sum,
@@ -120,28 +112,6 @@ def test_generic_kernel_path_matches_oracle():
         brute_u_stat(lambda x, y: (x + y) ** 3, list(data), 2), rel=1e-10)
     pre = u_prefix_process(cube, data)
     assert pre.final == pytest.approx(u_statistic(cube, data), rel=1e-10)
-
-
-def test_kernel_route():
-    cut = TruncationRule(TruncationMode.FULL_M, 50)
-    assert kernel_route(product_kernel(5)) == ROUTE_CLOSED_FORM
-    assert kernel_route(identity_kernel()) == ROUTE_CLOSED_FORM
-    assert kernel_route(variance_kernel()) == ROUTE_CLOSED_FORM
-    # every truncated built-in is described as sort, whatever its order:
-    # the route a sample takes is decided per sample
-    for base in (identity_kernel(), product_kernel(1), product_kernel(2),
-                 product_kernel(3), product_kernel(4), product_kernel(5), variance_kernel()):
-        assert kernel_route(truncate_kernel(base, cut)) == ROUTE_SORT
-    user = make_kernel("sum", 2, lambda x, y: x + y)
-    assert kernel_route(user) == ROUTE_ENUMERATION
-    assert kernel_route(truncate_kernel(user, cut)) == ROUTE_ENUMERATION
-    # the constant kernel is a built-in of any order, and a truncated one
-    # keeps its code and stays on _accel at any order
-    for m in (1, 2, 3, 4, 7):
-        assert kernel_route(constant_kernel(2.5, m)) == ROUTE_CLOSED_FORM
-        truncated = truncate_kernel(constant_kernel(2.5, m), cut)
-        assert truncated.accel_code == constant_kernel(2.5, m).accel_code
-        assert kernel_route(truncated) == ROUTE_SORT
 
 
 @pytest.mark.parametrize("n,m", [(40, 1), (40, 3), (55_000, 4), (60_000, 4)])
@@ -258,28 +228,44 @@ def _truncated(fn, thr):
 
 
 def _on_route(base, route):
-    """``base`` untruncated (closed form), truncated at 1.0 (sort route),
-    or truncated at 1.0 without its built-in code (enumeration)."""
-    if route == ROUTE_CLOSED_FORM:
+    """``base`` untruncated (closed-form), truncated at 1.0 (sort), or
+    truncated at 1.0 without its built-in code (enumeration)."""
+    if route == "closed-form":
         return base
     kernel = truncate_kernel(base, CUT)
-    return kernel if route == ROUTE_SORT else dataclasses.replace(kernel, accel_code=None)
+    return kernel if route == "sort" else dataclasses.replace(kernel, accel_code=None)
+
+
+def _enumerations(monkeypatch) -> list:
+    """The sizes of the samples the engine enumerates from now on, one per
+    call of its block enumeration."""
+    calls, blocks = [], engine._combination_blocks
+
+    def counted(kernel, x):
+        calls.append(len(x))
+        return blocks(kernel, x)
+
+    monkeypatch.setattr(engine, "_combination_blocks", counted)
+    return calls
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
-@pytest.mark.parametrize("route", [ROUTE_CLOSED_FORM, ROUTE_SORT, ROUTE_ENUMERATION])
-def test_routes_against_oracle(name, route):
+@pytest.mark.parametrize("route", ["closed-form", "sort", "enumeration"])
+def test_routes_against_oracle(name, route, monkeypatch):
     base, fn = KERNELS[name]
     kernel = _on_route(base, route)
-    assert kernel_route(kernel) == route
-    truncate = route != ROUTE_CLOSED_FORM
+    truncate = route != "closed-form"
     fx = _truncated(fn, kernel.accel_thr)
     m = kernel.order
     x = list(np.random.default_rng(41).normal(0, 1.5, 17))
     want = brute_combination_sum(fx, x, m)
     if truncate:
+        # the truncation bites, so no call takes the closed form
         assert want != pytest.approx(brute_combination_sum(fn, x, m), rel=1e-6)
         assert want != 0.0
+    else:
+        assert _accel._keeps_all(kernel.accel_code, kernel.accel_thr, x, m)
+    enumerated = _enumerations(monkeypatch)
     assert combination_sum(kernel, x) == pytest.approx(want, rel=1e-11, abs=1e-11)
     pre = u_prefix_process(kernel, x)
     for k in (m, m + 3, len(x)):
@@ -287,13 +273,15 @@ def test_routes_against_oracle(name, route):
             brute_combination_sum(fx, x[:k], m), rel=1e-10, abs=1e-10)
     assert jackknife_closed_form(kernel, x).q == pytest.approx(
         brute_q(fx, x, m), rel=1e-10, abs=1e-10)
+    # each of the three calls enumerates without a code, and none with one
+    assert enumerated == ([len(x)] * 3 if route == "enumeration" else [])
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_closed_form_product_high_order_against_oracle(m):
     kernel = product_kernel(m)
-    assert kernel_route(kernel) == ROUTE_CLOSED_FORM
     x = list(np.random.default_rng(61).normal(0.5, 1.5, 17))
+    assert _accel._keeps_all(kernel.accel_code, kernel.accel_thr, x, m)
 
     def h(*xs):
         return math.prod(xs)
@@ -342,24 +330,27 @@ def _check_constant(kernel, c, x):
 @pytest.mark.parametrize("c,m", [(0.1, 1), (1 / 3, 2), (-0.7, 3), (2.5, 4), (-3.0, 6)])
 def test_constant_kernel_closed_form_against_oracle(c, m):
     kernel = constant_kernel(c, m)
-    assert kernel_route(kernel) == ROUTE_CLOSED_FORM
-    _check_constant(kernel, c, list(np.random.default_rng(47).normal(0, 1.5, 10)))
+    x = list(np.random.default_rng(47).normal(0, 1.5, 10))
+    assert _accel._keeps_all(kernel.accel_code, kernel.accel_thr, x, m)
+    _check_constant(kernel, c, x)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("c", [0.7, -1.0, -1.5, 3.0])
-def test_truncated_constant_keeps_all_or_nothing(c, m):
+def test_truncated_constant_keeps_all_or_nothing(c, m, monkeypatch):
     # at thr = 1.0 the truncated constant is c on every combination when
     # |c| <= 1 and 0 on every one otherwise, on _accel at every order and
     # again without its code, on the enumeration
     kernel = truncate_kernel(constant_kernel(c, m), CUT)
     kept = c if abs(c) <= 1.0 else 0.0
     x = list(np.random.default_rng(53).normal(0, 1.5, 9))
-    assert kernel_route(kernel) == ROUTE_SORT
     enumerated = dataclasses.replace(kernel, accel_code=None)
-    assert kernel_route(enumerated) == ROUTE_ENUMERATION
+    calls = _enumerations(monkeypatch)
     _check_constant(enumerated, kept, x)
+    assert calls
+    calls.clear()
     _check_constant(kernel, kept, x)
+    assert calls == []
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -417,12 +408,15 @@ def test_truncation_boundary_is_inclusive(name):
     base, data_for = BOUNDARY[name]
     for n in range(2, 200):
         kernel = truncate_kernel(base, TruncationRule(TruncationMode.FULL_M, n))
-        assert kernel_route(kernel) == ROUTE_SORT
         thr = kernel.accel_thr
         kept, dropped = data_for(thr), data_for(np.nextafter(thr, np.inf))
         if kept is not None and dropped is not None:
             break
     m = base.order
+    # the bound on |h| equals thr on the kept data, which takes the closed
+    # form, and exceeds it on the dropped data, which takes a sort route
+    assert _accel._keeps_all(kernel.accel_code, thr, kept, m)
+    assert not _accel._keeps_all(kernel.accel_code, thr, dropped, m)
     values = [base.eval_fn(*c) for c in itertools.combinations(kept, m)]
     count = values.count(thr)
     assert count >= 1 and values.count(0.0) == len(values) - count

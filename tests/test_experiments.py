@@ -434,6 +434,10 @@ def test_unknown_registry_names_are_config_errors():
         run_experiment(ExperimentConfig.from_dict(_base_config(kernel="nope")))
     with pytest.raises(ConfigError):
         run_experiment(ExperimentConfig.from_dict(_base_config(dist="nope:1")))
+    # as are specs with an unknown or repeated argument
+    for spec in (dict(kernel="product:m=2,m=3"), dict(dist="example:a=2,b=3")):
+        with pytest.raises(ConfigError, match="registry"):
+            run_experiment(ExperimentConfig.from_dict(_base_config(**spec)))
 
 
 def test_arvesen_small_run_passes():

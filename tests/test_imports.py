@@ -1,8 +1,8 @@
 """What a process loads: the package exports lazily, the library paths
 leave out the decomposition lab and the study driver, no study loads a
 process pool module or the decomposition lab, ``ustatlab.cli`` loads
-every layer the traced benchmark wraps, and the fixed-point ell(n) route
-loads no scipy.
+every layer the traced benchmark wraps, the fixed-point ell(n) route
+loads no scipy, and every module defines each name its ``__all__`` lists.
 Each check runs in a fresh interpreter, but for the import graph, which
 is read from the source."""
 
@@ -183,6 +183,22 @@ def test_star_import_and_dir_list_every_export():
         "print(json.dumps([sorted(n for n in scope if n != '__builtins__'), dir(ustatlab)]))")
     assert bound == sorted(EXPORTS)
     assert set(EXPORTS) <= set(listed)
+
+
+def test_every_module_defines_what_its_all_lists():
+    # a name deleted but still listed in __all__ breaks
+    # `from ustatlab.<module> import *`
+    modules = sorted(f"ustatlab.{p.stem}" for p in (SRC / "ustatlab").glob("*.py")
+                     if p.stem not in ("__init__", "__main__"))
+    assert "ustatlab.engine" in modules
+    assert fresh(
+        "import importlib, json\n"
+        "missing = {}\n"
+        f"for name in {modules!r}:\n"
+        "    module = importlib.import_module(name)\n"
+        "    missing[name] = [n for n in getattr(module, '__all__', ())\n"
+        "                     if not hasattr(module, n)]\n"
+        "print(json.dumps(missing))") == {name: [] for name in modules}
 
 
 def test_names_resolve_to_their_modules():

@@ -32,7 +32,6 @@ from ustatlab import (
     variance_kernel,
 )
 from ustatlab import _accel
-from ustatlab.engine import ROUTE_CLOSED_FORM, kernel_route
 from ustatlab.kernels import (_finite_mean, _projection_values, _projection_variance,
                               eval_kernel_rows)
 
@@ -116,12 +115,20 @@ def test_truncation_full_m_example():
     assert rule.threshold(2) == pytest.approx(16.0 ** 1.2, rel=1e-15)
     assert eval_kernel(k, [5, 5]) == 25
     assert eval_kernel(k, [6, 5]) == 0
+    assert TruncationRule(TruncationMode.FULL_M, np.int64(16)).threshold(2) == rule.threshold(2)
+    for n in (2.5, 16.0, True, "16"):
+        with pytest.raises(InvalidArgumentError, match="truncation rule n must be an integer"):
+            TruncationRule(TruncationMode.FULL_M, n).threshold(2)
 
 
 def test_truncation_identity_when_bounded():
     rule = TruncationRule(TruncationMode.FULL_M, n=100)
     k = truncate_kernel(constant_kernel(0.5, m=2), rule)
     assert eval_kernel(k, [7, 9]) == 0.5
+    # a truncated constant keeps its code, which carries c, at any order
+    for m in (1, 2, 3, 4, 7):
+        truncated = truncate_kernel(constant_kernel(2.5, m), rule)
+        assert truncated.accel_code == constant_kernel(2.5, m).accel_code
 
 
 def test_truncation_log_rule():
@@ -174,6 +181,11 @@ def test_registry_names():
                 "constant:c=nan,m=2", "constant:c=inf", "product:m=2,a=inf",
                 "product:m=2,a=nan"):
         with pytest.raises(InvalidArgumentError):
+            kernel_from_name(bad)
+    # an unknown or repeated argument is refused, not ignored or overwritten
+    for bad in ("identity:m=3", "variance:m=2", "product:m=2,m=3", "product:a=1,a=2",
+                "constant:c=1,c=4", "constant:c=1,a=2"):
+        with pytest.raises(InvalidArgumentError, match="registry"):
             kernel_from_name(bad)
 
 
@@ -280,7 +292,6 @@ def test_identity_is_the_order_one_product():
         for n in (10, 1000):
             assert estimate_ell(d, ident, n) == estimate_ell(d, prod, n)
     assert (ident.accel_code, ident.accel_thr) == (prod.accel_code, prod.accel_thr)
-    assert kernel_route(ident) == kernel_route(prod) == ROUTE_CLOSED_FORM
 
 
 def _max_plus_prod(*xs):

@@ -32,7 +32,6 @@ from ustatlab import (
     variance_kernel,
 )
 from ustatlab import _accel
-from ustatlab.engine import ROUTE_CLOSED_FORM, ROUTE_ENUMERATION, ROUTE_SORT, kernel_route
 from ustatlab.processes import StepProcess, _studentized, path_to_csv
 
 
@@ -240,7 +239,7 @@ def test_studentized_path_holds_two_vectors(name):
     # variance routes take them, plus index blocks of a twentieth of one
     x = sample(normal(0, 1), N_MEMORY, 5)
     kernel = _memory_kernel(name)
-    assert kernel_route(kernel) == ROUTE_CLOSED_FORM
+    assert _accel._keeps_all(kernel.accel_code, kernel.accel_thr, x, kernel.order)
     limit = 1.05 if name == "identity" else 2.05
     assert _peak_vectors(studentized_path, kernel, x, MEMORY_THETA[name]) <= limit
 
@@ -253,7 +252,6 @@ def test_truncated_studentized_path_holds_nothing_past_its_sort_route():
     x = sample(example_density(2.0), N_MEMORY, 5).copy()
     x[7] = 1e7
     code, thr = kernel.accel_code, kernel.accel_thr
-    assert kernel_route(kernel) == ROUTE_SORT
     assert _accel.max_abs_kernel(code, x, 2) > thr
     route_peak = max(_peak_vectors(_accel.prefix_sums, code, thr, x, 2),
                      _peak_vectors(_accel.q_raw, code, thr, x, 2))
@@ -265,16 +263,16 @@ def _bites(kernel, n):
 
 
 UNTOUCHED = {
-    "identity": (identity_kernel(), ROUTE_CLOSED_FORM),
-    "product2": (product_kernel(2), ROUTE_CLOSED_FORM),
-    "product3": (product_kernel(3), ROUTE_CLOSED_FORM),
-    "variance": (variance_kernel(), ROUTE_CLOSED_FORM),
-    "product1-sort": (_bites(product_kernel(1), 30), ROUTE_SORT),
-    "product2-sort": (_bites(product_kernel(2), 30), ROUTE_SORT),
-    "product3-sort": (_bites(product_kernel(3), 30), ROUTE_SORT),
-    "variance-sort": (_bites(variance_kernel(), 30), ROUTE_SORT),
-    "user1": (make_kernel("cube", 1, lambda x: x * x * x), ROUTE_ENUMERATION),
-    "user2": (make_kernel("sum", 2, lambda x, y: x + y), ROUTE_ENUMERATION),
+    "identity": (identity_kernel(), "closed-form"),
+    "product2": (product_kernel(2), "closed-form"),
+    "product3": (product_kernel(3), "closed-form"),
+    "variance": (variance_kernel(), "closed-form"),
+    "product1-sort": (_bites(product_kernel(1), 30), "sort"),
+    "product2-sort": (_bites(product_kernel(2), 30), "sort"),
+    "product3-sort": (_bites(product_kernel(3), 30), "sort"),
+    "variance-sort": (_bites(variance_kernel(), 30), "sort"),
+    "user1": (make_kernel("cube", 1, lambda x: x * x * x), "enumeration"),
+    "user2": (make_kernel("sum", 2, lambda x, y: x + y), "enumeration"),
 }
 
 
@@ -283,13 +281,16 @@ def test_paths_leave_data_and_columns_untouched(name):
     # the prefix buffer and the jackknife's q are overwritten in place:
     # neither may be the data or a cached column
     kernel, route = UNTOUCHED[name]
-    assert kernel_route(kernel) == route
+    code, thr = kernel.accel_code, kernel.accel_thr
     x = sample(normal(0, 1), 30, 3)
     x[4] = 400.0
-    if route == ROUTE_SORT:
-        assert _accel.max_abs_kernel(kernel.accel_code, x, kernel.order) > kernel.accel_thr
     x.flags.writeable = False
     before = x.copy()
+    # the route _accel takes on this sample: its answer, or the enumeration
+    # where it declines; the closed form where the threshold keeps all of h
+    q_raw = _accel.q_raw(code, thr, x, kernel.order)
+    assert route == ("enumeration" if q_raw is None else "closed-form"
+                     if _accel._keeps_all(code, thr, x, kernel.order) else "sort")
     studentized_path(kernel, x, 0.1)
     columns = {m: col.copy() for m, col in _accel._COLUMNS.items()}
     assert {1, kernel.order} <= set(columns)
@@ -304,9 +305,7 @@ def test_paths_leave_data_and_columns_untouched(name):
         assert not any(np.shares_memory(out, col) for out in outputs)
     assert not any(np.shares_memory(out, x) for out in outputs)
     # _accel's q_raw is fresh on every route, the order-1 product's too
-    if kernel.accel_code is not None:
-        assert not np.shares_memory(
-            _accel.q_raw(kernel.accel_code, kernel.accel_thr, x, kernel.order), x)
+    assert q_raw is None or not np.shares_memory(q_raw, x)
 
 
 def test_scale_invariance():
