@@ -53,15 +53,16 @@ Closed forms:
   variance kernel.
 
 Sort routes, for the product kernel of order m <= 3 and the variance
-kernel: the kept partners of a point (or of a pair, for m = 3) form a
-prefix of the data sorted by |x| (product) or a window of the data
-sorted by x (variance), because rounded multiplication and subtraction
-are monotone; cumulative sums over that order give the sums in
-O(n log n), and O(n^2 log n) for m = 3, whose kept sets are taken over
-the sorted pair products x_i x_j, at most ``MAX_SORT_PAIRS`` of them.
-Sums in data order (``prefix_sums``)
-are two-dimensional dominance sums: merge levels over the index axis
-(:func:`_dominance`) for m <= 2, tables over the sorted pairs for m = 3.
+kernel: the kept partners of a point form a prefix of the data sorted by
+|x| (product) or a window of the data sorted by x (variance), because
+rounded multiplication and subtraction are monotone; cumulative sums
+over that order give the sums in O(n log n).  Sums in data order
+(``prefix_sums``) are two-dimensional dominance sums: merge levels over
+the index axis (:func:`_dominance`).  The order-3 product runs the
+order-2 route at each last index k (:func:`_product3`): a kept triple
+i < j < k is a kept pair of x[:k] at the last factor |x_k|, so the route
+takes O(n^2 log n) time in O(n) memory, and serves at most
+``MAX_SORT_PAIRS`` pairs for its time.
 A cut found by ``searchsorted`` on ``thr / |x|`` is settled against the
 kernel value itself, computed in the order the enumeration of
 :mod:`ustatlab.engine` computes it, so the kept set is exactly the
@@ -87,7 +88,10 @@ KERNEL_PRODUCT = 1   # h(x_1..x_m) = prod x_i
 KERNEL_VARIANCE = 2  # m = 2, h(x, y) = (x - y)^2 / 2
 KERNEL_CONSTANT = 3  # h = c, coded as the pair (KERNEL_CONSTANT, c)
 MAX_SORT_ORDER = 3   # the sort routes cover the built-in kernels of order <= 3
-MAX_SORT_PAIRS = 2 * 10 ** 6  # the order-3 sort route holds ~125 bytes per pair
+# the order-3 sort route's time grows as C(n, 2) log n: on a 2-core VM it
+# takes ~0.25 s at n = 2000, and the enumeration at its own cap, C(844, 3)
+# triples, ~0.55 s
+MAX_SORT_PAIRS = 2 * 10 ** 6
 
 
 def _as_f64(data) -> np.ndarray:
@@ -338,12 +342,13 @@ def _settle(s: np.ndarray, cut: np.ndarray, holds) -> np.ndarray:
     return cut
 
 
-def _product_cut(a: np.ndarray, s: np.ndarray, thr: float) -> np.ndarray:
-    """cut[q] = number of the ascending magnitudes s with a[q] * s <= thr,
-    the product rounded as the kernel rounds it."""
+def _product_cut(a: np.ndarray, s: np.ndarray, thr: float, last: float) -> np.ndarray:
+    """cut[q] = number of the ascending magnitudes s with (a[q] * s) * last
+    <= thr, the product rounded as the kernel rounds it; order 2 passes
+    last = 1.0, which leaves every product as it is."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        guess = np.searchsorted(s, thr / a, side="right")
-        return _settle(s, guess, lambda q, v: a[q] * v <= thr)
+        guess = np.searchsorted(s, thr / a / last, side="right")
+        return _settle(s, guess, lambda q, v: a[q] * v * last <= thr)
 
 
 def _dominance(rank: np.ndarray, w: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -381,61 +386,38 @@ def _dominance(rank: np.ndarray, w: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     return out[:n]
 
 
-def _product2(x: np.ndarray, thr: float):
-    """(|x|-rank, cut): the kept partners of i are the ranks below cut[i]."""
+def _product2(x: np.ndarray, thr: float, last: float = 1.0):
+    """(|x|-order, |x|-rank, cut): the kept partners of i are the ranks
+    below cut[i], the pairs with (|x_i| |x_j|) last <= thr."""
     a = np.abs(x)
     order, rank, s = _sorted_by(a)
-    return order, rank, _product_cut(a, s, thr)
+    return order, rank, _product_cut(a, s, thr, last)
 
 
-def _product3_pairs(x: np.ndarray):
-    """Pairs i < j with their product x_i * x_j, the first factor the
-    enumeration forms; an overflowed product is never kept and weighs 0."""
-    i, j = np.triu_indices(x.shape[0], 1)
-    with np.errstate(over="ignore"):
-        p = x[i] * x[j]
-    return i, j, p, np.where(np.isfinite(p), p, 0.0)
+def _pair_terms(x: np.ndarray, thr: float, last: float = 1.0) -> np.ndarray:
+    """x_i times the sum of its kept partners x_j, j != i: the kept ranks
+    below cut[i], without i itself.  Order 2's q_raw at last = 1.0."""
+    order, rank, cut = _product2(x, thr, last)
+    c = running_sums(x[order])
+    return x * (c[np.minimum(cut, rank)] + (c[np.maximum(cut, rank + 1)] - c[rank + 1]))
 
 
-def _product3_by_last(x, thr, j, p, pw) -> np.ndarray:
-    """by_last[k] = sum over kept i < j < k of (x_i x_j) x_k.
-
-    The pairs kept with x_k are those ranked below its cut in |x_i x_j|
-    order.  A pair of rank t goes to chunk c(t) = the number of the n cuts
-    <= t, and a point with c cuts below its own keeps exactly the chunks
-    <= c; table[c, j] sums the pairs of those chunks whose larger index
-    is <= j, so every entry adds kept terms only.
-    """
-    n = x.shape[0]
-    order, _, ps = _sorted_by(np.abs(p))
-    cut = _product_cut(np.abs(x), ps, thr)
-    cuts = np.sort(cut)
-    chunk = np.searchsorted(cuts, np.arange(ps.shape[0]), side="right")
-    table = np.bincount(chunk * n + j[order], weights=pw[order],
-                        minlength=(n + 1) * n).reshape(n + 1, n)
-    np.cumsum(table, axis=0, out=table)
-    np.cumsum(table, axis=1, out=table)
-    out = np.zeros(n)
-    out[1:] = x[1:] * table[np.searchsorted(cuts, cut[1:], side="left"), np.arange(n - 1)]
-    return out
-
-
-def _product3_q_raw(x: np.ndarray, thr: float) -> np.ndarray:
-    """q_raw of the order-3 product kernel: each kept triple i < j < k is
-    credited to k by by_last and to i and j through its pair, whose kept
-    partners k > j are those below a cut in |x| order: table[t, c] sums
-    the x_k with k >= t and |x|-rank below c."""
-    n = x.shape[0]
-    i, j, p, pw = _product3_pairs(x)
-    _, rank, s = _sorted_by(np.abs(x))
-    cut = _product_cut(np.abs(p), s, thr)
-    table = np.zeros((n + 1, n + 1))
-    table[np.arange(n), rank + 1] = x
-    np.cumsum(table, axis=1, out=table)
-    table = np.cumsum(table[::-1], axis=0)[::-1]
-    t = pw * table[j + 1, cut]
-    return (_product3_by_last(x, thr, j, p, pw) + np.bincount(i, t, minlength=n)
-            + np.bincount(j, t, minlength=n))
+def _product3(x: np.ndarray, thr: float):
+    """(by_last, q_raw) of the order-3 product kernel.  A kept triple
+    i < j < k is a kept pair (i, j) of x[:k] at the last factor |x_k|, so
+    the order-2 route runs at each k: its pair terms times x_k go to q_raw
+    at i, and half their sum, halved term by term so that it stays in the
+    float range wherever by_last[k] does, is by_last[k], which q_raw
+    credits to k."""
+    by_last = np.zeros(x.shape[0])
+    q = np.zeros(x.shape[0])
+    for k in range(2, x.shape[0]):
+        t = x[k] * _pair_terms(x[:k], thr, abs(x[k]))
+        q[:k] += t
+        t *= 0.5
+        by_last[k] = t.sum()
+    q += by_last
+    return by_last, q
 
 
 def _variance_cuts(x: np.ndarray, s: np.ndarray, thr: float):
@@ -481,8 +463,7 @@ def _by_last(code: int, thr: float, x: np.ndarray, m: int) -> np.ndarray:
     if m == 2:
         _, rank, cut = _product2(x, thr)
         return x * _dominance(rank, x[:, None], cut[:, None])[:, 0, 0]
-    _, j, p, pw = _product3_pairs(x)
-    return _product3_by_last(x, thr, j, p, pw)
+    return _product3(x, thr)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +535,7 @@ def q_raw(code, thr: float, data, m: int):
         return _variance_terms(y, sums[cuts])
     if m == 1:
         return np.where(np.abs(x) <= thr, x, 0.0)
-    if m == 2:
-        # the kept ranks below cut, without i itself
-        order, rank, cut = _product2(x, thr)
-        c = running_sums(x[order])
-        return x * (c[np.minimum(cut, rank)] + (c[np.maximum(cut, rank + 1)] - c[rank + 1]))
-    return _product3_q_raw(x, thr)
+    return _pair_terms(x, thr) if m == 2 else _product3(x, thr)[1]
 
 
 def square_sum(code, thr: float, data, m: int):

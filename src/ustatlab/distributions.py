@@ -22,8 +22,8 @@ from .errors import (
     InvalidArgumentError,
     UnsupportedOperationError,
 )
-from .kernels import (Kernel, _check_integer, _projection_values, _projection_variance,
-                      _registry_args, eval_kernel_rows)
+from .kernels import (Kernel, _check_count, _check_integer, _projection_values,
+                      _projection_variance, _registry_args, eval_kernel_rows)
 
 __all__ = [
     "Distribution",
@@ -58,6 +58,8 @@ _ELL_METHODS = (ANALYTIC_FINITE_VAR, EXAMPLE_ASYMPTOTIC, TRUNCATED_FIXED_POINT)
 def derive_seed(base_seed: int, index: int) -> int:
     """base_seed XOR (index * 0x9E3779B97F4A7C15) mod 2^64; injective in
     the index."""
+    _check_integer("a seed", base_seed)
+    _check_integer("a seed index", index)
     return (int(base_seed) ^ ((int(index) * _SEED_MULT) & _SEED_MASK)) & _SEED_MASK
 
 
@@ -172,6 +174,7 @@ class _GridSampler:
         self.buf = None if dist.kind == "example" else np.empty(max(ns))
 
     def __call__(self, seed: int) -> list:
+        _check_integer("a seed", seed)
         dist, ns = self.dist, self.ns
         bits = np.random.PCG64(int(seed) & _SEED_MASK)
         if dist.kind == "example":
@@ -331,6 +334,7 @@ def estimate_ell(dist: Distribution, kernel: Kernel, n, method: Optional[str] = 
     :func:`_truncated_second_moment`, iterated from B^2 = n max(T(sqrt n), 1)
     to 1e-6 relative, with ell^2 = B^2 / n.  A projection the fixed point
     cannot take raises UnsupportedOperationError."""
+    _check_count("n", n)
     if method is not None and method not in _ELL_METHODS:
         raise InvalidArgumentError(f"unknown ell method {method!r}")
     if method in (None, ANALYTIC_FINITE_VAR):
@@ -396,8 +400,8 @@ class MomentDiagnostic:
 
 def moment_diagnostic(dist: Distribution, kernel: Kernel, p: float, budget: int,
                       seed: int = 0) -> MomentDiagnostic:
-    if not p > 0:
-        raise InvalidArgumentError(f"moment order p must be > 0, got {p}")
+    if not 0 < p < math.inf:
+        raise InvalidArgumentError(f"moment order p must be finite and > 0, got {p}")
     if budget < 64:
         raise InvalidArgumentError("budget must be at least 64")
     m = kernel.order

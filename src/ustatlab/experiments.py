@@ -64,8 +64,8 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .jackknife import _jackknife
-from .kernels import (Kernel, TruncationMode, TruncationRule, _projection_values,
-                      kernel_from_name, theta_under)
+from .kernels import (Kernel, TruncationMode, TruncationRule, _check_count,
+                      _projection_values, kernel_from_name, theta_under)
 from .processes import (_check_theta, _studentized, _studentized_value, ks_distance,
                         normal_cdf, sup_functional, wiener_sup_cdf)
 
@@ -562,9 +562,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceRep
 
 
 def _check_workers(workers: int) -> None:
-    """A worker count the driver can run: at least 1, and 1 without os.fork."""
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    """A worker count the driver can run: an integer at least 1, and 1
+    without os.fork."""
+    _check_count("workers", workers, ConfigError)
     if workers > 1 and not hasattr(os, "fork"):
         raise ConfigError("workers > 1 needs os.fork, which this platform lacks")
 
@@ -668,8 +668,7 @@ def negligibility_trend(statistic_id: str, kernel: Kernel, dist: Distribution,
     this kernel and law, replication r seeded by ``replication_seed(seed,
     r)``.  It skips ``validate``, so it checks R and the grid itself; the
     preflight checks the statistic."""
-    if R < 1:
-        raise InvalidArgumentError(f"R must be >= 1, got {R}")
+    _check_count("R", R)
     n_grid = tuple(n_grid)
     if not n_grid or sorted(set(n_grid)) != list(n_grid):
         raise InvalidArgumentError("n_grid must be nonempty ascending")
@@ -684,6 +683,7 @@ def truncation_coupling_rate(kernel: Kernel, dist: Distribution, n_grid,
     """Fraction of samples where some evaluated tuple escapes the
     order-level threshold n^(3m/5), i.e. the truncated statistic differs
     from the raw one; decreases with n when E|h|^(5/3) is finite."""
+    _check_count("R", R)
     m = kernel.order
     n_grid = list(n_grid)
     hits = [0] * len(n_grid)

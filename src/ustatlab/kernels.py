@@ -75,15 +75,22 @@ class Kernel:
     accel_thr: float = field(default=math.inf)
 
     def __post_init__(self):
+        _check_integer("kernel order", self.order)
         if self.order < 1:
             raise InvalidArgumentError(f"kernel order must be >= 1, got {self.order}")
 
 
-def _check_integer(name: str, value) -> None:
-    """``value`` is a Python or numpy integer, not a bool (else
-    InvalidArgumentError)."""
+def _check_integer(name: str, value, error=InvalidArgumentError) -> None:
+    """``value`` is a Python or numpy integer, not a bool (else ``error``)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(name: str, value, error=InvalidArgumentError) -> None:
+    """``value`` is an integer (:func:`_check_integer`) of at least 1."""
+    _check_integer(name, value, error)
+    if value < 1:
+        raise error(f"{name} must be >= 1, got {value}")
 
 
 class TruncationMode(str, Enum):
@@ -108,6 +115,8 @@ class TruncationRule:
         if self.mode is TruncationMode.FULL_M:
             c = float(self.n) ** (0.6 * order)
         elif self.mode is TruncationMode.LEVEL_J:
+            if self.j is not None:
+                _check_integer("LEVEL_J j", self.j)
             if self.j is None or not (1 <= self.j <= order - 1):
                 raise InvalidArgumentError(
                     f"LEVEL_J needs 1 <= j <= {order - 1}, got {self.j}"
@@ -288,8 +297,6 @@ def product_kernel(m: int, a: Optional[float] = None) -> Kernel:
     """h(x1..xm) = prod x_i.  When ``a`` is given, theta is pinned to a^m
     (the heavy-tailed example configuration); the projection always uses
     the paired distribution's mean mu: h1(x) = x mu^(m-1) - mu^m."""
-    if m < 1:
-        raise InvalidArgumentError(f"product kernel needs m >= 1, got {m}")
     if a is not None and not math.isfinite(a):
         raise InvalidArgumentError(f"product kernel needs a finite a, got {a}")
 

@@ -462,6 +462,17 @@ def test_trend_needs_a_replication(R):
         negligibility_trend("diagonal-square", product_kernel(2), normal(0, 1), [10], R, 1)
 
 
+@pytest.mark.parametrize("R", [2.5, 2.0, True])
+def test_replication_counts_are_integers(R):
+    # negligibility_trend raised a bare TypeError at 2.5 and ran R = 1 at True
+    with pytest.raises(InvalidArgumentError, match=f"^R must be an integer, got {R!r}$"):
+        negligibility_trend("diagonal-square", product_kernel(2), normal(0, 1), [10], R, 1)
+    with pytest.raises(InvalidArgumentError, match=f"^R must be an integer, got {R!r}$"):
+        truncation_coupling_rate(product_kernel(2), normal(0, 1), [10], R, 1)
+    with pytest.raises(InvalidArgumentError, match="^R must be >= 1, got 0$"):
+        truncation_coupling_rate(product_kernel(2), normal(0, 1), [10], 0, 1)
+
+
 def test_trend_guards():
     with pytest.raises(InvalidArgumentError):
         negligibility_trend("bogus", product_kernel(2), normal(0, 1), [10], 50, 1)

@@ -229,9 +229,9 @@ def test_estimate_ell_analytic():
 
 
 def test_estimate_ell_example_asymptotic():
-    est = estimate_ell(example_density(2.0), product_kernel(2), math.e)
+    est = estimate_ell(example_density(2.0), product_kernel(2), 3)
     assert est.method == "example-asymptotic"
-    assert est.ell_sq == pytest.approx(4.0, rel=1e-12)
+    assert est.ell_sq == pytest.approx(4.0 * math.log(3), rel=1e-12)
     est = estimate_ell(example_density(2.0), product_kernel(2), 10_000)
     assert est.ell_sq == pytest.approx(4.0 * math.log(10_000), rel=1e-12)
 
@@ -308,6 +308,39 @@ def test_estimate_ell_errors():
         estimate_ell(normal(0, 1), constant_kernel(1.0), 10)
     with pytest.raises(UnsupportedOperationError):
         estimate_ell(example_density(2.0), variance_kernel(), 100)
+
+
+def test_estimate_ell_needs_an_integer_n():
+    # n = -1 raised a math domain error, and n = 2.5 returned an estimate
+    for n in (2.5, math.e, 10.0, True, "10"):
+        with pytest.raises(InvalidArgumentError, match=f"^n must be an integer, got {n!r}$"):
+            estimate_ell(normal(1, 1), product_kernel(2), n)
+    for n in (0, -1):
+        with pytest.raises(InvalidArgumentError, match=f"^n must be >= 1, got {n}$"):
+            estimate_ell(pareto(2, 1), product_kernel(2), n)
+    assert estimate_ell(normal(1, 1), product_kernel(2), np.int64(10)).ell_sq == 1.0
+
+
+def test_seeds_are_integers():
+    # 1.5 drew seed 1's stream, and "7" was accepted
+    for seed in (1.5, 7.0, True, "7"):
+        with pytest.raises(InvalidArgumentError, match="^a seed must be an integer"):
+            sample(normal(0, 1), 3, seed)
+        with pytest.raises(InvalidArgumentError, match="^a seed must be an integer"):
+            _GridSampler(normal(0, 1), [3])(seed)
+        with pytest.raises(InvalidArgumentError, match="^a seed must be an integer"):
+            derive_seed(seed, 0)
+        with pytest.raises(InvalidArgumentError, match="^a seed index must be an integer"):
+            derive_seed(0, seed)
+    assert np.array_equal(sample(normal(0, 1), 3, np.int64(7)), sample(normal(0, 1), 3, 7))
+    assert derive_seed(np.uint64(7), np.int64(1)) == derive_seed(7, 1)
+
+
+def test_moment_order_is_finite():
+    # p = inf warned and returned value inf with se nan
+    for p in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(InvalidArgumentError, match="^moment order p must be finite and > 0"):
+            moment_diagnostic(normal(0, 1), product_kernel(2), p, 1000, 1)
 
 
 def test_moment_diagnostic_constant():

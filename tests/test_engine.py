@@ -203,15 +203,44 @@ def test_enumeration_cap():
     bitten[0] = 2.0 * cut.threshold(4)
     with pytest.raises(ResourceLimitError, match="evaluation cap"):
         u_statistic(truncate_kernel(product_kernel(4), cut), bitten)
-    # the order-3 sort route holds every pair, so past its pair cap a sample
-    # the truncation bites is enumerated too, and refused; data it keeps
-    # whole takes the closed form
+    # the order-3 sort route serves at most MAX_SORT_PAIRS pairs, so past
+    # that a sample the truncation bites is enumerated too, and refused;
+    # data it keeps whole takes the closed form
     bitten = x[:2001].copy()
     bitten[0] = 2.0 * cut.threshold(3)
     with pytest.raises(ResourceLimitError, match="evaluation cap"):
         u_statistic(truncate_kernel(product_kernel(3), cut), bitten)
     assert u_statistic(truncate_kernel(product_kernel(3), cut), x) == u_statistic(
         product_kernel(3), x)
+
+
+def test_order3_sort_route_at_its_bound():
+    # the largest sample the order-3 sort route serves: |x| in [1, 2] and one
+    # point at 2 thr, so every triple holding that point is dropped and every
+    # other triple is kept; the other points' untruncated closed form is the
+    # oracle, and the route holds a few n-vectors, not a table over the pairs
+    n = 2000
+    assert math.comb(n, 2) <= _accel.MAX_SORT_PAIRS < math.comb(n + 1, 2)
+    kernel = truncate_kernel(product_kernel(3), TruncationRule(TruncationMode.FULL_M, n))
+    x = np.random.default_rng(29).uniform(1.0, 2.0, n)
+    x[n // 2] = 2.0 * kernel.accel_thr
+    rest = np.delete(x, n // 2)
+    total = combination_sum(product_kernel(3), rest)
+    assert combination_sum(kernel, x) == pytest.approx(total, rel=1e-9)
+    assert u_prefix_process(kernel, x).final == pytest.approx(
+        total / math.comb(n, 3), rel=1e-9)
+    q = jackknife_closed_form(kernel, x).q * math.comb(n - 1, 2)
+    want = jackknife_closed_form(product_kernel(3), rest).q * math.comb(n - 2, 2)
+    assert q[n // 2] == 0.0
+    assert np.allclose(np.delete(q, n // 2), want, rtol=1e-9, atol=0.0)
+    for reduction in (_accel.q_raw, _accel.prefix_sums):
+        tracemalloc.start()
+        try:
+            reduction(kernel.accel_code, kernel.accel_thr, x, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 8 * n, reduction.__name__
 
 
 # A threshold of exactly 1.0 (FULL_M at n = 1) drops some evaluations of

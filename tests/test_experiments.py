@@ -249,6 +249,18 @@ def test_driver_config_errors(monkeypatch, overrides, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("workers", [2.5, 2.0, True, "2"])
+def test_workers_are_an_integer(monkeypatch, workers):
+    # 2.5 raised a bare TypeError and True ran serially
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(experiments, "_collect", no_replications)
+    with pytest.raises(ConfigError) as info:
+        run_experiment(ExperimentConfig.from_dict(_base_config()), workers=workers)
+    assert str(info.value) == f"workers must be an integer, got {workers!r}"
+
+
 _THETA_READERS = "theta only applies to CLT_T0, FCLT_SUP, NEGLIGIBILITY"
 _ELL_READERS = "ell_method only applies to RAIKOV, JACK_RAIKOV, ARVESEN"
 _KS_READERS = "ks_threshold only applies to CLT_T0, FCLT_SUP"

@@ -121,6 +121,26 @@ def test_truncation_full_m_example():
             TruncationRule(TruncationMode.FULL_M, n).threshold(2)
 
 
+def test_order_and_level_j_are_integers():
+    # product_kernel(2.0) built an order-2.0 kernel, product_kernel(2.5)
+    # failed in itertools.islice, and LEVEL_J at j = 1.5 took 100^0.9
+    for m in (2.0, 2.5, True, "2"):
+        for build in (product_kernel, lambda m: constant_kernel(1.0, m),
+                      lambda m: make_kernel("user", m, lambda *xs: 0.0)):
+            with pytest.raises(InvalidArgumentError,
+                               match=f"^kernel order must be an integer, got {m!r}$"):
+                build(m)
+    with pytest.raises(InvalidArgumentError, match="^kernel order must be >= 1, got 0$"):
+        product_kernel(0)
+    assert product_kernel(np.int64(3)).order == 3
+    for j in (1.5, 1.0, True, "1"):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^LEVEL_J j must be an integer, got {j!r}$"):
+            TruncationRule(TruncationMode.LEVEL_J, 100, j=j).threshold(3)
+    assert TruncationRule(TruncationMode.LEVEL_J, 100, j=np.int64(1)).threshold(3) \
+        == 100.0 ** 0.6
+
+
 def test_truncation_identity_when_bounded():
     rule = TruncationRule(TruncationMode.FULL_M, n=100)
     k = truncate_kernel(constant_kernel(0.5, m=2), rule)

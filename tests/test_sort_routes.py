@@ -8,7 +8,8 @@ LOG, LEVEL_J and FULL_M thresholds and thresholds that keep none, some or
 all evaluations, the peak |h| itself among them; data with ties, zeros,
 sign changes and scales from 1e-100 to 1e100; values placed next to the
 threshold, where a cut found by ``searchsorted`` on thr / |x| alone is
-off by one; sums that round past the float range.  Each check runs as the library runs, where a threshold that
+off by one; samples with extremes at the first, a middle and the last
+index; sums that round past the float range.  Each check runs as the library runs, where a threshold that
 keeps every evaluation takes the closed form, and again with that
 shortcut off, so the sort route runs on every case.
 """
@@ -216,13 +217,27 @@ def test_replaced_threshold_moves_every_route():
 # a threshold of exactly 1.0 (FULL_M at n = 1)
 CUT = TruncationRule(TruncationMode.FULL_M, 1)
 
+# every kernel on 9 points that CUT keeps none, some or all of, and the
+# sort routes on 40 points with several bitten ("ends")
+KEEPS = [(name, keep) for keep in ("none", "some", "all") for name in sorted(KERNELS)] \
+    + [(name, "ends") for name in ("product1", "product2", "product3", "variance")]
 
-@pytest.mark.parametrize("name", sorted(KERNELS))
-@pytest.mark.parametrize("keep", ["none", "some", "all"])
+
+@pytest.mark.parametrize("name,keep", KEEPS, ids=[f"{keep}-{name}" for name, keep in KEEPS])
 def test_sort_route_keeps_none_some_or_all(name, keep):
     base, fn = KERNELS[name]
     kernel = truncate_kernel(base, CUT)
     m = base.order
+    if keep == "ends":
+        # extremes at the first, a middle and the last index, and thresholds
+        # at the products of the first one, two and three of them: the
+        # order-3 route drops triples at its first and its last index
+        x = np.random.default_rng(3).normal(0.5, 1.5, 40)
+        x[0], x[20], x[-1] = 40.0, -25.0, 60.0
+        x = list(x)
+        for thr in (40.0, 40.0 * 25.0, 40.0 * 25.0 * 60.0):
+            check_against_oracle(name, dataclasses.replace(kernel, accel_thr=thr), x)
+        return
     x = np.random.default_rng(3).normal(0.5, 1.5, 9)
     x = list(x * {"none": 1e3, "some": 1.0, "all": 1e-3}[keep])
     values = [fn(*c) for c in itertools.combinations(x, m)]
