@@ -162,7 +162,7 @@ def _contract(tensor: np.ndarray, probs: np.ndarray, axes) -> np.ndarray:
 
 def build_v_expansion(ps: ProductStatistic, dist: Distribution) -> VExpansion:
     """All degenerate components V_A plus the constant E h*, exactly."""
-    if dist.kind != "finite":
+    if dist.points is None:
         raise InvalidArgumentError("v-expansion needs a finite-support distribution")
     if len(dist.points) > _MAX_SUPPORT:
         raise ResourceLimitError(f"support size {len(dist.points)} exceeds {_MAX_SUPPORT}")
@@ -245,7 +245,7 @@ def degenerate_moment_bound(L: Callable, arity: int, mu: float, dist: Distributi
     ``L`` must be degenerate with mean ``mu`` under ``dist`` (checked;
     violation raises :class:`PreconditionViolationError`).
     """
-    if dist.kind != "finite":
+    if dist.points is None:
         raise InvalidArgumentError("bound verification needs finite support")
     pts, probs = dist.points, dist.probs
     s = len(pts)

@@ -18,11 +18,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import _accel
-from .errors import (
-    DomainError,
-    InvalidArgumentError,
-    UnsupportedOperationError,
-)
+from .errors import DomainError, InvalidArgumentError, UnsupportedOperationError
 
 __all__ = [
     "Kernel",
@@ -86,6 +82,12 @@ def _check_integer(name: str, value, error=InvalidArgumentError) -> None:
         raise error(f"{name} must be an integer, got {value!r}")
 
 
+def _spec_num(x) -> str:
+    """x as a registry name writes it: ``:g`` where that reads back as x, else repr."""
+    text = f"{float(x):g}"
+    return text if float(text) == x else repr(float(x))
+
+
 def _check_count(name: str, value, error=InvalidArgumentError) -> None:
     """``value`` is an integer (:func:`_check_integer`) of at least 1."""
     _check_integer(name, value, error)
@@ -112,15 +114,15 @@ class TruncationRule:
         _check_integer("truncation rule n", self.n)
         if self.n < 1:
             raise InvalidArgumentError(f"truncation rule needs n >= 1, got {self.n}")
+        if (self.j is None) == (self.mode is TruncationMode.LEVEL_J):
+            raise InvalidArgumentError(
+                f"LEVEL_J needs a j, and only LEVEL_J takes one: got j = {self.j!r}")
         if self.mode is TruncationMode.FULL_M:
             c = float(self.n) ** (0.6 * order)
         elif self.mode is TruncationMode.LEVEL_J:
-            if self.j is not None:
-                _check_integer("LEVEL_J j", self.j)
-            if self.j is None or not (1 <= self.j <= order - 1):
-                raise InvalidArgumentError(
-                    f"LEVEL_J needs 1 <= j <= {order - 1}, got {self.j}"
-                )
+            _check_integer("LEVEL_J j", self.j)
+            if not 1 <= self.j <= order - 1:
+                raise InvalidArgumentError(f"LEVEL_J needs 1 <= j <= {order - 1}, got {self.j}")
             c = float(self.n) ** (0.6 * self.j)
         else:
             if self.n < 2:
@@ -180,9 +182,7 @@ def theta_under(kernel: Kernel, dist) -> Optional[float]:
             return None if dist.mean is None else dist.mean ** kernel.order
         if kernel.accel_code == _accel.KERNEL_VARIANCE:
             return dist.variance
-    if dist.kind == "finite":
-        return _finite_mean(kernel, dist)
-    return None
+    return None if dist.points is None else _finite_mean(kernel, dist)
 
 
 def _support_rows(dist, k: int):
@@ -221,11 +221,10 @@ def _projection_values(kernel: Kernel, dist, x: np.ndarray) -> np.ndarray:
             return np.asarray(kernel.projection(x, dist), dtype=np.float64)
         except UnsupportedOperationError:
             pass
-    if dist.kind != "finite":
+    if dist.points is None:
         raise UnsupportedOperationError(
             f"no analytic projection for kernel '{kernel.name}' under "
-            f"'{dist.name}', and '{dist.name}' is not a finite law to enumerate"
-        )
+            f"'{dist.name}', and '{dist.name}' is not a finite law to enumerate")
     theta = _finite_mean(kernel, dist)
     # distinct by bit pattern, so -0.0 and 0.0 are evaluated apart
     bits, inverse = np.unique(np.asarray(x, dtype=np.float64).view(np.int64),
@@ -236,7 +235,7 @@ def _projection_values(kernel: Kernel, dist, x: np.ndarray) -> np.ndarray:
 
 def _projection_variance(kernel: Kernel, dist) -> Optional[float]:
     """Exact Var h1(X) when available analytically, else None."""
-    if dist.kind == "finite":
+    if dist.points is not None:
         vals = _projection_values(kernel, dist, dist.points)
         mu = float(np.dot(vals, dist.probs))
         return float(np.dot((vals - mu) ** 2, dist.probs))
@@ -246,10 +245,8 @@ def _projection_variance(kernel: Kernel, dist) -> Optional[float]:
         except UnsupportedOperationError:
             return None
         return slope ** 2 * dist.variance
-    if kernel.accel_code == _accel.KERNEL_VARIANCE and kernel.accel_thr == math.inf \
-            and dist.kind == "normal":
-        sigma = dist.params[1]
-        return sigma ** 4 / 2.0  # Var((X-mu)^2 - sigma^2)/4 under a normal
+    if kernel.accel_code == _accel.KERNEL_VARIANCE and kernel.accel_thr == math.inf:
+        return dist._half_sq_dev_var()  # h1 = (X-mu)^2/2 - sigma^2/2
     return None
 
 
@@ -304,7 +301,7 @@ def product_kernel(m: int, a: Optional[float] = None) -> Kernel:
         mu = _require_mean(d)
         return (mu ** (m - 1), -(mu ** m))
 
-    name = f"product:m={m}" + (f",a={a:g}" if a is not None else "")
+    name = f"product:m={m}" + (f",a={_spec_num(a)}" if a is not None else "")
     return Kernel(
         name=name,
         order=m,
@@ -363,7 +360,7 @@ def constant_kernel(c: float, m: int = 1) -> Kernel:
         return (0.0, 0.0)
 
     return Kernel(
-        name=f"constant:c={c:g}" + (f",m={m}" if m != 1 else ""),
+        name=f"constant:c={_spec_num(c)}" + (f",m={m}" if m != 1 else ""),
         order=m,
         eval_fn=lambda *xs: c,
         theta=c,

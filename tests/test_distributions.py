@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from ustatlab import (
     sample_grid,
     variance_kernel,
 )
-from ustatlab.distributions import _GridSampler, _truncated_second_moment
+from ustatlab.distributions import Distribution, _GridSampler, _truncated_second_moment
 
 from _oracles import stream_sample, truncated_second_moment_mp
 
@@ -343,6 +345,14 @@ def test_moment_order_is_finite():
             moment_diagnostic(normal(0, 1), product_kernel(2), p, 1000, 1)
 
 
+def test_moment_budget_is_an_integer():
+    # 100.5 failed later as "a sample size must be an integer, got 201.0"
+    for budget in (100.5, 128.0, True, "128"):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^budget must be an integer, got {budget!r}$"):
+            moment_diagnostic(normal(0, 1), product_kernel(2), 1.0, budget, 1)
+
+
 def test_moment_diagnostic_constant():
     md = moment_diagnostic(normal(0, 1), constant_kernel(-3.0, m=2), 1.5, 1000, 1)
     assert md.value == pytest.approx(3.0 ** 1.5, rel=1e-12)
@@ -384,3 +394,47 @@ def test_registry():
     for bad in ("example:a=2,b=3", "example:a=2,a=5"):
         with pytest.raises(InvalidArgumentError, match="registry"):
             dist_from_name(bad)
+
+
+def test_registry_names_round_trip():
+    # a name wrote each number with :g, so normal(0.1234567, 1) was named
+    # normal:0.123457,1, a law other than itself
+    for d in (normal(0.1234567, 1), normal(1 / 3, 2 / 3), pareto(2 + 1e-9, 0.1234567),
+              pareto(1 / 3), example_density(1 / 3), example_density(-0.1234567),
+              finite([0, 1], [1 / 3, 2 / 3]), finite([0.1234567, -1 / 3, 5], [0.1, 0.2, 0.7]),
+              *LAWS):
+        back = dist_from_name(d.name)
+        assert (back.name, back.kind, back.params, back.mean, back.variance) \
+            == (d.name, d.kind, d.params, d.mean, d.variance)
+        for got, want in ((back.points, d.points), (back.probs, d.probs)):
+            assert (got is None and want is None) or np.array_equal(_bits(got), _bits(want))
+    # a name that was exact stays byte for byte
+    assert [d.name for d in LAWS] == ["example:a=2", "example:a=-0.5", "normal:1,2",
+                                      "pareto:2.5,1.5", "finite:[-1,0,2];[0.5,0.3,0.2]"]
+    assert finite([0, 1], [1 / 3, 2 / 3]).name \
+        == "finite:[0,1];[0.3333333333333333,0.6666666666666666]"
+
+
+def test_unknown_kind_is_refused():
+    # a kind with no law record failed later, at sampling, with a KeyError
+    with pytest.raises(InvalidArgumentError, match="^unknown distribution kind 'cauchy'$"):
+        Distribution(name="cauchy", kind="cauchy", params=(), mean=None, variance=None)
+
+
+def _kind_reads(tree) -> int:
+    """How many times a module reads an attribute named ``kind``."""
+    return sum(isinstance(node, ast.Attribute) and node.attr == "kind"
+               for node in ast.walk(tree))
+
+
+def test_only_distributions_reads_a_law_kind():
+    # each law's facts live in its _LAWS record; elsewhere a finite law is
+    # told by its points, and the normal law's moments come from its record
+    src = Path(__file__).resolve().parents[1] / "src" / "ustatlab"
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    assert {"distributions", "kernels", "decomposition"} <= set(modules)
+    readers = {name: _kind_reads(tree) for name, tree in modules.items()
+               if name != "distributions"}
+    assert {name: n for name, n in readers.items() if n} == {}
+    assert _kind_reads(ast.parse(
+        "if dist.kind == 'normal':\n    kind = 1\nsorted(x, kind='stable')\nd.points")) == 1

@@ -167,6 +167,12 @@ def test_truncation_level_j_bounds():
         TruncationRule(TruncationMode.LEVEL_J, n=10, j=3).threshold(3)
     with pytest.raises(InvalidArgumentError):
         TruncationRule(TruncationMode.LEVEL_J, n=10).threshold(2)
+    # a j given to another mode was ignored: FULL_M at j = 1.5 gave 100^1.8
+    for mode in (TruncationMode.FULL_M, TruncationMode.LOG):
+        for j in (1.5, 1, 0):
+            with pytest.raises(InvalidArgumentError, match="^LEVEL_J needs a j, and only "
+                               f"LEVEL_J takes one: got j = {j}$"):
+                TruncationRule(mode, 100, j=j).threshold(3)
 
 
 RULES = st.builds(TruncationRule, st.sampled_from([TruncationMode.LOG, TruncationMode.FULL_M]),
@@ -207,6 +213,17 @@ def test_registry_names():
                 "constant:c=1,c=4", "constant:c=1,a=2"):
         with pytest.raises(InvalidArgumentError, match="registry"):
             kernel_from_name(bad)
+
+
+def test_registry_names_round_trip():
+    # a with :g dropped digits: product:m=2,a=0.123457 pinned another theta
+    for x in (0.1234567, 1 / 3, -2 / 3, 1e-300, 2.0, 0.5):
+        for k in (product_kernel(2, a=x), product_kernel(3, a=x), constant_kernel(x),
+                  constant_kernel(x, 2)):
+            back = kernel_from_name(k.name)
+            assert (back.name, back.order, back.theta) == (k.name, k.order, k.theta)
+    assert product_kernel(2, a=2).name == "product:m=2,a=2"
+    assert constant_kernel(0.5, 3).name == "constant:c=0.5,m=3"
 
 
 def test_theta_under_matches_finite_enumeration():
